@@ -7,25 +7,15 @@ the identities connecting them, and the bound ordering they obey.
 
 import numpy as np
 
-from dpdiv import (
-    affinity_integral,
-    bayes_error,
-    bc_integral,
-    chernoff_integral,
-    diagonal_gaussian_model,
-    dp_tilde_integral,
-    gaussian_pair,
-    tv_integral,
-)
+from dpdiv import diagonal_gaussian_model, gaussian_pair, integrals
 
 pair = gaussian_pair(diagonal_gaussian_model([0.0, 0.0], [1, 1], [1.5, 0.5], [1, 1]))
 
-ber = bayes_error(pair)
-dpt = dp_tilde_integral(pair)
-ap = affinity_integral(pair)
-bc = bc_integral(pair)
-tv = tv_integral(pair)
-ch = chernoff_integral(pair, 0.5)
+# One pass over a shared quadrature grid; each value comes with its standard
+# error (0 for quadrature).
+values = integrals(pair, ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"),
+                   alpha=0.5)
+ber, dpt, ap, bc, tv, ch = (value for value, _ in values.values())
 
 print("bivariate Gaussians, means (0,0) and (1.5,0.5), equal priors:")
 print(f"  bayes error      {ber:.6f}")

@@ -19,6 +19,7 @@ from .bounds import (
     chernoff_upper_gaussian,
     da_bound,
     mahalanobis_bound_gaussian,
+    shift_penalty,
 )
 from .dataset import (
     DatasetError,
@@ -58,6 +59,7 @@ from .oracle import (
     chernoff_integral,
     dp_tilde_integral,
     gaussian_pair,
+    integrals,
     random_gaussian_model,
     scaled_chernoff_integral,
     tv_integral,

@@ -59,12 +59,7 @@ def ber_bounds_from_estimate(est: DivergenceEstimate, source="dp_empirical") -> 
     lower = 1/2 - sqrt(dp_tilde)/2, upper = 1/2 - dp_tilde/2. Both collapse
     to 0.5 for indistinguishable samples and to 0 for separable ones.
     """
-    d = est.dp_tilde
-    if not (0.0 <= d <= 1.0):
-        raise ValueError(f"dp_tilde must lie in [0, 1], got {d}")
-    lower = 0.5 - 0.5 * math.sqrt(d)
-    upper = 0.5 - 0.5 * d
-    return BerBounds(lower=max(0.0, lower), upper=min(0.5, upper), source=source)
+    return ber_bounds_from_dp_tilde(est.dp_tilde, source=source)
 
 
 def ber_bounds_from_dp_tilde(dp_tilde: float, source="dp_analytic") -> BerBounds:
@@ -76,6 +71,11 @@ def ber_bounds_from_dp_tilde(dp_tilde: float, source="dp_analytic") -> BerBounds
         upper=min(0.5, 0.5 - 0.5 * dp_tilde),
         source=source,
     )
+
+
+def shift_penalty(shift_est: DivergenceEstimate) -> float:
+    """Distribution-shift term 2 sqrt(dp_tilde) between source and target rows."""
+    return 2.0 * math.sqrt(shift_est.dp_tilde)
 
 
 def _solve_spd(mat: np.ndarray, vec: np.ndarray, what: str) -> np.ndarray:
@@ -185,7 +185,7 @@ def da_bound(
         if not (0.0 <= source_error <= 1.0):
             raise ValueError(f"source_error must lie in [0, 1], got {source_error}")
         source_term = float(source_error)
-    shift_term = 2.0 * math.sqrt(shift_est.dp_tilde)
+    shift_term = shift_penalty(shift_est)
     total = source_term + shift_term + label_drift
     return DaBoundReport(
         source_term=source_term,

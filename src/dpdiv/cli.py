@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, divergence, emst, experiments, featsel, oracle
-from .dataset import (
-    DatasetError,
-    GaussianModel,
-    LabeledSample,
-    load_csv,
-    load_points_csv,
-)
+from .dataset import DatasetError, GaussianModel, load_csv, load_points_csv
 from .serialize import atomic_write_text, csv_text, json_dumps
 from .svgplot import line_plot_svg
 
@@ -169,11 +163,6 @@ def load_model_json(path) -> GaussianModel:
     )
 
 
-def _estimate_payload(est: divergence.DivergenceEstimate) -> dict:
-    # Flat payload with exactly the documented keys; no envelope.
-    return est.to_dict()
-
-
 def _ber_dict(b: bounds.BerBounds) -> dict:
     return {"lower": b.lower, "upper": b.upper}
 
@@ -181,25 +170,14 @@ def _ber_dict(b: bounds.BerBounds) -> dict:
 def _cmd_estimate(cfg: RunConfig):
     a = load_points_csv(cfg.options["a"])
     b = load_points_csv(cfg.options["b"])
-    est = divergence.estimate(a, b)
-    payload = _estimate_payload(est)
+    payload = divergence.estimate(a, b).to_dict()
     return {"estimate.json": json_dumps(payload)}, json_dumps(payload)
-
-
-def _split_labeled(sample: LabeledSample):
-    f = sample.points_for_label(0)
-    g = sample.points_for_label(1)
-    if f.shape[0] == 0 or g.shape[0] == 0:
-        missing = 0 if f.shape[0] == 0 else 1
-        raise DatasetError(f"source CSV contains no rows with label {missing}")
-    return f, g
 
 
 def _cmd_bounds(cfg: RunConfig):
     opts = cfg.options
     source = load_csv(opts["source"], label_column=opts["label_column"])
-    f, g = _split_labeled(source)
-    est = divergence.estimate(f, g)
+    est = divergence.estimate_from_labeled(source)
     report = {
         "schema": SCHEMA_VERSION,
         "dp_bounds": _ber_dict(bounds.ber_bounds_from_estimate(est)),
@@ -229,7 +207,7 @@ def _cmd_bounds(cfg: RunConfig):
 def _cmd_select(cfg: RunConfig):
     opts = cfg.options
     source = load_csv(opts["source"], label_column=opts["label_column"])
-    f, g = _split_labeled(source)
+    f, g = source.split_classes()
     target = None
     if opts.get("target"):
         target = load_points_csv(opts["target"], drop_column=opts["label_column"])
@@ -377,15 +355,11 @@ def _cmd_consistency(cfg: RunConfig):
 def _cmd_oracle(cfg: RunConfig):
     opts = cfg.options
     model = load_model_json(opts["model"])
-    pair = oracle.gaussian_pair(model)
-    values = {
-        "bayes_error": oracle.bayes_error(pair, with_error=True),
-        "dp_tilde": oracle.dp_tilde_integral(pair, with_error=True),
-        "affinity": oracle.affinity_integral(pair, with_error=True),
-        "bc": oracle.bc_integral(pair, with_error=True),
-        "tv": oracle.tv_integral(pair, with_error=True),
-        "chernoff": oracle.chernoff_integral(pair, opts["alpha"], with_error=True),
-    }
+    values = oracle.integrals(
+        oracle.gaussian_pair(model),
+        ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"),
+        alpha=opts["alpha"],
+    )
     payload = {"schema": SCHEMA_VERSION, "alpha": opts["alpha"],
                "method": "quadrature" if model.d <= 2 else "monte_carlo"}
     for key, (value, se) in values.items():

@@ -93,6 +93,14 @@ class LabeledSample:
     def points_for_label(self, label: int) -> np.ndarray:
         return self.points[self.labels == label]
 
+    def split_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(class-0 rows, class-1 rows); raises DatasetError if either class is empty."""
+        f, g = self.points_for_label(0), self.points_for_label(1)
+        if f.shape[0] == 0 or g.shape[0] == 0:
+            missing = 0 if f.shape[0] == 0 else 1
+            raise DatasetError(f"sample contains no rows with label {missing}")
+        return f, g
+
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -195,13 +203,56 @@ def project(sample: LabeledSample, features) -> LabeledSample:
 # CSV format: UTF-8, header line, comma separator, '.' decimal point.
 # Serialization writes 17 significant digits so values round-trip exactly.
 
-def load_csv(path, label_column="label") -> LabeledSample:
-    """Load a labeled sample from CSV. `label_column` is a header name or index."""
+def _read_csv(path):
+    """Header (stripped cell names) and data rows of a CSV file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DatasetError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    return [h.strip() for h in rows[0]], rows[1:]
+
+
+def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
+    """Parse the given columns of every data row as floats; other cells are never read.
+
+    The label_idx cell, when given, must also be 0 or 1. Each row reports its
+    first bad cell in column order.
+    """
+    values = []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DatasetError(
+                f"{path}:{lineno}: ragged row with {len(row)} cells, expected {len(header)}"
+            )
+        try:
+            parsed = [float(row[i]) for i in columns]
+        except ValueError:
+            parsed = None
+        if parsed is None or (label_idx is not None and parsed[label_idx] not in (0.0, 1.0)):
+            for i in columns:
+                if not _is_float(row[i]):
+                    raise DatasetError(
+                        f"{path}:{lineno}: non-numeric cell {row[i]!r} in column {header[i]!r}"
+                    )
+                if i == label_idx and float(row[i]) not in (0.0, 1.0):
+                    raise DatasetError(f"{path}:{lineno}: label {row[i]!r} is not 0 or 1")
+        values.append(parsed)
+    if not values:
+        raise DatasetError(f"{path}: no data rows")
+    return np.asarray(values, dtype=np.float64)
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def load_csv(path, label_column="label") -> LabeledSample:
+    """Load a labeled sample from CSV. `label_column` is a header name or index."""
+    header, rows = _read_csv(path)
     if isinstance(label_column, int) or (
         isinstance(label_column, str) and label_column.lstrip("-").isdigit()
     ):
@@ -216,30 +267,8 @@ def load_csv(path, label_column="label") -> LabeledSample:
     if not feature_names:
         raise DatasetError(f"{path}: no feature columns besides the label")
 
-    points, labels = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DatasetError(
-                f"{path}:{lineno}: ragged row with {len(row)} cells, expected {len(header)}"
-            )
-        feat = []
-        for i, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DatasetError(
-                    f"{path}:{lineno}: non-numeric cell {cell!r} in column {header[i]!r}"
-                ) from None
-            if i == label_idx:
-                if value not in (0.0, 1.0):
-                    raise DatasetError(f"{path}:{lineno}: label {cell!r} is not 0 or 1")
-                labels.append(int(value))
-            else:
-                feat.append(value)
-        points.append(feat)
-    if not points:
-        raise DatasetError(f"{path}: no data rows")
-    pts = np.asarray(points, dtype=np.float64)
+    table = _parse_columns(path, header, rows, range(len(header)), label_idx)
+    pts = np.delete(table, label_idx, axis=1)
     n_unique = np.unique(pts, axis=0).shape[0]
     if n_unique < pts.shape[0]:
         # Duplicates are permitted, but they create zero-length tie edges in
@@ -248,46 +277,20 @@ def load_csv(path, label_column="label") -> LabeledSample:
             f"{path}: {pts.shape[0] - n_unique} duplicate feature rows detected",
             stacklevel=2,
         )
-    return LabeledSample(points=pts, labels=np.asarray(labels), feature_names=feature_names)
+    return LabeledSample(points=pts, labels=table[:, label_idx].astype(np.int64),
+                         feature_names=feature_names)
 
 
 def load_points_csv(path, drop_column=None) -> np.ndarray:
     """Load an unlabeled point matrix from CSV, optionally dropping one named column."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DatasetError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header, rows = _read_csv(path)
     keep = [i for i, h in enumerate(header) if h != drop_column]
     if not keep:
         raise DatasetError(f"{path}: no feature columns left after dropping {drop_column!r}")
-    points = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DatasetError(
-                f"{path}:{lineno}: ragged row with {len(row)} cells, expected {len(header)}"
-            )
-        try:
-            points.append([float(row[i]) for i in keep])
-        except ValueError:
-            bad = next(i for i in keep if not _is_float(row[i]))
-            raise DatasetError(
-                f"{path}:{lineno}: non-numeric cell {row[bad]!r} in column {header[bad]!r}"
-            ) from None
-    if not points:
-        raise DatasetError(f"{path}: no data rows")
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _parse_columns(path, header, rows, keep)
     if not np.all(np.isfinite(pts)):
         raise DatasetError(f"{path}: non-finite value in data")
     return pts
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def save_csv(sample: LabeledSample, path, label_column="label") -> None:

@@ -92,9 +92,4 @@ def estimate(sample_f, sample_g) -> DivergenceEstimate:
 
 def estimate_from_labeled(sample: LabeledSample) -> DivergenceEstimate:
     """Split a labeled sample by class and estimate; class 0 plays the role of f."""
-    f = sample.points_for_label(0)
-    g = sample.points_for_label(1)
-    if f.shape[0] == 0 or g.shape[0] == 0:
-        missing = 0 if f.shape[0] == 0 else 1
-        raise ValueError(f"sample contains no rows with label {missing}")
-    return estimate(f, g)
+    return estimate(*sample.split_classes())

@@ -93,6 +93,17 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
+def _check_trials(n_trials: int) -> None:
+    if n_trials < 1:
+        raise ValueError(f"need at least 1 trial, got {n_trials}")
+
+
+def _trial_estimates(model: GaussianModel, n: int, n_trials: int, *key):
+    """Divergence estimate of each trial: n points per class seeded by (*key, trial)."""
+    return [divergence.estimate_from_labeled(sample_gaussian(model, n, n, (*key, trial)))
+            for trial in range(n_trials)]
+
+
 def _sweep_model_1d(separation: float) -> GaussianModel:
     return diagonal_gaussian_model([0.0], [1.0], [separation], [1.0])
 
@@ -116,30 +127,24 @@ def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed,
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 sweep steps, got {n_steps}")
+    _check_trials(n_trials)
     separations = np.linspace(0.0, 5.0, n_steps)
     rows = []
     for step, sep in enumerate(separations):
         pair = oracle.gaussian_pair(_sweep_model_1d(float(sep)), quad_nodes=quad_nodes)
-        ber = oracle.bayes_error(pair)
-        dpt = oracle.dp_tilde_integral(pair)
-        analytic = bounds.ber_bounds_from_dp_tilde(dpt)
+        truth = oracle.integrals(pair, ("bayes_error", "dp_tilde"))
+        analytic = bounds.ber_bounds_from_dp_tilde(truth["dp_tilde"][0])
         bc = bounds.bc_bound_gaussian(_sweep_model_1d(float(sep)))
 
-        model2 = _sweep_model_2d(float(sep))
-        uppers, lowers = [], []
-        for trial in range(n_trials):
-            sample = sample_gaussian(model2, n_per_class, n_per_class, (seed, step, trial))
-            est = divergence.estimate_from_labeled(sample)
-            emp = bounds.ber_bounds_from_estimate(est)
-            uppers.append(emp.upper)
-            lowers.append(emp.lower)
+        empirical = [bounds.ber_bounds_from_estimate(est) for est in _trial_estimates(
+            _sweep_model_2d(float(sep)), n_per_class, n_trials, seed, step)]
         rows.append(SweepRow(
             separation=float(sep),
-            ber_true=ber,
+            ber_true=truth["bayes_error"][0],
             dp_upper_analytic=analytic.upper,
             dp_lower_analytic=analytic.lower,
-            dp_upper_empirical_mean=float(np.mean(uppers)),
-            dp_lower_empirical_mean=float(np.mean(lowers)),
+            dp_upper_empirical_mean=float(np.mean([b.upper for b in empirical])),
+            dp_lower_empirical_mean=float(np.mean([b.lower for b in empirical])),
             bc_upper=bc.upper,
             bc_lower=bc.lower,
             n_per_class=n_per_class,
@@ -164,12 +169,11 @@ def run_fukunaga(dataset: str, n_per_class: int, n_trials: int, seed) -> McSumma
             f"unknown dataset {dataset!r}, expected one of "
             f"{sorted(FUKUNAGA_SAMPLING_MODELS)}"
         ) from None
-    values = []
-    for trial in range(n_trials):
-        sample = sample_gaussian(model, n_per_class, n_per_class, (seed, trial))
-        est = divergence.estimate_from_labeled(sample)
-        values.append(bounds.ber_bounds_from_estimate(est).upper)
-    return McSummary.from_values(values)
+    _check_trials(n_trials)
+    return McSummary.from_values(
+        bounds.ber_bounds_from_estimate(est).upper
+        for est in _trial_estimates(model, n_per_class, n_trials, seed)
+    )
 
 
 def run_consistency(model: GaussianModel, sizes, n_trials: int, seed,
@@ -182,13 +186,10 @@ def run_consistency(model: GaussianModel, sizes, n_trials: int, seed,
     sizes = [int(s) for s in sizes]
     if sizes != sorted(sizes):
         raise ValueError(f"sizes must be ascending, got {sizes}")
+    _check_trials(n_trials)
     reference = oracle.dp_tilde_integral(oracle.gaussian_pair(model, quad_nodes=quad_nodes))
-    summaries = []
-    for size_index, n in enumerate(sizes):
-        errors = []
-        for trial in range(n_trials):
-            sample = sample_gaussian(model, n, n, (seed, size_index, trial))
-            est = divergence.estimate_from_labeled(sample)
-            errors.append(abs(est.dp_tilde - reference))
-        summaries.append(McSummary.from_values(errors))
-    return summaries
+    return [
+        McSummary.from_values(abs(est.dp_tilde - reference)
+                              for est in _trial_estimates(model, n, n_trials, seed, size_index))
+        for size_index, n in enumerate(sizes)
+    ]

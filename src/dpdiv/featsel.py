@@ -8,12 +8,12 @@ domain-invariant features win even when they separate the classes less.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import fr_statistic
+from .bounds import shift_penalty
+from .divergence import estimate
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,18 @@ def criterion_phi(source0, source1, target, features, shift_weight=0.0) -> float
     """Criterion for one feature subset: cross-edge ratio plus shift penalty.
 
     Value = C(source0[F], source1[F]) / (n0 + n1); with shift_weight > 0 it
-    adds shift_weight * 2 * sqrt(max(0, 1 - 2 C(src[F], tgt[F]) / (ns + nt)))
-    computed between the merged source and the target. Lower is better.
+    adds shift_weight times the shift penalty 2 sqrt(dp_tilde) between the
+    merged source and the target. Lower is better.
     """
     s0, s1, tgt = _check_inputs(source0, source1, target, shift_weight)
     idx = [int(f) for f in features]
     if not idx:
         raise ValueError("feature set must be non-empty")
-    value = fr_statistic(s0[:, idx], s1[:, idx]) / (s0.shape[0] + s1.shape[0])
+    est = estimate(s0[:, idx], s1[:, idx])
+    value = est.cross_count / (est.n_f + est.n_g)
     if shift_weight > 0.0:
         merged = np.vstack([s0[:, idx], s1[:, idx]])
-        c = fr_statistic(merged, tgt[:, idx])
-        arg = 1.0 - 2.0 * c / (merged.shape[0] + tgt.shape[0])
-        value += shift_weight * 2.0 * math.sqrt(min(1.0, max(0.0, arg)))
+        value += shift_weight * shift_penalty(estimate(merged, tgt[:, idx]))
     return value
 
 

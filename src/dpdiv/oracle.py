@@ -128,7 +128,7 @@ def _quad_grid(pair: DensityPair, nodes: int | None):
     return grid, (w0[:, None] * w1[None, :]).ravel()
 
 
-def _integrate_multi(pair, integrands, nodes=None, target_se=None, mc_points=None):
+def _integrate_multi(pair, integrands, nodes=None, mc_points=None):
     """Evaluate several integrands on shared nodes/samples.
 
     Returns a list of (value, standard_error) pairs; quadrature reports a
@@ -153,44 +153,95 @@ def _integrate_multi(pair, integrands, nodes=None, target_se=None, mc_points=Non
         inv_q = np.exp(-(np.logaddexp(lf0, lf1) - math.log(2.0)))
         for k, fn in enumerate(integrands):
             means[k, s] = np.mean(fn(lf0, lf1) * inv_q)
-    out = []
-    for k in range(len(integrands)):
-        value = float(means[k].mean())
-        se = float(means[k].std(ddof=1) / math.sqrt(MC_STRATA))
-        if target_se is not None and se > target_se:
-            raise IntegrationBudgetError(
-                f"Monte Carlo budget exhausted: standard error {se:.3e} > target "
-                f"{target_se:.3e} at {per_stratum * MC_STRATA} points (value {value:.6e})",
-                value=value,
-                standard_error=se,
-            )
-        out.append((value, se))
-    return out
+    return [(float(m.mean()), float(m.std(ddof=1) / math.sqrt(MC_STRATA))) for m in means]
 
 
-def _integrate(pair, integrand, nodes, with_error, target_se):
-    (value, se), = _integrate_multi(pair, [integrand], nodes=nodes, target_se=target_se)
-    return (value, se) if with_error else value
+def _integrand_table(p, q, alpha):
+    """Every integrand by name, as a function of the two log-densities."""
+    lp, lq = math.log(p), math.log(q)
+    coef = 2.0 * math.sqrt(p * q)
+    lead = alpha * lp + (1.0 - alpha) * lq
 
-
-def bayes_error(pair: DensityPair, nodes=None, with_error=False, target_se=None):
-    """Minimum achievable misclassification rate: integral of min(p f0, q f1)."""
-    p, q = pair.prior_p, 1.0 - pair.prior_p
-    return _integrate(
-        pair,
-        lambda lf0, lf1: np.minimum(p * np.exp(lf0), q * np.exp(lf1)),
-        nodes, with_error, target_se,
-    )
-
-
-def _dp_tilde_integrand(p, q):
-    def fn(lf0, lf1):
+    def dp_tilde(lf0, lf1):
         a = p * np.exp(lf0)
         b = q * np.exp(lf1)
         s = a + b
         return np.where(s > 0.0, (a - b) ** 2 / np.where(s > 0.0, s, 1.0), 0.0)
 
-    return fn
+    return {
+        "bayes_error": lambda lf0, lf1: np.minimum(p * np.exp(lf0), q * np.exp(lf1)),
+        "dp_tilde": dp_tilde,
+        "affinity": lambda lf0, lf1: np.exp(lf0 + lf1 - np.logaddexp(lp + lf0, lq + lf1)),
+        "mass": lambda lf0, lf1: np.exp(np.logaddexp(lp + lf0, lq + lf1)),
+        "bc": lambda lf0, lf1: coef * np.exp(0.5 * (lf0 + lf1)),
+        "tv": lambda lf0, lf1: np.abs(p * np.exp(lf0) - q * np.exp(lf1)),
+        "chernoff": lambda lf0, lf1: np.exp(lead + alpha * lf0 + (1.0 - alpha) * lf1),
+        "scaled_chernoff": lambda lf0, lf1: np.exp(q * lf0 + p * lf1),
+    }
+
+
+# The affinity is cross-checked against the divergence identity on its own points.
+_NEEDS = {"affinity": ("dp_tilde", "mass")}
+
+
+def integrals(pair: DensityPair, names, alpha=0.5, nodes=None, target_se=None) -> dict:
+    """Several integrals of one density pair from a single pass over shared points.
+
+    names are bayes_error, dp_tilde, affinity, bc, tv, chernoff,
+    scaled_chernoff or mass (the total mass of p f0 + q f1); returns
+    {name: (value, standard_error)}, the same numbers the per-integral
+    functions below return one at a time.
+    alpha is the Chernoff exponent. With target_se, any Monte Carlo standard
+    error above it raises IntegrationBudgetError. dp_tilde is clamped into
+    [0, 1] after checking it lies within numerical noise of that range; the
+    affinity is checked against (divergence) = (total mass) - 4pq (affinity)
+    on the same points, and disagreement beyond 1e-6 raises.
+    """
+    names = tuple(names)
+    p, q = pair.prior_p, 1.0 - pair.prior_p
+    table = _integrand_table(p, q, alpha)
+    evaluated = []
+    for name in names:
+        if name not in table:
+            raise OracleError(f"unknown integral {name!r}, expected one of {sorted(table)}")
+        for key in (name, *_NEEDS.get(name, ())):
+            if key not in evaluated:
+                evaluated.append(key)
+    if "chernoff" in evaluated and not (0.0 < alpha < 1.0):
+        raise OracleError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    out = dict(zip(evaluated, _integrate_multi(pair, [table[k] for k in evaluated], nodes)))
+    for key, (value, se) in out.items():
+        if target_se is not None and se > target_se:
+            raise IntegrationBudgetError(
+                f"Monte Carlo budget exhausted: standard error {se:.3e} > target "
+                f"{target_se:.3e} at {pair.mc_points // MC_STRATA * MC_STRATA} points "
+                f"(value {value:.6e})",
+                value=value,
+                standard_error=se,
+            )
+    if "affinity" in out:
+        a, dpt, m = out["affinity"][0], out["dp_tilde"][0], out["mass"][0]
+        if abs(dpt - (m - 4.0 * p * q * a)) > 1e-6:
+            raise OracleError(
+                f"affinity/divergence identity violated: {dpt:.10f} vs {m - 4 * p * q * a:.10f}"
+            )
+    if "dp_tilde" in names:
+        value, se = out["dp_tilde"]
+        slack = max(1e-6, 5.0 * se)
+        if value < -slack or value > 1.0 + slack:
+            raise OracleError(f"divergence integral {value:.8f} is outside [0, 1] beyond tolerance")
+        out["dp_tilde"] = (min(1.0, max(0.0, value)), se)
+    return {name: out[name] for name in names}
+
+
+def _one(pair, name, with_error, **kwargs):
+    value, se = integrals(pair, [name], **kwargs)[name]
+    return (value, se) if with_error else value
+
+
+def bayes_error(pair: DensityPair, nodes=None, with_error=False, target_se=None):
+    """Minimum achievable misclassification rate: integral of min(p f0, q f1)."""
+    return _one(pair, "bayes_error", with_error, nodes=nodes, target_se=target_se)
 
 
 def dp_tilde_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
@@ -199,13 +250,7 @@ def dp_tilde_integral(pair: DensityPair, nodes=None, with_error=False, target_se
     The raw value provably lies in [0, 1]; the result is clamped there after
     checking the computed value is within numerical noise of that range.
     """
-    p, q = pair.prior_p, 1.0 - pair.prior_p
-    value, se = _integrate(pair, _dp_tilde_integrand(p, q), nodes, True, target_se)
-    slack = max(1e-6, 5.0 * se)
-    if value < -slack or value > 1.0 + slack:
-        raise OracleError(f"divergence integral {value:.8f} is outside [0, 1] beyond tolerance")
-    value = min(1.0, max(0.0, value))
-    return (value, se) if with_error else value
+    return _one(pair, "dp_tilde", with_error, nodes=nodes, target_se=target_se)
 
 
 def affinity_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
@@ -215,68 +260,28 @@ def affinity_integral(pair: DensityPair, nodes=None, with_error=False, target_se
     on the same evaluation points; disagreement beyond 1e-6 means the
     integrator is broken, so it raises.
     """
-    p, q = pair.prior_p, 1.0 - pair.prior_p
-    lp, lq = math.log(p), math.log(q)
-
-    def aff(lf0, lf1):
-        return np.exp(lf0 + lf1 - np.logaddexp(lp + lf0, lq + lf1))
-
-    def mass(lf0, lf1):
-        return np.exp(np.logaddexp(lp + lf0, lq + lf1))
-
-    (a, se), (dpt, _), (m, _) = _integrate_multi(
-        pair, [aff, _dp_tilde_integrand(p, q), mass], nodes=nodes, target_se=target_se
-    )
-    if abs(dpt - (m - 4.0 * p * q * a)) > 1e-6:
-        raise OracleError(
-            f"affinity/divergence identity violated: {dpt:.10f} vs {m - 4 * p * q * a:.10f}"
-        )
-    return (a, se) if with_error else a
+    return _one(pair, "affinity", with_error, nodes=nodes, target_se=target_se)
 
 
 def bc_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
     """Bhattacharyya coefficient 2 * integral of sqrt(pq f0 f1)."""
-    p, q = pair.prior_p, 1.0 - pair.prior_p
-    coef = 2.0 * math.sqrt(p * q)
-    return _integrate(
-        pair,
-        lambda lf0, lf1: coef * np.exp(0.5 * (lf0 + lf1)),
-        nodes, with_error, target_se,
-    )
+    return _one(pair, "bc", with_error, nodes=nodes, target_se=target_se)
 
 
 def tv_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
     """Total variation between the weighted densities: integral of |p f0 - q f1|."""
-    p, q = pair.prior_p, 1.0 - pair.prior_p
-    return _integrate(
-        pair,
-        lambda lf0, lf1: np.abs(p * np.exp(lf0) - q * np.exp(lf1)),
-        nodes, with_error, target_se,
-    )
+    return _one(pair, "tv", with_error, nodes=nodes, target_se=target_se)
 
 
 def chernoff_integral(pair: DensityPair, alpha: float, nodes=None, with_error=False,
                       target_se=None):
     """Chernoff integral: p^a q^(1-a) * integral of f0^a f1^(1-a), a in (0, 1)."""
-    if not (0.0 < alpha < 1.0):
-        raise OracleError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    p, q = pair.prior_p, 1.0 - pair.prior_p
-    lead = alpha * math.log(p) + (1.0 - alpha) * math.log(q)
-    return _integrate(
-        pair,
-        lambda lf0, lf1: np.exp(lead + alpha * lf0 + (1.0 - alpha) * lf1),
-        nodes, with_error, target_se,
-    )
+    return _one(pair, "chernoff", with_error, alpha=alpha, nodes=nodes, target_se=target_se)
 
 
 def scaled_chernoff_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
     """Integral of f0^q f1^p: the prior-free quantity the affinity never exceeds."""
-    p, q = pair.prior_p, 1.0 - pair.prior_p
-    return _integrate(
-        pair,
-        lambda lf0, lf1: np.exp(q * lf0 + p * lf1),
-        nodes, with_error, target_se,
-    )
+    return _one(pair, "scaled_chernoff", with_error, nodes=nodes, target_se=target_se)
 
 
 def _gaussian_logpdf_fn(mean: np.ndarray, cov: np.ndarray):

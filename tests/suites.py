@@ -1,8 +1,8 @@
 """Shared randomized-suite machinery for the bound and oracle checks.
 
-Each suite model gets all its oracle integrals computed once (on shared
-evaluation points where identities require it); the inequality checks then
-compare those numbers. Every suite is seeded, so results are reproducible.
+Each suite model gets all its oracle integrals from one oracle.integrals
+pass over shared evaluation points; the inequality checks then compare
+those numbers. Every suite is seeded, so results are reproducible.
 """
 
 import numpy as np
@@ -15,21 +15,24 @@ SUITE_MC_POINTS = 400_000
 
 
 def oracle_quantities(model):
-    """All oracle integrals for one Gaussian model."""
+    """All oracle integrals for one Gaussian model, from one integration pass."""
     pair = oracle.gaussian_pair(
         model, quad_nodes=SUITE_QUAD_NODES, mc_points=SUITE_MC_POINTS
+    )
+    values = oracle.integrals(
+        pair, ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "scaled_chernoff")
     )
     return {
         "model": model,
         "pair": pair,
         "p": model.prior_p,
         "q": 1.0 - model.prior_p,
-        "ber": oracle.bayes_error(pair),
-        "dpt": oracle.dp_tilde_integral(pair),
-        "ap": oracle.affinity_integral(pair),
-        "bc": oracle.bc_integral(pair),
-        "tv": oracle.tv_integral(pair),
-        "scaled_chernoff": oracle.scaled_chernoff_integral(pair),
+        "ber": values["bayes_error"][0],
+        "dpt": values["dp_tilde"][0],
+        "ap": values["affinity"][0],
+        "bc": values["bc"][0],
+        "tv": values["tv"][0],
+        "scaled_chernoff": values["scaled_chernoff"][0],
     }
 
 

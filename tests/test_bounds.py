@@ -123,6 +123,10 @@ class TestDaBound:
         report = bounds.da_bound(fake_estimate(0.3), fake_estimate(0.2), label_drift=0.07)
         assert report.total == report.source_term + report.shift_term + report.label_drift_term
 
+    def test_shift_term_is_shift_penalty(self):
+        report = bounds.da_bound(fake_estimate(0.3), fake_estimate(0.2))
+        assert report.shift_term == bounds.shift_penalty(fake_estimate(0.2)) == 2.0 * math.sqrt(0.2)
+
     def test_supplied_source_error(self):
         report = bounds.da_bound(fake_estimate(0.3), fake_estimate(0.0), source_error=0.11)
         assert report.source_term == 0.11

@@ -190,6 +190,20 @@ class TestExperimentCommands:
         csv_lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["fukunaga", "--dataset", "D1", "--n", "30", "--trials", "0"],
+        ["fukunaga", "--dataset", "D1", "--n", "30", "--trials", "-3"],
+        ["sweep", "--steps", "3", "--n", "30", "--trials", "0"],
+        ["consistency", "--sizes", "30", "--trials", "0"],
+    ], ids=["fukunaga", "fukunaga_negative", "sweep", "consistency"])
+    def test_non_positive_trials_exit_2_without_artifacts(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"trial, got {argv[-1]}" in err
+        assert "nan" not in err
+        assert not out.exists()
+
     def test_consistency_outputs(self, tmp_path):
         out = tmp_path / "cons"
         rc = cli.main(["consistency", "--sizes", "30,60", "--trials", "2",
@@ -210,6 +224,28 @@ class TestOracleCommand:
         assert payload["method"] == "monte_carlo"
         assert payload["bc"] == pytest.approx(0.4408, abs=2e-3)
         assert "standard_errors" in payload
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_integration_pass_after_construction(self, d, tmp_path, monkeypatch, capsys):
+        from dpdiv import oracle
+
+        calls = []
+        original = oracle._integrate_multi
+
+        def counting(pair, integrands, *args, **kwargs):
+            calls.append(len(integrands))
+            return original(pair, integrands, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_integrate_multi", counting)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"mean0": [0.0] * d, "mean1": [1.0] * d,
+                                    "cov0": [1.0] * d, "cov1": [2.0] * d}))
+        assert cli.main(["oracle", "--model", str(path), "--out", str(tmp_path)]) == 0
+        # the density-mass check at construction, then one pass: six integrals
+        # plus the total mass the affinity's identity check needs
+        assert calls == [2, 7]
+        assert set(json.loads(capsys.readouterr().out)) >= {
+            "bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"}
 
     def test_bad_model_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -110,6 +110,11 @@ class TestRunFukunaga:
         b = run_fukunaga("D2", 50, 4, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("n_trials", [0, -3])
+    def test_rejects_non_positive_trials(self, n_trials):
+        with pytest.raises(ValueError, match=f"got {n_trials}"):
+            run_fukunaga("D1", 100, n_trials, seed=0)
+
     def test_unknown_dataset(self):
         with pytest.raises(ValueError, match="unknown dataset"):
             run_fukunaga("D3", 100, 5, seed=0)
@@ -133,6 +138,16 @@ class TestRunConsistency:
         a = run_consistency(CONSISTENCY_MODEL, (50, 100), 4, seed=51)
         b = run_consistency(CONSISTENCY_MODEL, (50, 100), 4, seed=51)
         assert a == b
+
+    def test_rejects_zero_trials_before_the_oracle(self, monkeypatch):
+        from dpdiv import oracle
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran before the trial count was checked")
+
+        monkeypatch.setattr(oracle, "gaussian_pair", no_oracle)
+        with pytest.raises(ValueError, match="got 0"):
+            run_consistency(CONSISTENCY_MODEL, (50,), 0, seed=0)
 
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,19 @@ class TestCriterionPhi:
         assert criterion_phi(source0, source1, None, (0,)) < criterion_phi(
             source0, source1, None, (1,)
         )
+
+    def test_equals_cross_ratio_plus_weighted_shift_term(self):
+        from dpdiv.divergence import fr_statistic
+
+        rng = derive_rng(3306)
+        x0, x1 = rng.normal(size=(50, 3)), rng.normal(size=(40, 3)) + 0.4
+        target = rng.normal(size=(70, 3)) + 0.8
+        merged = np.vstack([x0, x1])[:, [0, 2]]
+        c = fr_statistic(merged, target[:, [0, 2]])
+        arg = 1.0 - 2.0 * c / (merged.shape[0] + target.shape[0])
+        want = fr_statistic(x0[:, [0, 2]], x1[:, [0, 2]]) / 90
+        want += 0.7 * 2.0 * math.sqrt(min(1.0, max(0.0, arg)))
+        assert criterion_phi(x0, x1, target, (0, 2), shift_weight=0.7) == want
 
     def test_errors(self):
         x = np.zeros((10, 2))

@@ -18,6 +18,7 @@ from dpdiv.oracle import (
     chernoff_integral,
     dp_tilde_integral,
     gaussian_pair,
+    integrals,
     random_gaussian_model,
     scaled_chernoff_integral,
     tv_integral,
@@ -175,6 +176,55 @@ class TestChernoffIntegral:
     def test_alpha_domain(self):
         with pytest.raises(OracleError, match="alpha"):
             chernoff_integral(identical_pair(), 1.0)
+
+
+WRAPPERS = {
+    "bayes_error": bayes_error,
+    "dp_tilde": dp_tilde_integral,
+    "affinity": affinity_integral,
+    "bc": bc_integral,
+    "tv": tv_integral,
+    "chernoff": lambda pair, **kw: chernoff_integral(pair, 0.3, **kw),
+    "scaled_chernoff": scaled_chernoff_integral,
+}
+
+
+class TestIntegrals:
+    @pytest.mark.parametrize("make_pair", [
+        lambda: pair_1d(1.3, p=0.3),
+        lambda: gaussian_pair(diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6],
+                                                      [0.9, 1.4], prior_p=0.6), quad_nodes=256),
+        lambda: gaussian_pair(diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0],
+                                                      [1.5, 1.0, 0.8], prior_p=0.45),
+                              mc_points=20_000),
+    ], ids=["1d", "2d_quadrature", "3d_monte_carlo"])
+    def test_equals_each_wrapper_exactly(self, make_pair):
+        pair = make_pair()
+        together = integrals(pair, tuple(WRAPPERS), alpha=0.3)
+        assert list(together) == list(WRAPPERS)
+        for name, fn in WRAPPERS.items():
+            assert together[name] == fn(pair, with_error=True), name
+            assert together[name][0] == fn(pair), name
+
+    def test_returns_only_requested_names(self):
+        # affinity evaluates dp_tilde and the total mass for its identity check
+        assert list(integrals(pair_1d(1.0), ["affinity"])) == ["affinity"]
+        assert list(integrals(pair_1d(1.0), (n for n in ["tv", "bc"]))) == ["tv", "bc"]
+
+    def test_unknown_name(self):
+        with pytest.raises(OracleError, match="unknown integral"):
+            integrals(pair_1d(1.0), ["bayes_error", "kl"])
+
+    def test_alpha_checked_only_for_chernoff(self):
+        pair = pair_1d(1.0)
+        integrals(pair, ["bc"], alpha=1.0)
+        with pytest.raises(OracleError, match="alpha"):
+            integrals(pair, ["bc", "chernoff"], alpha=1.0)
+
+    def test_budget_error(self):
+        pair = gaussian_pair(fukunaga_d2(), mc_points=20_000)
+        with pytest.raises(IntegrationBudgetError):
+            integrals(pair, ["tv", "bc"], target_se=1e-12)
 
 
 class TestQuadratureConvergence:

@@ -29,5 +29,5 @@ print(f"  divergence estimate: {est.dp_tilde:.3f}   affinity: {est.affinity:.3f}
 # The tree itself is available: exact, deterministic, canonical edge order
 mst = build_mst(np.vstack([a[:5], c[:5]]))
 print("tiny pooled tree edges (i, j, length):")
-for i, j, length in mst.edges:
+for i, j, length in zip(mst.i, mst.j, mst.length):
     print(f"  ({i}, {j})  {length:.3f}")

@@ -34,7 +34,7 @@ from .dataset import (
     save_csv,
 )
 from .divergence import DivergenceEstimate, estimate, estimate_from_labeled, fr_statistic
-from .emst import MstResult, add_jitter, build_mst, mst_total_length
+from .emst import MstResult, add_jitter, build_mst
 from .experiments import (
     FUKUNAGA_DATASETS,
     FUKUNAGA_SAMPLING_MODELS,

@@ -37,11 +37,14 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
-def _parse_formats(text: str) -> tuple[str, ...]:
+def _parse_formats(text: str, writable: tuple[str, ...], subcommand: str) -> tuple[str, ...]:
     formats = tuple(f.strip() for f in text.split(",") if f.strip())
+    expected = ", ".join(writable)
+    if not formats:
+        raise DatasetError(f"--format is empty; {subcommand} writes {expected}")
     for f in formats:
-        if f not in ("json", "csv", "svg"):
-            raise DatasetError(f"unknown format {f!r}, expected json, csv, or svg")
+        if f not in writable:
+            raise DatasetError(f"unknown format {f!r} for {subcommand}, expected {expected}")
     return formats
 
 
@@ -54,13 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    def common(sub, formats="json"):
+    def common(sub, writable=("json",), default=None):
+        default = default or ",".join(writable)
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                          help=f"master random seed (default {DEFAULT_SEED} = 0xD1BE5)")
         sub.add_argument("--out", default=".",
                          help="output directory for artifacts (default: current dir)")
-        sub.add_argument("--format", default=formats,
-                         help=f"comma-separated output formats (default: {formats})")
+        sub.add_argument("--format", default=default,
+                         help=f"comma-separated output formats out of {','.join(writable)} "
+                              f"(default: {default})")
+        sub.set_defaults(writable_formats=writable)
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -87,25 +93,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", action="store_true", help="record every candidate value per step")
     p.add_argument("--standardize", action="store_true", help="z-score columns first")
     p.add_argument("--label-column", default="label")
-    common(p, formats="json,csv")
+    common(p, ("json", "csv"))
 
     p = subs.add_parser("sweep", help="mean-separation sweep: true error vs bounds")
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--n", type=int, default=300, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=10)
-    common(p, formats="json,csv")
+    common(p, ("json", "csv", "svg"), default="json,csv")
 
     p = subs.add_parser("fukunaga", help="bound distribution on an 8-D Gaussian benchmark")
     p.add_argument("--dataset", choices=sorted(experiments.FUKUNAGA_DATASETS), required=True)
     p.add_argument("--n", type=int, default=1000, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=50)
-    common(p, formats="json,csv")
+    common(p, ("json", "csv", "svg"), default="json,csv")
 
     p = subs.add_parser("consistency", help="estimator error vs sample size")
     p.add_argument("--sizes", default="100,400,1600", help="comma-separated ascending sizes")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--model", help="Gaussian model JSON (default: built-in bivariate pair)")
-    common(p, formats="json,csv")
+    common(p, ("json", "csv", "svg"), default="json,csv")
 
     p = subs.add_parser("oracle", help="integration-oracle values for a Gaussian model")
     p.add_argument("--model", required=True, help="Gaussian model JSON")
@@ -118,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add seeded jitter (1e-9 x coordinate scale) to break distance ties")
     p.add_argument("--label-column", default="label",
                    help="column to drop if present (default 'label')")
-    common(p, formats="csv")
+    common(p, ("csv",))
 
     return parser
 
@@ -126,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     options = {
         k: v for k, v in vars(args).items()
-        if k not in ("subcommand", "seed", "out", "format")
+        if k not in ("subcommand", "seed", "out", "format", "writable_formats")
     }
     if args.seed < 0:
         raise DatasetError(f"--seed must be non-negative, got {args.seed}")
@@ -134,7 +140,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         subcommand=args.subcommand,
         seed=args.seed,
         out_dir=args.out,
-        formats=_parse_formats(args.format),
+        formats=_parse_formats(args.format, args.writable_formats, args.subcommand),
         options=options,
     )
 

@@ -1,13 +1,26 @@
 """Exact Euclidean minimum spanning trees over dense point sets.
 
-Dense Prim construction: O(n^2) time, O(n) memory, comparisons on squared
+Dense Prim construction: O(n^2) time, O(n d) memory, comparisons on squared
 distances (square roots only when edge lengths are reported). Exactness
 matters because downstream statistics count specific edges; approximate or
 k-NN-graph trees can silently drop a true edge and bias those counts.
 
 Tie rule: whenever two candidate edges have equal squared length, the one
 with the smaller canonical (i, j) pair (i < j, lexicographic) wins. Real
-data can contain exact ties, so determinism has to be imposed.
+data can contain exact ties, so determinism has to be imposed. Prim applies
+the rule in two places. Choosing the next vertex compares edges that share
+no endpoint, so the tied candidates are lexsorted by their pairs. Relaxing
+an outside vertex t against the vertex v that just joined compares (v, t)
+with t's current best edge (parent[t], t); both end at t, so the canonical
+order reduces to v < parent[t] in all four placements of v and parent[t]
+around t.
+
+The loop keeps only the vertices outside the tree, compacted by swap-remove,
+so step k touches n - k rows. Row sums do not depend on the row count, so
+the lengths are the same bits a full-length pass would give. The boolean
+masks are written into three buffers allocated once at full length: numpy
+caches freed arrays below 1 KiB by exact size, and masks that shrink by one
+element every step would leave about 2 MiB of them cached.
 """
 
 from __future__ import annotations
@@ -43,13 +56,6 @@ class MstResult:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "length", length)
 
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(a), int(b), float(l))
-            for a, b, l in zip(self.i, self.j, self.length)
-        ]
-
 
 def build_mst(points) -> MstResult:
     """Exact Euclidean MST of an (n, d) point matrix, n >= 2.
@@ -68,56 +74,43 @@ def build_mst(points) -> MstResult:
         bad = np.argwhere(~np.isfinite(pts))[0]
         raise ValueError(f"non-finite coordinate at row {bad[0]}, column {bad[1]}")
 
-    idx = np.arange(n)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    dist2 = ((pts - pts[0]) ** 2).sum(axis=1)
-    dist2[0] = np.inf
-    parent = np.zeros(n, dtype=np.int64)
+    rest = np.arange(1, n)
+    rows = pts[1:].copy()
+    dist2 = ((rows - pts[0]) ** 2).sum(axis=1)
+    parent = np.zeros(n - 1, dtype=np.int64)
+    sel, upd, tie = (np.empty(n - 1, dtype=bool) for _ in range(3))
 
     out_i = np.empty(n - 1, dtype=np.int64)
     out_j = np.empty(n - 1, dtype=np.int64)
     out_d2 = np.empty(n - 1, dtype=np.float64)
-    for step in range(n - 1):
-        active = ~in_tree
-        best = dist2[active].min()
-        cand = idx[active & (dist2 == best)]
+    for m in range(n - 1, 0, -1):
+        d2 = dist2[:m]
+        cand = np.flatnonzero(np.equal(d2, d2.min(), out=sel[:m]))
         if cand.size > 1:
-            a = np.minimum(parent[cand], cand)
-            b = np.maximum(parent[cand], cand)
-            v = int(cand[np.lexsort((b, a))[0]])
+            t, p = rest[cand], parent[cand]
+            k = cand[np.lexsort((np.maximum(p, t), np.minimum(p, t)))[0]]
         else:
-            v = int(cand[0])
-        u = int(parent[v])
-        out_i[step], out_j[step] = (u, v) if u < v else (v, u)
-        out_d2[step] = dist2[v]
+            k = cand[0]
+        v, u = int(rest[k]), int(parent[k])
+        last = m - 1
+        out_i[last], out_j[last], out_d2[last] = min(u, v), max(u, v), d2[k]
 
-        in_tree[v] = True
-        dist2[v] = np.inf
-        nd2 = ((pts - pts[v]) ** 2).sum(axis=1)
-        act = ~in_tree
-        better = act & (nd2 < dist2)
-        parent[better] = v
-        dist2[better] = nd2[better]
-        tied = act & (nd2 == dist2) & ~better
-        if tied.any():
-            t = idx[tied]
-            a_new = np.minimum(v, t)
-            b_new = np.maximum(v, t)
-            a_old = np.minimum(parent[t], t)
-            b_old = np.maximum(parent[t], t)
-            switch = (a_new < a_old) | ((a_new == a_old) & (b_new < b_old))
-            parent[t[switch]] = v
+        # v joins the tree: swap-remove it, then relax the rest against v
+        rest[k], parent[k], dist2[k] = rest[last], parent[last], dist2[last]
+        rows[k] = rows[last]
+        d2 = dist2[:last]
+        nd2 = ((rows[:last] - pts[v]) ** 2).sum(axis=1)
+        better = np.less(nd2, d2, out=upd[:last])
+        tied = np.greater(parent[:last], v, out=tie[:last])
+        tied &= np.equal(nd2, d2, out=sel[:last])
+        better |= tied
+        np.copyto(parent[:last], v, where=better)
+        np.minimum(d2, nd2, out=d2)
 
     order = np.lexsort((out_j, out_i))
     return MstResult(
         i=out_i[order], j=out_j[order], length=np.sqrt(out_d2[order]), n_points=n
     )
-
-
-def mst_total_length(mst: MstResult) -> float:
-    """Sum of edge lengths."""
-    return float(mst.length.sum())
 
 
 def add_jitter(points, seed, magnitude=1e-9) -> np.ndarray:

@@ -267,6 +267,23 @@ class TestArgumentHandling:
         assert rc == 2
         assert "unknown format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, writable", [
+        (["select", "--source", "{labeled}", "--format", "svg"], "json, csv"),
+        (["estimate", "--a", "{a}", "--b", "{b}", "--format", "csv"], "json"),
+        (["mst-dump", "--input", "{a}", "--format", "json"], "csv"),
+        (["fukunaga", "--dataset", "D1", "--n", "30", "--trials", "1", "--format", ""],
+         "json, csv, svg"),
+    ], ids=["select_svg", "estimate_csv", "mst_dump_json", "fukunaga_empty"])
+    def test_format_the_subcommand_cannot_write_exits_2(
+        self, argv, writable, cluster_csvs, labeled_csv, tmp_path, capsys
+    ):
+        a, b = cluster_csvs
+        out = tmp_path / "out"
+        argv = [arg.format(a=a, b=b, labeled=labeled_csv) for arg in argv]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert writable in capsys.readouterr().err
+
     def test_negative_seed_exits_2(self, cluster_csvs, capsys):
         a, b = cluster_csvs
         rc = cli.main(["estimate", "--a", a, "--b", b, "--seed", "-4"])

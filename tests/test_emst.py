@@ -2,23 +2,32 @@ import numpy as np
 import pytest
 
 from bruteforce import kruskal_mst, kruskal_total_length
-from dpdiv.emst import add_jitter, build_mst, mst_total_length
+from dpdiv.emst import add_jitter, build_mst
 
 
 def edge_pairs(mst):
     return list(zip(mst.i.tolist(), mst.j.tolist()))
 
 
+def assert_matches_kruskal(pts):
+    mst = build_mst(pts)
+    reference = kruskal_mst(pts)
+    assert edge_pairs(mst) == [(i, j) for i, j, _ in reference]
+    assert mst.length.tolist() == [length for _, _, length in reference]
+
+
 class TestSmallCases:
     def test_three_collinear_points(self):
         mst = build_mst(np.array([[0.0], [1.0], [3.0]]))
-        assert mst.edges == [(0, 1, 1.0), (1, 2, 2.0)]
-        assert mst_total_length(mst) == 3.0
+        assert edge_pairs(mst) == [(0, 1), (1, 2)]
+        assert mst.length.tolist() == [1.0, 2.0]
+        assert mst.length.sum() == 3.0
 
     def test_single_edge(self):
         mst = build_mst(np.array([[0.0], [5.0]]))
-        assert mst.edges == [(0, 1, 5.0)]
-        assert mst_total_length(mst) == 5.0
+        assert edge_pairs(mst) == [(0, 1)]
+        assert mst.length.tolist() == [5.0]
+        assert mst.length.sum() == 5.0
 
     def test_unit_square_tie_rule(self):
         # all four sides tie at length 1; the canonical-pair rule picks
@@ -31,7 +40,7 @@ class TestSmallCases:
     def test_duplicate_points(self):
         mst = build_mst(np.array([[1.0, 2.0], [1.0, 2.0], [4.0, 6.0]]))
         assert mst.length[0] == 0.0
-        assert len(mst.edges) == 2
+        assert len(edge_pairs(mst)) == 2
 
     def test_errors(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -48,8 +57,8 @@ class TestAgainstBruteForce:
         pts = rng.normal(size=(64, 5))
         mst = build_mst(pts)
         reference = kruskal_mst(pts)
-        assert [(i, j) for i, j, _ in mst.edges] == [(i, j) for i, j, _ in reference]
-        total = mst_total_length(mst)
+        assert edge_pairs(mst) == [(i, j) for i, j, _ in reference]
+        total = float(mst.length.sum())
         assert abs(total - kruskal_total_length(pts)) <= 1e-9 * total
 
     def test_exact_edge_sets_on_distinct_distances(self):
@@ -60,6 +69,40 @@ class TestAgainstBruteForce:
             pts = rng.normal(size=(n, d))
             mst = build_mst(pts)
             assert edge_pairs(mst) == [(i, j) for i, j, _ in kruskal_mst(pts)]
+
+
+class TestTiesAgainstBruteForce:
+    """Exact edge lists and lengths where many candidate edges tie."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_integer_lattice(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(6):
+            n = int(rng.integers(4, 60))
+            assert_matches_kruskal(rng.integers(0, 3, size=(n, d)).astype(float))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 20])
+    def test_every_row_three_times(self, d):
+        rng = np.random.default_rng(200 + d)
+        for base in (rng.normal(size=(15, d)), rng.integers(0, 2, size=(15, d)).astype(float)):
+            assert_matches_kruskal(np.repeat(base, 3, axis=0)[rng.permutation(45)])
+
+    @pytest.mark.parametrize("d", [10, 15, 20])
+    def test_feature_selection_dimensions(self, d):
+        rng = np.random.default_rng(300 + d)
+        assert_matches_kruskal(rng.normal(size=(60, d)))
+        assert_matches_kruskal(rng.integers(0, 2, size=(60, d)).astype(float))
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0], [0.0]],
+        [[3.0, 1.0], [-2.0, 0.5]],
+        [[0.0], [0.0], [0.0]],
+        [[0.0], [1.0], [2.0]],
+        [[2.0], [1.0], [0.0]],
+        [[0.0, 0.0], [1.0, 0.0], [0.5, 0.75]],
+    ], ids=["n2_same", "n2", "n3_same", "n3_tie", "n3_tie_reversed", "n3"])
+    def test_two_and_three_points(self, pts):
+        assert_matches_kruskal(np.array(pts))
 
 
 class TestStructuralProperties:
@@ -75,7 +118,7 @@ class TestStructuralProperties:
                 x = parent[x]
             return x
 
-        for i, j, _ in mst.edges:
+        for i, j in edge_pairs(mst):
             ri, rj = find(i), find(j)
             assert ri != rj, "cycle detected"
             parent[ri] = rj
@@ -92,8 +135,8 @@ class TestStructuralProperties:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(80, 4))
         perm = rng.permutation(80)
-        total = mst_total_length(build_mst(pts))
-        total_perm = mst_total_length(build_mst(pts[perm]))
+        total = float(build_mst(pts).length.sum())
+        total_perm = float(build_mst(pts[perm]).length.sum())
         assert abs(total - total_perm) <= 1e-9 * total
 
     def test_translation_rotation_invariance(self):
@@ -101,8 +144,8 @@ class TestStructuralProperties:
         pts = rng.normal(size=(70, 3))
         rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         moved = pts @ rot.T + np.array([5.0, -3.0, 11.0])
-        t0 = mst_total_length(build_mst(pts))
-        t1 = mst_total_length(build_mst(moved))
+        t0 = float(build_mst(pts).length.sum())
+        t1 = float(build_mst(moved).length.sum())
         assert abs(t0 - t1) <= 1e-9 * t0
 
     def test_deterministic_rebuild(self):

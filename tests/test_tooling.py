@@ -4,7 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from dpdiv import experiments, oracle
+from dpdiv import divergence, experiments, oracle
 from dpdiv.dataset import derive_rng
 
 import suites
@@ -25,6 +25,37 @@ def test_every_traced_entry_point_exists():
         module = importlib.import_module(module_name)
         for fn_name in functions:
             assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
+
+
+def _two_samples():
+    rng = derive_rng(2024)
+    return rng.normal(size=(30, 3)), rng.normal(size=(25, 3)) + 0.5
+
+
+def test_injected_cross_count_reaches_the_estimate(monkeypatch):
+    # bench/selftest.py injects an off-by-one count through this binding.
+    f, g = _two_samples()
+    honest = divergence.estimate(f, g).cross_count
+    original = divergence.fr_statistic
+    monkeypatch.setattr(divergence, "fr_statistic", lambda a, b: original(a, b) + 1)
+    assert divergence.estimate(f, g).cross_count == honest + 1
+
+
+def test_one_tree_per_estimate(monkeypatch):
+    # The tracer's emst.* spans wrap this binding and count one tree per estimate.
+    calls = []
+    original = divergence.build_mst
+
+    def counting(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(divergence, "build_mst", counting)
+    f, g = _two_samples()
+    divergence.estimate(f, g)
+    assert calls == [55]
+    divergence.estimate(g, f)
+    assert calls == [55, 55]
 
 
 def _count_passes(monkeypatch):

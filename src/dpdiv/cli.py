@@ -3,9 +3,11 @@
 Subcommands: estimate, bounds, select, sweep, fukunaga, consistency, oracle,
 mst-dump. All configuration is explicit flags (no environment variables);
 the default seed is the documented constant 0xD1BE5, so default runs are
-reproducible. Artifacts are written atomically into --out; identical
-invocations produce byte-identical files. Exit codes: 0 success, 2 input or
-flag validation error, 1 internal error.
+reproducible. Each command returns every format it can write; ``main`` keeps
+the ones --format asks for and writes them atomically into --out, so
+identical invocations produce byte-identical files. Warnings raised during a
+run are printed as ``warning: <message>`` lines on stderr. Exit codes:
+0 success, 2 input or flag validation error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -26,15 +29,6 @@ from .svgplot import line_plot_svg
 
 DEFAULT_SEED = 0xD1BE5
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    seed: int = DEFAULT_SEED
-    out_dir: str = "."
-    formats: tuple[str, ...] = ("json",)
-    options: dict = field(default_factory=dict)
 
 
 def _parse_formats(text: str, writable: tuple[str, ...], subcommand: str) -> tuple[str, ...]:
@@ -129,22 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = {
-        k: v for k, v in vars(args).items()
-        if k not in ("subcommand", "seed", "out", "format", "writable_formats")
-    }
-    if args.seed < 0:
-        raise DatasetError(f"--seed must be non-negative, got {args.seed}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        seed=args.seed,
-        out_dir=args.out,
-        formats=_parse_formats(args.format, args.writable_formats, args.subcommand),
-        options=options,
-    )
-
-
 def load_model_json(path) -> GaussianModel:
     """Model JSON: mean0, mean1, cov0, cov1 (matrix or diagonal vector), prior_p."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -173,53 +151,40 @@ def _ber_dict(b: bounds.BerBounds) -> dict:
     return {"lower": b.lower, "upper": b.upper}
 
 
-def _cmd_estimate(cfg: RunConfig):
-    a = load_points_csv(cfg.options["a"])
-    b = load_points_csv(cfg.options["b"])
-    payload = divergence.estimate(a, b).to_dict()
-    return {"estimate.json": json_dumps(payload)}, json_dumps(payload)
+def _cmd_estimate(args):
+    est = divergence.estimate(load_points_csv(args.a), load_points_csv(args.b))
+    text = json_dumps(asdict(est))
+    return {"estimate.json": text}, text
 
 
-def _cmd_bounds(cfg: RunConfig):
-    opts = cfg.options
-    source = load_csv(opts["source"], label_column=opts["label_column"])
+def _cmd_bounds(args):
+    source = load_csv(args.source, label_column=args.label_column)
     est = divergence.estimate_from_labeled(source)
     report = {
         "schema": SCHEMA_VERSION,
         "dp_bounds": _ber_dict(bounds.ber_bounds_from_estimate(est)),
-        "bc": None,
-        "mahalanobis": None,
-        "da": None,
+        "bc": None, "mahalanobis": None, "da": None,
     }
-    if opts.get("model"):
-        model = load_model_json(opts["model"])
+    if args.model:
+        model = load_model_json(args.model)
         report["bc"] = _ber_dict(bounds.bc_bound_gaussian(model))
         report["mahalanobis"] = _ber_dict(bounds.mahalanobis_bound_gaussian(model))
-    if opts.get("target"):
-        target = load_points_csv(opts["target"], drop_column=opts["label_column"])
+    if args.target:
+        target = load_points_csv(args.target, drop_column=args.label_column)
         shift = divergence.estimate(source.points, target)
-        da = bounds.da_bound(est, shift, label_drift=opts["label_drift"])
-        report["da"] = {
-            "source_term": da.source_term,
-            "shift_term": da.shift_term,
-            "label_drift_term": da.label_drift_term,
-            "total": da.total,
-            "vacuous": da.vacuous,
-        }
+        report["da"] = asdict(bounds.da_bound(est, shift, label_drift=args.label_drift))
     text = json_dumps(report)
     return {"bounds.json": text}, text
 
 
-def _cmd_select(cfg: RunConfig):
-    opts = cfg.options
-    source = load_csv(opts["source"], label_column=opts["label_column"])
+def _cmd_select(args):
+    source = load_csv(args.source, label_column=args.label_column)
     f, g = source.split_classes()
-    target = None
-    if opts.get("target"):
-        target = load_points_csv(opts["target"], drop_column=opts["label_column"])
+    target = (load_points_csv(args.target, drop_column=args.label_column)
+              if args.target else None)
     trace = featsel.forward_select(
-        f, g, target=target, k=opts["k"], shift_weight=opts["shift_weight"],
-        audit=opts["audit"], standardize=opts["standardize"],
+        f, g, target=target, k=args.k, shift_weight=args.shift_weight,
+        audit=args.audit, standardize=args.standardize,
     )
     names = source.feature_names or tuple(f"x{i}" for i in range(source.d))
     payload = {
@@ -233,92 +198,58 @@ def _cmd_select(cfg: RunConfig):
             if trace.per_step_candidates is not None else None
         ),
     }
-    artifacts = {}
-    if "json" in cfg.formats:
-        artifacts["select.json"] = json_dumps(payload)
-    if "csv" in cfg.formats:
-        rows = [
-            (step + 1, names[i], phi)
-            for step, (i, phi) in enumerate(zip(trace.selected, trace.criterion_values))
-        ]
-        artifacts["select.csv"] = csv_text(("step", "feature_name", "phi"), rows)
-    return artifacts, None
+    steps = range(1, len(trace.selected) + 1)
+    return {
+        "select.json": json_dumps(payload),
+        "select.csv": csv_text(("step", "feature_name", "phi"),
+                               zip(steps, payload["selected_names"], trace.criterion_values)),
+    }, None
 
 
-def _cmd_sweep(cfg: RunConfig):
-    opts = cfg.options
-    result = experiments.run_sweep(opts["steps"], opts["n"], opts["trials"], cfg.seed)
-    header = (
-        "separation", "ber_true", "dp_upper_analytic", "dp_lower_analytic",
-        "dp_upper_empirical_mean", "dp_lower_empirical_mean", "bc_upper", "bc_lower",
-        "n_per_class", "n_trials",
-    )
-    rows = [
-        (r.separation, r.ber_true, r.dp_upper_analytic, r.dp_lower_analytic,
-         r.dp_upper_empirical_mean, r.dp_lower_empirical_mean, r.bc_upper, r.bc_lower,
-         r.n_per_class, r.n_trials)
-        for r in result.rows
-    ]
-    artifacts = {}
-    if "csv" in cfg.formats:
-        artifacts["sweep.csv"] = csv_text(header, rows)
-    if "json" in cfg.formats:
-        artifacts["sweep.json"] = json_dumps({
-            "schema": SCHEMA_VERSION,
-            "seed": cfg.seed,
-            "rows": [dict(zip(header, row)) for row in rows],
-        })
-    if "svg" in cfg.formats:
-        xs = [r.separation for r in result.rows]
-        series = [
-            {"x": xs, "y": [r.ber_true for r in result.rows], "label": "true error"},
-            {"x": xs, "y": [r.dp_upper_analytic for r in result.rows],
-             "label": "divergence upper"},
-            {"x": xs, "y": [r.dp_lower_analytic for r in result.rows],
-             "label": "divergence lower"},
-            {"x": xs, "y": [r.bc_upper for r in result.rows], "label": "BC upper"},
-            {"x": xs, "y": [r.bc_lower for r in result.rows], "label": "BC lower"},
-            {"x": xs, "y": [r.dp_upper_empirical_mean for r in result.rows],
-             "label": "empirical upper (mean)"},
-        ]
-        artifacts["sweep.svg"] = line_plot_svg(
+_SWEEP_CURVES = (
+    ("ber_true", "true error"),
+    ("dp_upper_analytic", "divergence upper"),
+    ("dp_lower_analytic", "divergence lower"),
+    ("bc_upper", "BC upper"),
+    ("bc_lower", "BC lower"),
+    ("dp_upper_empirical_mean", "empirical upper (mean)"),
+)
+
+
+def _cmd_sweep(args):
+    rows = experiments.run_sweep(args.steps, args.n, args.trials, args.seed).rows
+    xs = [r.separation for r in rows]
+    series = [{"x": xs, "y": [getattr(r, name) for r in rows], "label": label}
+              for name, label in _SWEEP_CURVES]
+    return {
+        "sweep.csv": csv_text([f.name for f in fields(experiments.SweepRow)],
+                              [astuple(r) for r in rows]),
+        "sweep.json": json_dumps({"schema": SCHEMA_VERSION, "seed": args.seed,
+                                  "rows": [asdict(r) for r in rows]}),
+        "sweep.svg": line_plot_svg(
             series, title="Error bounds vs mean separation",
             x_label="mean separation", y_label="error rate",
-        )
-    return artifacts, None
+        ),
+    }, None
 
 
-def _mc_summary_payload(summary: experiments.McSummary, extra=None) -> dict:
-    payload = {"schema": SCHEMA_VERSION}
-    payload.update(extra or {})
-    payload.update({
-        "mean": summary.mean,
-        "std": summary.std,
-        "n_trials": summary.n_trials,
-        "values": list(summary.values),
-    })
-    return payload
+def _mc_summary_payload(summary: experiments.McSummary, **extra) -> dict:
+    return {"schema": SCHEMA_VERSION, **extra, **asdict(summary)}
 
 
-def _cmd_fukunaga(cfg: RunConfig):
-    opts = cfg.options
-    summary = experiments.run_fukunaga(opts["dataset"], opts["n"], opts["trials"], cfg.seed)
-    artifacts = {}
-    if "json" in cfg.formats:
-        artifacts["fukunaga.json"] = json_dumps(_mc_summary_payload(summary, {
-            "dataset": opts["dataset"], "n_per_class": opts["n"], "seed": cfg.seed,
-        }))
-    if "csv" in cfg.formats:
-        rows = [(t, v) for t, v in enumerate(summary.values)]
-        artifacts["fukunaga.csv"] = csv_text(("trial", "upper_bound"), rows)
-    if "svg" in cfg.formats:
-        artifacts["fukunaga.svg"] = line_plot_svg(
+def _cmd_fukunaga(args):
+    summary = experiments.run_fukunaga(args.dataset, args.n, args.trials, args.seed)
+    return {
+        "fukunaga.json": json_dumps(_mc_summary_payload(
+            summary, dataset=args.dataset, n_per_class=args.n, seed=args.seed)),
+        "fukunaga.csv": csv_text(("trial", "upper_bound"), enumerate(summary.values)),
+        "fukunaga.svg": line_plot_svg(
             [{"x": list(range(summary.n_trials)), "y": list(summary.values),
-              "label": f"{opts['dataset']} upper bound"}],
+              "label": f"{args.dataset} upper bound"}],
             title="Divergence-based upper bound per trial",
             x_label="trial", y_label="bound",
-        )
-    return artifacts, None
+        ),
+    }, None
 
 
 _CONSISTENCY_MODEL = experiments.diagonal_gaussian_model(
@@ -327,60 +258,50 @@ _CONSISTENCY_MODEL = experiments.diagonal_gaussian_model(
 )
 
 
-def _cmd_consistency(cfg: RunConfig):
-    opts = cfg.options
-    sizes = [int(s) for s in str(opts["sizes"]).split(",") if s.strip()]
-    model = load_model_json(opts["model"]) if opts.get("model") else _CONSISTENCY_MODEL
-    summaries = experiments.run_consistency(model, sizes, opts["trials"], cfg.seed)
-    artifacts = {}
-    if "json" in cfg.formats:
-        artifacts["consistency.json"] = json_dumps({
-            "schema": SCHEMA_VERSION,
-            "seed": cfg.seed,
-            "sizes": sizes,
+def _cmd_consistency(args):
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise DatasetError(f"--sizes must list positive integers, got {args.sizes!r}") from None
+    model = load_model_json(args.model) if args.model else _CONSISTENCY_MODEL
+    summaries = experiments.run_consistency(model, sizes, args.trials, args.seed)
+    rows = [(n, t, v) for n, s in zip(sizes, summaries) for t, v in enumerate(s.values)]
+    return {
+        "consistency.json": json_dumps({
+            "schema": SCHEMA_VERSION, "seed": args.seed, "sizes": sizes,
             "summaries": [_mc_summary_payload(s) for s in summaries],
-        })
-    if "csv" in cfg.formats:
-        rows = [
-            (n, t, v)
-            for n, s in zip(sizes, summaries)
-            for t, v in enumerate(s.values)
-        ]
-        artifacts["consistency.csv"] = csv_text(("size", "trial", "abs_error"), rows)
-    if "svg" in cfg.formats:
-        artifacts["consistency.svg"] = line_plot_svg(
+        }),
+        "consistency.csv": csv_text(("size", "trial", "abs_error"), rows),
+        "consistency.svg": line_plot_svg(
             [{"x": sizes, "y": [s.mean for s in summaries], "label": "mean |error|"},
              {"x": sizes, "y": [float(np.median(s.values)) for s in summaries],
               "label": "median |error|"}],
             title="Estimator error vs sample size",
             x_label="samples per class", y_label="absolute error",
-        )
-    return artifacts, None
+        ),
+    }, None
 
 
-def _cmd_oracle(cfg: RunConfig):
-    opts = cfg.options
-    model = load_model_json(opts["model"])
+def _cmd_oracle(args):
+    model = load_model_json(args.model)
     values = oracle.integrals(
         oracle.gaussian_pair(model),
         ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"),
-        alpha=opts["alpha"],
+        alpha=args.alpha,
     )
-    payload = {"schema": SCHEMA_VERSION, "alpha": opts["alpha"],
-               "method": "quadrature" if model.d <= 2 else "monte_carlo"}
-    for key, (value, se) in values.items():
-        payload[key] = value
+    payload = {"schema": SCHEMA_VERSION, "alpha": args.alpha,
+               "method": "quadrature" if model.d <= 2 else "monte_carlo",
+               **{key: value for key, (value, _) in values.items()}}
     if model.d > 2:
         payload["standard_errors"] = {key: se for key, (_, se) in values.items()}
     text = json_dumps(payload)
     return {"oracle.json": text}, text
 
 
-def _cmd_mst_dump(cfg: RunConfig):
-    opts = cfg.options
-    points = load_points_csv(opts["input"], drop_column=opts["label_column"])
-    if opts["jitter"]:
-        points = emst.add_jitter(points, cfg.seed)
+def _cmd_mst_dump(args):
+    points = load_points_csv(args.input, drop_column=args.label_column)
+    if args.jitter:
+        points = emst.add_jitter(points, args.seed)
     mst = emst.build_mst(points)
     rows = [(int(i), int(j), float(l)) for i, j, l in zip(mst.i, mst.j, mst.length)]
     return {"mst.csv": csv_text(("i", "j", "length"), rows)}, None
@@ -398,29 +319,32 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one subcommand: write its artifacts atomically, print its report."""
-    artifacts, stdout_text = _COMMANDS[cfg.subcommand](cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    for name, text in artifacts.items():
-        atomic_write_text(os.path.join(cfg.out_dir, name), text)
-    if stdout_text is not None:
-        sys.stdout.write(stdout_text)
-    return 0
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-        return run(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
-        traceback.print_exc()
-        return 1
+    """Run one subcommand: write the requested artifacts atomically, print its report."""
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        # "always": report every warning, also one repeated from the same line
+        warnings.simplefilter("always")
+        try:
+            if args.seed < 0:
+                raise DatasetError(f"--seed must be non-negative, got {args.seed}")
+            formats = _parse_formats(args.format, args.writable_formats, args.subcommand)
+            artifacts, stdout_text = _COMMANDS[args.subcommand](args)
+            os.makedirs(args.out, exist_ok=True)
+            for name, text in artifacts.items():
+                if name.rsplit(".", 1)[1] in formats:
+                    atomic_write_text(os.path.join(args.out, name), text)
+            if stdout_text is not None:
+                sys.stdout.write(stdout_text)
+            code, error = 0, ""
+        except (ValueError, OSError) as exc:
+            code, error = 2, f"error: {exc}\n"
+        except Exception:
+            code, error = 1, traceback.format_exc()
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    sys.stderr.write(error)
+    return code
 
 
 if __name__ == "__main__":

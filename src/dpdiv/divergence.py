@@ -35,18 +35,6 @@ class DivergenceEstimate:
     affinity: float
     p_hat: float
 
-    def to_dict(self) -> dict:
-        return {
-            "cross_count": self.cross_count,
-            "n_f": self.n_f,
-            "n_g": self.n_g,
-            "dp": self.dp,
-            "dp_tilde_raw": self.dp_tilde_raw,
-            "dp_tilde": self.dp_tilde,
-            "affinity": self.affinity,
-            "p_hat": self.p_hat,
-        }
-
 
 def _check_pair(sample_f, sample_g):
     f = np.asarray(sample_f, dtype=np.float64)

@@ -181,9 +181,11 @@ def run_consistency(model: GaussianModel, sizes, n_trials: int, seed,
     """Absolute estimation error |dp_tilde - reference| per sample size.
 
     The reference is the integration oracle's divergence for the model, so
-    the curves measure pure estimator error. sizes must be ascending.
+    the curves measure pure estimator error. sizes must be positive and ascending.
     """
     sizes = [int(s) for s in sizes]
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"sizes must list at least one size, each at least 1, got {sizes}")
     if sizes != sorted(sizes):
         raise ValueError(f"sizes must be ascending, got {sizes}")
     _check_trials(n_trials)

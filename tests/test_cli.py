@@ -106,6 +106,25 @@ class TestBoundsCommand:
             da["source_term"] + da["shift_term"] + da["label_drift_term"], abs=1e-12
         )
 
+    def test_warnings_are_one_line_each(self, tmp_path, capsys):
+        # integer lattice rows repeat; a 60-row target against 200 source rows
+        # makes the pools unequal
+        rng = derive_rng(9006)
+        pts = np.round(rng.normal(size=(200, 2)) * 1.5)
+        lines = ["c0,c1,label"] + [f"{x:g},{y:g},{int(i >= 100)}"
+                                   for i, (x, y) in enumerate(pts)]
+        source = tmp_path / "lattice.csv"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        target = write_points_csv(tmp_path / "target.csv", rng.normal(size=(60, 2)))
+        argv = ["bounds", "--source", str(source), "--target", target, "--out", str(tmp_path)]
+        for _ in range(2):  # a repeated in-process run reports its warnings again
+            assert cli.main(argv) == 0
+            err = capsys.readouterr().err
+            dup, pools = err.splitlines()
+            assert dup.startswith("warning: ") and "duplicate feature rows" in dup
+            assert pools.startswith("warning: ") and "equally sized" in pools
+            assert "UserWarning" not in err and "cli.py" not in err
+
     def test_single_class_exits_2_naming_missing_class(self, tmp_path, capsys):
         path = tmp_path / "single.csv"
         path.write_text("x,label\n1,1\n2,1\n", encoding="utf-8")
@@ -204,6 +223,14 @@ class TestExperimentCommands:
         assert "nan" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes", ["", "0", "10,abc"], ids=["empty", "zero", "not_int"])
+    def test_bad_sizes_exit_2_without_artifacts(self, sizes, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["consistency", "--sizes", sizes, "--trials", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "sizes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_consistency_outputs(self, tmp_path):
         out = tmp_path / "cons"
         rc = cli.main(["consistency", "--sizes", "30,60", "--trials", "2",
@@ -253,6 +280,46 @@ class TestOracleCommand:
         rc = cli.main(["oracle", "--model", str(path)])
         assert rc == 2
         assert "missing model keys" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def model_1d_json(tmp_path):
+    path = tmp_path / "model1.json"
+    path.write_text(json.dumps({"mean0": [0.0], "mean1": [1.5], "cov0": [1.0], "cov1": [2.0]}),
+                    encoding="utf-8")
+    return str(path)
+
+
+class TestFormatSelection:
+    @pytest.mark.parametrize("argv, stem, writable", [
+        (["estimate", "--a", "{a}", "--b", "{b}"], "estimate", ["json"]),
+        (["bounds", "--source", "{labeled}"], "bounds", ["json"]),
+        (["select", "--source", "{labeled}", "--k", "2"], "select", ["json", "csv"]),
+        (["sweep", "--steps", "3", "--n", "20", "--trials", "1"], "sweep",
+         ["json", "csv", "svg"]),
+        (["fukunaga", "--dataset", "D1", "--n", "20", "--trials", "2"], "fukunaga",
+         ["json", "csv", "svg"]),
+        (["consistency", "--sizes", "20,40", "--trials", "2", "--model", "{model}"],
+         "consistency", ["json", "csv", "svg"]),
+        (["oracle", "--model", "{model}"], "oracle", ["json"]),
+        (["mst-dump", "--input", "{a}"], "mst", ["csv"]),
+    ], ids=["estimate", "bounds", "select", "sweep", "fukunaga", "consistency", "oracle",
+            "mst-dump"])
+    def test_writes_exactly_the_requested_formats(
+        self, argv, stem, writable, cluster_csvs, labeled_csv, model_1d_json, tmp_path
+    ):
+        a, b = cluster_csvs
+        argv = [arg.format(a=a, b=b, labeled=labeled_csv, model=model_1d_json) for arg in argv]
+
+        def run(formats, out):
+            assert cli.main(argv + ["--format", ",".join(formats), "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        full = run(writable, tmp_path / "all")
+        assert set(full) == {f"{stem}.{fmt}" for fmt in writable}
+        for fmt in writable:
+            name = f"{stem}.{fmt}"
+            assert run([fmt], tmp_path / fmt) == {name: full[name]}
 
 
 class TestArgumentHandling:

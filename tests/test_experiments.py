@@ -149,6 +149,17 @@ class TestRunConsistency:
         with pytest.raises(ValueError, match="got 0"):
             run_consistency(CONSISTENCY_MODEL, (50,), 0, seed=0)
 
+    @pytest.mark.parametrize("sizes", [(), (0,), (0, 50), (-5,)])
+    def test_rejects_empty_or_non_positive_sizes_before_the_oracle(self, sizes, monkeypatch):
+        from dpdiv import oracle
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran before the sizes were checked")
+
+        monkeypatch.setattr(oracle, "gaussian_pair", no_oracle)
+        with pytest.raises(ValueError, match="sizes"):
+            run_consistency(CONSISTENCY_MODEL, sizes, 2, seed=0)
+
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ValueError, match="ascending"):
             run_consistency(CONSISTENCY_MODEL, (400, 100), 2, seed=0)

@@ -14,6 +14,7 @@ from dpdiv import (
     fukunaga_d1,
     fukunaga_d2,
     gaussian_pair,
+    integrals,
     mahalanobis_bound_gaussian,
     sample_gaussian,
 )
@@ -35,5 +36,5 @@ for name, model in (("D1", fukunaga_d1()), ("D2", fukunaga_d2())):
         pair = gaussian_pair(diagonal_gaussian_model([0.0], [1.0], [2.56], [1.0]))
         print(f"  true Bayes error: {bayes_error(pair):.4f}")
     else:
-        truth, se = bayes_error(gaussian_pair(model), with_error=True)
+        truth, se = integrals(gaussian_pair(model), ["bayes_error"])["bayes_error"]
         print(f"  true Bayes error: {truth:.4f} (Monte Carlo, se {se:.1e})")

@@ -53,13 +53,13 @@ class DaBoundReport:
     vacuous: bool
 
 
-def ber_bounds_from_estimate(est: DivergenceEstimate, source="dp_empirical") -> BerBounds:
+def ber_bounds_from_estimate(est: DivergenceEstimate) -> BerBounds:
     """Bracket the Bayes error from a divergence estimate.
 
     lower = 1/2 - sqrt(dp_tilde)/2, upper = 1/2 - dp_tilde/2. Both collapse
     to 0.5 for indistinguishable samples and to 0 for separable ones.
     """
-    return ber_bounds_from_dp_tilde(est.dp_tilde, source=source)
+    return ber_bounds_from_dp_tilde(est.dp_tilde, source="dp_empirical")
 
 
 def ber_bounds_from_dp_tilde(dp_tilde: float, source="dp_analytic") -> BerBounds:

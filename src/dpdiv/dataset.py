@@ -224,30 +224,21 @@ def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
             raise DatasetError(
                 f"{path}:{lineno}: ragged row with {len(row)} cells, expected {len(header)}"
             )
-        try:
-            parsed = [float(row[i]) for i in columns]
-        except ValueError:
-            parsed = None
-        if parsed is None or (label_idx is not None and parsed[label_idx] not in (0.0, 1.0)):
-            for i in columns:
-                if not _is_float(row[i]):
-                    raise DatasetError(
-                        f"{path}:{lineno}: non-numeric cell {row[i]!r} in column {header[i]!r}"
-                    )
-                if i == label_idx and float(row[i]) not in (0.0, 1.0):
-                    raise DatasetError(f"{path}:{lineno}: label {row[i]!r} is not 0 or 1")
+        parsed = []
+        for i in columns:
+            try:
+                value = float(row[i])
+            except ValueError:
+                raise DatasetError(
+                    f"{path}:{lineno}: non-numeric cell {row[i]!r} in column {header[i]!r}"
+                ) from None
+            if i == label_idx and value not in (0.0, 1.0):
+                raise DatasetError(f"{path}:{lineno}: label {row[i]!r} is not 0 or 1")
+            parsed.append(value)
         values.append(parsed)
     if not values:
         raise DatasetError(f"{path}: no data rows")
     return np.asarray(values, dtype=np.float64)
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def load_csv(path, label_column="label") -> LabeledSample:

@@ -113,8 +113,8 @@ def build_mst(points) -> MstResult:
     )
 
 
-def add_jitter(points, seed, magnitude=1e-9) -> np.ndarray:
-    """Perturb coordinates by uniform noise of `magnitude` times the coordinate scale.
+def add_jitter(points, seed) -> np.ndarray:
+    """Perturb coordinates by uniform noise of 1e-9 times the coordinate scale.
 
     Breaks exact inter-point distance ties so the spanning tree is unique,
     at the cost of no longer being a function of the input points alone.
@@ -123,4 +123,4 @@ def add_jitter(points, seed, magnitude=1e-9) -> np.ndarray:
     span = float(pts.max() - pts.min()) if pts.size else 0.0
     scale = span if span > 0 else 1.0
     rng = derive_rng(seed)
-    return pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (magnitude * scale)
+    return pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (1e-9 * scale)

@@ -114,8 +114,7 @@ def _sweep_model_2d(separation: float) -> GaussianModel:
     )
 
 
-def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed,
-              quad_nodes=None) -> SweepResult:
+def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed) -> SweepResult:
     """Sweep the mean separation of two spherical unit-variance bivariate
     Gaussians across [0, 5] and record true error, analytic bounds, and
     graph-estimated bounds averaged over independent trials.
@@ -124,6 +123,8 @@ def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed,
     equal spherical covariances, every coordinate orthogonal to the mean
     difference contributes an identical factor to both densities, which
     cancels inside each integrand, so the integrals equal their 1-D values.
+    Each step takes its true error and divergence from one oracle pass at
+    the default quadrature grid.
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 sweep steps, got {n_steps}")
@@ -131,7 +132,7 @@ def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed,
     separations = np.linspace(0.0, 5.0, n_steps)
     rows = []
     for step, sep in enumerate(separations):
-        pair = oracle.gaussian_pair(_sweep_model_1d(float(sep)), quad_nodes=quad_nodes)
+        pair = oracle.gaussian_pair(_sweep_model_1d(float(sep)))
         truth = oracle.integrals(pair, ("bayes_error", "dp_tilde"))
         analytic = bounds.ber_bounds_from_dp_tilde(truth["dp_tilde"][0])
         bc = bounds.bc_bound_gaussian(_sweep_model_1d(float(sep)))
@@ -176,12 +177,12 @@ def run_fukunaga(dataset: str, n_per_class: int, n_trials: int, seed) -> McSumma
     )
 
 
-def run_consistency(model: GaussianModel, sizes, n_trials: int, seed,
-                    quad_nodes=None) -> list[McSummary]:
+def run_consistency(model: GaussianModel, sizes, n_trials: int, seed) -> list[McSummary]:
     """Absolute estimation error |dp_tilde - reference| per sample size.
 
-    The reference is the integration oracle's divergence for the model, so
-    the curves measure pure estimator error. sizes must be positive and ascending.
+    The reference is the integration oracle's divergence for the model (one
+    pass at the default grid or Monte Carlo budget), so the curves measure
+    pure estimator error. sizes must be positive and ascending.
     """
     sizes = [int(s) for s in sizes]
     if not sizes or min(sizes) < 1:
@@ -189,7 +190,7 @@ def run_consistency(model: GaussianModel, sizes, n_trials: int, seed,
     if sizes != sorted(sizes):
         raise ValueError(f"sizes must be ascending, got {sizes}")
     _check_trials(n_trials)
-    reference = oracle.dp_tilde_integral(oracle.gaussian_pair(model, quad_nodes=quad_nodes))
+    reference = oracle.dp_tilde_integral(oracle.gaussian_pair(model))
     return [
         McSummary.from_values(abs(est.dp_tilde - reference)
                               for est in _trial_estimates(model, n, n_trials, seed, size_index))

@@ -30,7 +30,7 @@ PANEL_NODES = 16
 DEFAULT_QUAD_NODES = {1: 4096, 2: 1536}  # per dimension
 DEFAULT_MC_POINTS = 1_000_000
 MC_STRATA = 100
-DEFAULT_MC_SEED = 0x0D1BE5
+MC_ROOT_SEED = 0x0D1BE5
 
 
 class OracleError(ValueError):
@@ -54,9 +54,10 @@ class DensityPair:
     integration_box is a (d, 2) array of per-dimension (low, high) limits
     that must capture essentially all mass of both densities. For d > 2,
     sample_0/sample_1 must draw from the respective densities: they feed the
-    mixture importance sampler. Construction verifies each density
-    integrates to 1 over the box (1e-6 by quadrature for d <= 2, 1e-2 by
-    Monte Carlo above).
+    mixture importance sampler. The evaluation points depend on the pair
+    alone: quad_nodes per dimension for d <= 2, mc_points seeded samples
+    above. Construction checks only the structure; every integrals pass
+    also checks that each density integrates to 1 over the box.
     """
 
     log_density_0: Callable[[np.ndarray], np.ndarray]
@@ -68,7 +69,6 @@ class DensityPair:
     sample_1: Callable[[np.random.Generator, int], np.ndarray] | None = None
     quad_nodes: int | None = None
     mc_points: int = DEFAULT_MC_POINTS
-    mc_seed: int = DEFAULT_MC_SEED
 
     def __post_init__(self):
         if not (0.0 < self.prior_p < 1.0):
@@ -85,23 +85,6 @@ class DensityPair:
                 raise OracleError("d > 2 integration needs sample_0 and sample_1 callables")
             if self.mc_points < 10 * MC_STRATA:
                 raise OracleError(f"mc_points too small: {self.mc_points}")
-        for name, mass, se in zip(("density 0", "density 1"), *self._masses()):
-            tol = 1e-6 if self.dimension <= 2 else 1e-2
-            if abs(mass - 1.0) > tol:
-                raise OracleError(
-                    f"{name} integrates to {mass:.8f} over the box (|mass-1| > {tol:g}); "
-                    "check normalization or widen the box"
-                )
-
-    def _masses(self):
-        # The 1e-2 Monte Carlo tolerance needs far fewer points than the
-        # operations themselves, so the construction check caps its budget.
-        vals = _integrate_multi(
-            self,
-            [lambda lf0, lf1: np.exp(lf0), lambda lf0, lf1: np.exp(lf1)],
-            mc_points=min(self.mc_points, 200_000),
-        )
-        return ([v for v, _ in vals], [s for _, s in vals])
 
 
 def _composite_leggauss(lo: float, hi: float, n_total: int):
@@ -116,8 +99,8 @@ def _composite_leggauss(lo: float, hi: float, n_total: int):
     return x, w
 
 
-def _quad_grid(pair: DensityPair, nodes: int | None):
-    n = nodes or pair.quad_nodes or DEFAULT_QUAD_NODES[pair.dimension]
+def _quad_grid(pair: DensityPair):
+    n = pair.quad_nodes or DEFAULT_QUAD_NODES[pair.dimension]
     box = pair.integration_box
     if pair.dimension == 1:
         x, w = _composite_leggauss(box[0, 0], box[0, 1], n)
@@ -128,7 +111,7 @@ def _quad_grid(pair: DensityPair, nodes: int | None):
     return grid, (w0[:, None] * w1[None, :]).ravel()
 
 
-def _integrate_multi(pair, integrands, nodes=None, mc_points=None):
+def _integrate_multi(pair, integrands):
     """Evaluate several integrands on shared nodes/samples.
 
     Returns a list of (value, standard_error) pairs; quadrature reports a
@@ -137,16 +120,16 @@ def _integrate_multi(pair, integrands, nodes=None, mc_points=None):
     Monte Carlo values themselves carry noise.
     """
     if pair.dimension <= 2:
-        grid, w = _quad_grid(pair, nodes)
+        grid, w = _quad_grid(pair)
         lf0 = np.asarray(pair.log_density_0(grid), dtype=np.float64)
         lf1 = np.asarray(pair.log_density_1(grid), dtype=np.float64)
         return [(float(np.sum(w * fn(lf0, lf1))), 0.0) for fn in integrands]
 
-    per_stratum = (mc_points or pair.mc_points) // MC_STRATA
+    per_stratum = pair.mc_points // MC_STRATA
     half = per_stratum // 2
     means = np.empty((len(integrands), MC_STRATA))
     for s in range(MC_STRATA):
-        rng = derive_rng(pair.mc_seed, s)
+        rng = derive_rng(MC_ROOT_SEED, s)
         x = np.vstack([pair.sample_0(rng, half), pair.sample_1(rng, per_stratum - half)])
         lf0 = np.asarray(pair.log_density_0(x), dtype=np.float64)
         lf1 = np.asarray(pair.log_density_1(x), dtype=np.float64)
@@ -183,19 +166,25 @@ def _integrand_table(p, q, alpha):
 # The affinity is cross-checked against the divergence identity on its own points.
 _NEEDS = {"affinity": ("dp_tilde", "mass")}
 
+# f0 and f1 themselves: every pass checks that each density integrates to 1.
+_DENSITY_MASSES = (lambda lf0, lf1: np.exp(lf0), lambda lf0, lf1: np.exp(lf1))
 
-def integrals(pair: DensityPair, names, alpha=0.5, nodes=None, target_se=None) -> dict:
+
+def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
     """Several integrals of one density pair from a single pass over shared points.
 
     names are bayes_error, dp_tilde, affinity, bc, tv, chernoff,
     scaled_chernoff or mass (the total mass of p f0 + q f1); returns
-    {name: (value, standard_error)}, the same numbers the per-integral
+    {name: (value, standard_error)}, the same values the per-integral
     functions below return one at a time.
-    alpha is the Chernoff exponent. With target_se, any Monte Carlo standard
-    error above it raises IntegrationBudgetError. dp_tilde is clamped into
-    [0, 1] after checking it lies within numerical noise of that range; the
-    affinity is checked against (divergence) = (total mass) - 4pq (affinity)
-    on the same points, and disagreement beyond 1e-6 raises.
+    alpha is the Chernoff exponent. The same pass integrates f0 and f1, and a
+    density whose mass is off 1 by more than 1e-6 (quadrature, d <= 2) or
+    1e-2 (Monte Carlo) raises. With target_se, a Monte Carlo standard error
+    above it on any integral but those two masses raises
+    IntegrationBudgetError. dp_tilde is clamped into [0, 1] after checking
+    it lies within numerical noise of that range; the affinity is checked
+    against (divergence) = (total mass) - 4pq (affinity) on the same points,
+    and disagreement beyond 1e-6 raises.
     """
     names = tuple(names)
     p, q = pair.prior_p, 1.0 - pair.prior_p
@@ -209,7 +198,16 @@ def integrals(pair: DensityPair, names, alpha=0.5, nodes=None, target_se=None) -
                 evaluated.append(key)
     if "chernoff" in evaluated and not (0.0 < alpha < 1.0):
         raise OracleError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    out = dict(zip(evaluated, _integrate_multi(pair, [table[k] for k in evaluated], nodes)))
+    *values, mass0, mass1 = _integrate_multi(
+        pair, [table[k] for k in evaluated] + list(_DENSITY_MASSES))
+    tol = 1e-6 if pair.dimension <= 2 else 1e-2
+    for k, (mass, _) in enumerate((mass0, mass1)):
+        if abs(mass - 1.0) > tol:
+            raise OracleError(
+                f"density {k} integrates to {mass:.8f} over the box (|mass-1| > {tol:g}); "
+                "check normalization or widen the box"
+            )
+    out = dict(zip(evaluated, values))
     for key, (value, se) in out.items():
         if target_se is not None and se > target_se:
             raise IntegrationBudgetError(
@@ -234,54 +232,51 @@ def integrals(pair: DensityPair, names, alpha=0.5, nodes=None, target_se=None) -
     return {name: out[name] for name in names}
 
 
-def _one(pair, name, with_error, **kwargs):
-    value, se = integrals(pair, [name], **kwargs)[name]
-    return (value, se) if with_error else value
+# Each function below returns one value. For its Monte Carlo standard error
+# or an error budget, call integrals(pair, [name], target_se=...)[name].
 
-
-def bayes_error(pair: DensityPair, nodes=None, with_error=False, target_se=None):
+def bayes_error(pair: DensityPair) -> float:
     """Minimum achievable misclassification rate: integral of min(p f0, q f1)."""
-    return _one(pair, "bayes_error", with_error, nodes=nodes, target_se=target_se)
+    return integrals(pair, ["bayes_error"])["bayes_error"][0]
 
 
-def dp_tilde_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
+def dp_tilde_integral(pair: DensityPair) -> float:
     """Weighted squared-difference divergence: integral of (pf0-qf1)^2 / (pf0+qf1).
 
     The raw value provably lies in [0, 1]; the result is clamped there after
     checking the computed value is within numerical noise of that range.
     """
-    return _one(pair, "dp_tilde", with_error, nodes=nodes, target_se=target_se)
+    return integrals(pair, ["dp_tilde"])["dp_tilde"][0]
 
 
-def affinity_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
+def affinity_integral(pair: DensityPair) -> float:
     """Harmonic-mean overlap: integral of f0 f1 / (p f0 + q f1).
 
     Cross-checks the identity (divergence) = (total mass) - 4pq (affinity)
     on the same evaluation points; disagreement beyond 1e-6 means the
     integrator is broken, so it raises.
     """
-    return _one(pair, "affinity", with_error, nodes=nodes, target_se=target_se)
+    return integrals(pair, ["affinity"])["affinity"][0]
 
 
-def bc_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
+def bc_integral(pair: DensityPair) -> float:
     """Bhattacharyya coefficient 2 * integral of sqrt(pq f0 f1)."""
-    return _one(pair, "bc", with_error, nodes=nodes, target_se=target_se)
+    return integrals(pair, ["bc"])["bc"][0]
 
 
-def tv_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
+def tv_integral(pair: DensityPair) -> float:
     """Total variation between the weighted densities: integral of |p f0 - q f1|."""
-    return _one(pair, "tv", with_error, nodes=nodes, target_se=target_se)
+    return integrals(pair, ["tv"])["tv"][0]
 
 
-def chernoff_integral(pair: DensityPair, alpha: float, nodes=None, with_error=False,
-                      target_se=None):
+def chernoff_integral(pair: DensityPair, alpha: float) -> float:
     """Chernoff integral: p^a q^(1-a) * integral of f0^a f1^(1-a), a in (0, 1)."""
-    return _one(pair, "chernoff", with_error, alpha=alpha, nodes=nodes, target_se=target_se)
+    return integrals(pair, ["chernoff"], alpha=alpha)["chernoff"][0]
 
 
-def scaled_chernoff_integral(pair: DensityPair, nodes=None, with_error=False, target_se=None):
+def scaled_chernoff_integral(pair: DensityPair) -> float:
     """Integral of f0^q f1^p: the prior-free quantity the affinity never exceeds."""
-    return _one(pair, "scaled_chernoff", with_error, nodes=nodes, target_se=target_se)
+    return integrals(pair, ["scaled_chernoff"])["scaled_chernoff"][0]
 
 
 def _gaussian_logpdf_fn(mean: np.ndarray, cov: np.ndarray):
@@ -307,17 +302,18 @@ def _gaussian_sampler_fn(mean: np.ndarray, cov: np.ndarray):
     return sample
 
 
-def gaussian_pair(model: GaussianModel, quad_nodes=None, mc_points=DEFAULT_MC_POINTS,
-                  mc_seed=DEFAULT_MC_SEED, box_sigmas=8.0) -> DensityPair:
+def gaussian_pair(model: GaussianModel, quad_nodes: int | None = None,
+                  mc_points: int = DEFAULT_MC_POINTS) -> DensityPair:
     """DensityPair for a two-class Gaussian model.
 
-    The box spans mean +- box_sigmas marginal standard deviations of each
-    component (Gaussian mass outside 8 sigma is below 1e-15).
+    The box spans mean +- 8 marginal standard deviations of each component
+    (Gaussian mass outside 8 sigma is below 1e-15). quad_nodes (per
+    dimension, d <= 2) and mc_points (d > 2) set the pair's evaluation points.
     """
-    s0 = np.sqrt(np.diag(model.cov0))
-    s1 = np.sqrt(np.diag(model.cov1))
-    lo = np.minimum(model.mean0 - box_sigmas * s0, model.mean1 - box_sigmas * s1)
-    hi = np.maximum(model.mean0 + box_sigmas * s0, model.mean1 + box_sigmas * s1)
+    s0 = 8.0 * np.sqrt(np.diag(model.cov0))
+    s1 = 8.0 * np.sqrt(np.diag(model.cov1))
+    lo = np.minimum(model.mean0 - s0, model.mean1 - s1)
+    hi = np.maximum(model.mean0 + s0, model.mean1 + s1)
     return DensityPair(
         log_density_0=_gaussian_logpdf_fn(model.mean0, model.cov0),
         log_density_1=_gaussian_logpdf_fn(model.mean1, model.cov1),
@@ -328,16 +324,15 @@ def gaussian_pair(model: GaussianModel, quad_nodes=None, mc_points=DEFAULT_MC_PO
         sample_1=_gaussian_sampler_fn(model.mean1, model.cov1),
         quad_nodes=quad_nodes,
         mc_points=mc_points,
-        mc_seed=mc_seed,
     )
 
 
-def random_gaussian_model(rng: np.random.Generator, dimension=None, equal_priors=False,
-                          min_bhattacharyya=0.02, max_bhattacharyya=2.5) -> GaussianModel:
+def random_gaussian_model(rng: np.random.Generator, dimension=None,
+                          equal_priors=False) -> GaussianModel:
     """Random well-conditioned Gaussian model for validation suites.
 
     Rejection-samples until the closed-form Bhattacharyya distance lands in
-    [min_bhattacharyya, max_bhattacharyya], which keeps the classes neither
+    [0.02, 2.5], which keeps the classes neither
     nearly identical nor nearly separated; inequality checks then carry
     slack far above integration noise.
     """
@@ -355,6 +350,6 @@ def random_gaussian_model(rng: np.random.Generator, dimension=None, equal_priors
         prior = 0.5 if equal_priors else float(rng.uniform(0.2, 0.8))
         model = GaussianModel(mean0=mean0, mean1=mean1, cov0=rand_cov(), cov1=rand_cov(),
                               prior_p=prior)
-        if min_bhattacharyya <= bhattacharyya_distance_gaussian(model) <= max_bhattacharyya:
+        if 0.02 <= bhattacharyya_distance_gaussian(model) <= 2.5:
             return model
     raise RuntimeError("failed to draw a model inside the separation window")

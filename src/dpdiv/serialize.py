@@ -18,14 +18,14 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def json_dumps(obj, indent=2) -> str:
-    """JSON text with floats rendered at 17 significant digits."""
-    return _encode(obj, indent, 0) + "\n"
+def json_dumps(obj) -> str:
+    """JSON text indented by two spaces, floats at 17 significant digits."""
+    return _encode(obj, 0) + "\n"
 
 
-def _encode(obj, indent, depth):
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
+def _encode(obj, depth):
+    pad = "  " * (depth + 1)
+    close_pad = "  " * depth
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -40,17 +40,17 @@ def _encode(obj, indent, depth):
         if not obj:
             return "{}"
         items = [
-            f"{pad}{json.dumps(str(k))}: {_encode(v, indent, depth + 1)}"
+            f"{pad}{json.dumps(str(k))}: {_encode(v, depth + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = [f"{pad}{_encode(v, indent, depth + 1)}" for v in obj]
+        items = [f"{pad}{_encode(v, depth + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
     if hasattr(obj, "item"):  # numpy scalars
-        return _encode(obj.item(), indent, depth)
+        return _encode(obj.item(), depth)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

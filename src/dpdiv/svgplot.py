@@ -29,8 +29,12 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def line_plot_svg(series, title="", x_label="", y_label="", width=720, height=480):
-    """Render series = [{x, y, label}, ...] as an SVG string."""
+def line_plot_svg(series, title="", x_label="", y_label=""):
+    """Render series = [{x, y, label}, ...] as a 720 x 480 SVG string.
+
+    Series take the palette colours in order.
+    """
+    width, height = 720, 480
     ml, mr, mt, mb = 64, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
     xs = [float(v) for s in series for v in s["x"]]
@@ -87,7 +91,7 @@ def line_plot_svg(series, title="", x_label="", y_label="", width=720, height=48
         f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{y_label}</text>'
     )
     for k, s in enumerate(series):
-        color = s.get("color") or _PALETTE[k % len(_PALETTE)]
+        color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(
             f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(s["x"], s["y"])
         )
@@ -96,7 +100,7 @@ def line_plot_svg(series, title="", x_label="", y_label="", width=720, height=48
         )
     ly = mt + 12
     for k, s in enumerate(series):
-        color = s.get("color") or _PALETTE[k % len(_PALETTE)]
+        color = _PALETTE[k % len(_PALETTE)]
         parts.append(
             f'<line x1="{ml + 10}" y1="{ly}" x2="{ml + 34}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'

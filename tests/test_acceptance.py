@@ -88,7 +88,7 @@ class TestCriterion2TrueBayesError:
 
         d2_pair = oracle.gaussian_pair(fukunaga_d2())  # 8-D: Monte Carlo path
         assert d2_pair.mc_points >= 1_000_000
-        ber2, se = oracle.bayes_error(d2_pair, with_error=True)
+        ber2, se = oracle.integrals(d2_pair, ["bayes_error"])["bayes_error"]
         assert se < 5e-4
         assert abs(ber2 - 0.0190) <= 0.0015
         assert time.perf_counter() - started < 60.0

@@ -253,7 +253,7 @@ class TestOracleCommand:
         assert "standard_errors" in payload
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_one_integration_pass_after_construction(self, d, tmp_path, monkeypatch, capsys):
+    def test_one_integration_pass(self, d, tmp_path, monkeypatch, capsys):
         from dpdiv import oracle
 
         calls = []
@@ -268,9 +268,9 @@ class TestOracleCommand:
         path.write_text(json.dumps({"mean0": [0.0] * d, "mean1": [1.0] * d,
                                     "cov0": [1.0] * d, "cov1": [2.0] * d}))
         assert cli.main(["oracle", "--model", str(path), "--out", str(tmp_path)]) == 0
-        # the density-mass check at construction, then one pass: six integrals
-        # plus the total mass the affinity's identity check needs
-        assert calls == [2, 7]
+        # one pass: six integrals, the total mass the affinity's identity
+        # check needs and the two density masses of the normalization check
+        assert calls == [9]
         assert set(json.loads(capsys.readouterr().out)) >= {
             "bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"}
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import kruskal_cross_count
 from dpdiv.dataset import LabeledSample, derive_rng, diagonal_gaussian_model, sample_gaussian
@@ -120,3 +122,50 @@ class TestEstimateFromLabeled:
         sample = LabeledSample(points=[[0.0], [1.0]], labels=[1, 1])
         with pytest.raises(ValueError, match="label 0"):
             estimate_from_labeled(sample)
+
+
+@st.composite
+def normal_samples(draw):
+    """Two tie-free normal samples: d 1-5, 2-49 rows each, means up to 3 apart."""
+    rng = derive_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    f = rng.normal(size=(draw(st.integers(2, 49)), d))
+    g = rng.normal(size=(draw(st.integers(2, 49)), d)) + draw(st.floats(0.0, 3.0))
+    return f, g
+
+
+# Continuous data has no distance ties, so the tree is unique and C is a
+# function of the two point sets alone.
+_PROPERTY = settings(derandomize=True, deadline=None)
+
+
+class TestInvariancesWithoutTies:
+    @_PROPERTY
+    @given(normal_samples())
+    def test_swapping_samples(self, samples):
+        f, g = samples
+        forward, backward = estimate(f, g), estimate(g, f)
+        assert backward.cross_count == forward.cross_count
+        assert backward.p_hat == pytest.approx(1.0 - forward.p_hat, abs=1e-15)
+
+    @_PROPERTY
+    @given(normal_samples(), st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5))
+    def test_translation(self, samples, offset):
+        f, g = samples
+        t = np.asarray(offset[:f.shape[1]])
+        assert estimate(f + t, g + t).cross_count == estimate(f, g).cross_count
+
+    @_PROPERTY
+    @given(normal_samples(), st.integers(-20, 20))
+    def test_power_of_two_scaling(self, samples, k):
+        f, g = samples
+        s = 2.0 ** k
+        assert estimate(f * s, g * s).cross_count == estimate(f, g).cross_count
+
+    @_PROPERTY
+    @given(normal_samples(), st.data())
+    def test_row_permutation_within_each_sample(self, samples, data):
+        f, g = samples
+        pf = data.draw(st.permutations(range(f.shape[0])))
+        pg = data.draw(st.permutations(range(g.shape[0])))
+        assert estimate(f[pf], g[pg]).cross_count == estimate(f, g).cross_count

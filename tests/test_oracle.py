@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -60,7 +61,8 @@ class TestBayesError:
         model = diagonal_gaussian_model(
             [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.7, 0.0, 0.0], [1.0, 1.0, 1.0]
         )
-        value, se = bayes_error(gaussian_pair(model, mc_points=400_000), with_error=True)
+        value, se = integrals(gaussian_pair(model, mc_points=400_000), ["bayes_error"])[
+            "bayes_error"]
         reference = bayes_error(pair_1d(1.7))
         assert se < 2e-3
         assert value == pytest.approx(reference, abs=5 * se + 1e-6)
@@ -68,7 +70,7 @@ class TestBayesError:
     def test_budget_error_carries_residual(self):
         model = fukunaga_d2()
         with pytest.raises(IntegrationBudgetError) as info:
-            bayes_error(gaussian_pair(model, mc_points=100_000), target_se=1e-12)
+            integrals(gaussian_pair(model, mc_points=100_000), ["bayes_error"], target_se=1e-12)
         assert info.value.standard_error > 1e-12
         assert 0.0 < info.value.value < 0.5
 
@@ -184,7 +186,7 @@ WRAPPERS = {
     "affinity": affinity_integral,
     "bc": bc_integral,
     "tv": tv_integral,
-    "chernoff": lambda pair, **kw: chernoff_integral(pair, 0.3, **kw),
+    "chernoff": lambda pair: chernoff_integral(pair, 0.3),
     "scaled_chernoff": scaled_chernoff_integral,
 }
 
@@ -203,7 +205,6 @@ class TestIntegrals:
         together = integrals(pair, tuple(WRAPPERS), alpha=0.3)
         assert list(together) == list(WRAPPERS)
         for name, fn in WRAPPERS.items():
-            assert together[name] == fn(pair, with_error=True), name
             assert together[name][0] == fn(pair), name
 
     def test_returns_only_requested_names(self):
@@ -225,6 +226,15 @@ class TestIntegrals:
         pair = gaussian_pair(fukunaga_d2(), mc_points=20_000)
         with pytest.raises(IntegrationBudgetError):
             integrals(pair, ["tv", "bc"], target_se=1e-12)
+
+    def test_budget_ignores_the_density_masses(self):
+        # the normalization check's masses carry a larger standard error
+        # (1.74e-3) than bc (1.56e-3) on these points; only bc is budgeted
+        pair = gaussian_pair(fukunaga_d2(), mc_points=20_000)
+        bc_se = integrals(pair, ["bc"])["bc"][1]
+        masses = oracle._integrate_multi(pair, list(oracle._DENSITY_MASSES))
+        assert min(se for _, se in masses) > bc_se
+        assert integrals(pair, ["bc"], target_se=bc_se)["bc"][1] == bc_se
 
 
 class TestQuadratureConvergence:
@@ -251,11 +261,22 @@ class TestDensityPairValidation:
         def unit(x):
             return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
 
+        pair = DensityPair(
+            log_density_0=doubled, log_density_1=unit,
+            prior_p=0.5, dimension=1, integration_box=[[-9.0, 9.0]],
+        )
         with pytest.raises(OracleError, match="integrates to"):
-            DensityPair(
-                log_density_0=doubled, log_density_1=unit,
-                prior_p=0.5, dimension=1, integration_box=[[-9.0, 9.0]],
-            )
+            integrals(pair, ["bc"])
+
+    def test_unnormalized_density_fails_the_monte_carlo_pass(self):
+        # construction checks only the structure; the pass integrates f0 and f1
+        base = gaussian_pair(diagonal_gaussian_model(
+            [0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0], [1.5, 1.0, 0.8], prior_p=0.45),
+            mc_points=20_000)
+        pair = dataclasses.replace(
+            base, log_density_0=lambda x: base.log_density_0(x) + math.log(1.05))
+        with pytest.raises(OracleError, match=r"density 0 integrates to 1\.02"):
+            integrals(pair, ["bc"])
 
     def test_high_dimension_needs_samplers(self):
         def unit(x):
@@ -271,11 +292,12 @@ class TestDensityPairValidation:
         def unit(x):
             return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
 
+        pair = DensityPair(
+            log_density_0=unit, log_density_1=unit,
+            prior_p=0.5, dimension=1, integration_box=[[-1.0, 1.0]],
+        )
         with pytest.raises(OracleError, match="integrates to"):
-            DensityPair(
-                log_density_0=unit, log_density_1=unit,
-                prior_p=0.5, dimension=1, integration_box=[[-1.0, 1.0]],
-            )
+            integrals(pair, ["bc"])
 
     def test_bad_prior_and_box(self):
         def unit(x):
@@ -292,8 +314,8 @@ class TestDensityPairValidation:
 class TestMonteCarloPath:
     def test_reports_standard_error_and_determinism(self):
         pair = gaussian_pair(fukunaga_d2(), mc_points=200_000)
-        v1, se1 = dp_tilde_integral(pair, with_error=True)
-        v2, se2 = dp_tilde_integral(pair, with_error=True)
+        v1, se1 = integrals(pair, ["dp_tilde"])["dp_tilde"]
+        v2, se2 = integrals(pair, ["dp_tilde"])["dp_tilde"]
         assert (v1, se1) == (v2, se2)
         assert 0.0 < se1 < 0.01
         assert 0.0 <= v1 <= 1.0

@@ -72,15 +72,16 @@ def _count_passes(monkeypatch):
 
 def test_sweep_makes_one_oracle_pass_per_step(monkeypatch):
     calls = _count_passes(monkeypatch)
-    experiments.run_sweep(3, 20, 1, seed=0, quad_nodes=256)
-    # per step: the density-mass check at construction, then one pass
-    assert calls == [2, 2] * 3
+    experiments.run_sweep(3, 20, 1, seed=0)
+    # per step one pass: two integrals plus the two density masses
+    assert calls == [4] * 3
 
 
 def test_suite_model_makes_one_oracle_pass(monkeypatch):
     calls = _count_passes(monkeypatch)
     model = oracle.random_gaussian_model(derive_rng(1601), dimension=2)
     quantities = suites.oracle_quantities(model)
-    # six integrals plus the total mass the affinity's identity check needs
-    assert calls == [2, 7]
+    # six integrals, the total mass the affinity's identity check needs and
+    # the two density masses of the normalization check
+    assert calls == [9]
     assert quantities["ap"] == oracle.affinity_integral(quantities["pair"])

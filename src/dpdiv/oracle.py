@@ -55,9 +55,10 @@ class DensityPair:
     that must capture essentially all mass of both densities. For d > 2,
     sample_0/sample_1 must draw from the respective densities: they feed the
     mixture importance sampler. The evaluation points depend on the pair
-    alone: quad_nodes per dimension for d <= 2, mc_points seeded samples
-    above. Construction checks only the structure; every integrals pass
-    also checks that each density integrates to 1 over the box.
+    alone: quad_nodes per dimension for d <= 2 (None for the default, else
+    at least one 16-node panel), mc_points seeded samples above.
+    Construction checks only the structure; every integrals pass also checks
+    that each density integrates to 1 over the box.
     """
 
     log_density_0: Callable[[np.ndarray], np.ndarray]
@@ -80,6 +81,13 @@ class DensityPair:
             raise OracleError("integration box must satisfy low < high in every dimension")
         box.flags.writeable = False
         object.__setattr__(self, "integration_box", box)
+        if self.quad_nodes is not None and not (
+            isinstance(self.quad_nodes, (int, np.integer)) and self.quad_nodes >= PANEL_NODES
+        ):
+            raise OracleError(
+                f"quad_nodes must be None or an integer >= {PANEL_NODES} (one panel), "
+                f"got {self.quad_nodes!r}"
+            )
         if self.dimension > 2:
             if self.sample_0 is None or self.sample_1 is None:
                 raise OracleError("d > 2 integration needs sample_0 and sample_1 callables")

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from dpdiv import cli
+from dpdiv import cli, emst
 from dpdiv.dataset import derive_rng, save_csv, sample_gaussian
-from dpdiv.emst import build_mst
+from dpdiv.emst import MstResult, build_mst
 from dpdiv.experiments import fukunaga_d1
 
 
@@ -184,6 +184,18 @@ class TestMstDumpCommand:
         assert cli.main(["mst-dump", "--input", src, "--jitter", "--out", str(out1)]) == 0
         assert cli.main(["mst-dump", "--input", src, "--jitter", "--out", str(out2)]) == 0
         assert (out1 / "mst.csv").read_bytes() == (out2 / "mst.csv").read_bytes()
+
+    def test_broken_tree_exits_1_with_traceback(self, tmp_path, monkeypatch, capsys):
+        src = write_points_csv(tmp_path / "pts.csv", derive_rng(9006).normal(size=(5, 2)))
+
+        def broken(points):
+            return MstResult(i=[0, 1, 2], j=[1, 2, 3], length=[1.0] * 3, n_points=len(points) + 1)
+
+        monkeypatch.setattr(emst, "build_mst", broken)
+        assert cli.main(["mst-dump", "--input", src, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "broken spanning tree" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExperimentCommands:

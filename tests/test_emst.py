@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bruteforce import kruskal_mst, kruskal_total_length
-from dpdiv.emst import add_jitter, build_mst
+from dpdiv.emst import MstResult, add_jitter, build_mst
 
 
 def edge_pairs(mst):
@@ -103,6 +105,57 @@ class TestTiesAgainstBruteForce:
     ], ids=["n2_same", "n2", "n3_same", "n3_tie", "n3_tie_reversed", "n3"])
     def test_two_and_three_points(self, pts):
         assert_matches_kruskal(np.array(pts))
+
+
+class TestDistinctRowsAndSortedPath:
+    """Exact edge lists where the tree is built over the distinct rows, and
+    where the d = 1 sorted path must yield to Prim."""
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_rounding_breaks_the_sorted_path(self, perm):
+        # sorted: -1e16, 0.0, 1e-300; the outer span rounds to the first step
+        assert_matches_kruskal(np.array([[-1e16], [1e-300], [0.0]])[list(perm)])
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0], [-0.0], [1.0], [-0.0]],
+        [[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0], [0.0, 0.0]],
+    ], ids=["d1", "d2"])
+    def test_rows_differing_only_by_signed_zero(self, pts):
+        assert_matches_kruskal(np.array(pts))
+
+    @pytest.mark.parametrize("pts", [
+        [[1e-300], [0.0], [0.0]],
+        [[0.0, 1e-300], [0.0, 0.0], [5.0, 5.0], [0.0, 0.0], [0.0, 1e-300]],
+    ], ids=["d1", "d2"])
+    def test_distinct_rows_whose_d2_underflows(self, pts):
+        # 1e-300 and 0.0 are distinct rows at d2 == 0, tied with the duplicates
+        assert_matches_kruskal(np.array(pts))
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_all_rows_identical(self, n):
+        assert_matches_kruskal(np.full((n, 3), 1.5))
+
+    def test_gaussian_line_with_repeated_rows(self):
+        rng = np.random.default_rng(400)
+        for _ in range(2):
+            pts = rng.normal(size=(1200, 1))
+            pts[rng.integers(0, 1200, 400)] = pts[rng.integers(0, 1200, 400)]
+            assert_matches_kruskal(pts)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_mixed_grid_and_continuous_columns(self, d):
+        rng = np.random.default_rng(500 + d)
+        for _ in range(8):
+            n = int(rng.integers(5, 120))
+            pts = rng.normal(size=(n, d))
+            grid = rng.random(d) < 0.7
+            pts[:, grid] = np.round(pts[:, grid] * 2.0) / 2.0
+            assert_matches_kruskal(pts)
+
+    def test_wrong_edge_count_is_an_internal_error(self):
+        with pytest.raises(RuntimeError, match="expected 3 edges") as caught:
+            MstResult(i=[0, 1], j=[1, 2], length=[1.0, 1.0], n_points=4)
+        assert not isinstance(caught.value, ValueError)
 
 
 class TestStructuralProperties:

@@ -310,6 +310,15 @@ class TestDensityPairValidation:
             DensityPair(unit, unit, prior_p=0.5, dimension=1,
                         integration_box=[[9, -9]])
 
+    @pytest.mark.parametrize("nodes", [0, -5, 15])
+    def test_node_count_below_one_panel_rejected(self, nodes):
+        with pytest.raises(OracleError, match="quad_nodes"):
+            pair_1d(1.0, quad_nodes=nodes)
+
+    @pytest.mark.parametrize("nodes", [16, None])
+    def test_node_count_of_one_panel_or_default_accepted(self, nodes):
+        assert pair_1d(1.0, quad_nodes=nodes).quad_nodes == nodes
+
 
 class TestMonteCarloPath:
     def test_reports_standard_error_and_determinism(self):

@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from dpdiv import divergence, experiments, oracle
@@ -9,7 +11,8 @@ from dpdiv.dataset import derive_rng
 
 import suites
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+REPO = Path(__file__).resolve().parent.parent
+BENCH = REPO / "bench"
 
 
 def _load_tracing():
@@ -85,3 +88,29 @@ def test_suite_model_makes_one_oracle_pass(monkeypatch):
     # the two density masses of the normalization check
     assert calls == [9]
     assert quantities["ap"] == oracle.affinity_integral(quantities["pair"])
+
+
+_ESTIMATE_AND_LIST_SCIPY = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from dpdiv import cli; "
+    "rc = cli.main(['estimate', '--a', sys.argv[2], '--b', sys.argv[3], '--out', sys.argv[4]]); "
+    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+    "sys.exit(rc)"
+)
+
+
+def test_cli_estimate_imports_no_scipy(tmp_path):
+    # Every one-shot CLI call pays for what dpdiv imports; importing scipy costs a few tenths of a second.
+    rng = derive_rng(2025)
+    paths = []
+    for name, shift in (("a", 0.0), ("b", 0.5)):
+        rows = rng.normal(size=(50, 2)) + shift
+        path = tmp_path / f"{name}.csv"
+        path.write_text("x0,x1\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in rows))
+        paths.append(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ESTIMATE_AND_LIST_SCIPY, str(REPO / "src"), *paths,
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -78,36 +78,34 @@ def shift_penalty(shift_est: DivergenceEstimate) -> float:
     return 2.0 * math.sqrt(shift_est.dp_tilde)
 
 
-def _solve_spd(mat: np.ndarray, vec: np.ndarray, what: str) -> np.ndarray:
+def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise ValueError(f"{what} is singular or not positive definite") from None
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, vec))
 
 
-def _logdet_spd(mat: np.ndarray, what: str) -> float:
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{what} is singular or not positive definite") from None
+def _logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diag(chol)).sum())
+
+
+def _chernoff_exponent(model: GaussianModel, alpha: float) -> float:
+    """-log int f0^alpha f1^(1-alpha); factors only the blended covariance."""
+    chol = _cholesky(alpha * model.cov1 + (1.0 - alpha) * model.cov0, "blended covariance")
+    dm = model.mean1 - model.mean0
+    y = np.linalg.solve(chol, dm)
+    quad = 0.5 * alpha * (1.0 - alpha) * float(dm @ np.linalg.solve(chol.T, y))
+    ld0, ld1 = _logdet(model.chol0), _logdet(model.chol1)
+    return quad + 0.5 * (_logdet(chol) - ((1.0 - alpha) * ld0 + alpha * ld1))
 
 
 def bhattacharyya_distance_gaussian(model: GaussianModel) -> float:
     """Closed-form Bhattacharyya distance between the two Gaussian classes.
 
-    Uses the averaged covariance: (1/8) dm' avg^-1 dm
-    + (1/2) log(det(avg) / sqrt(det(cov0) det(cov1))).
+    The Chernoff exponent at alpha = 1/2: (1/8) dm' avg^-1 dm
+    + (1/2) log(det(avg) / sqrt(det(cov0) det(cov1))), avg the averaged covariance.
     """
-    avg = (model.cov0 + model.cov1) / 2.0
-    dm = model.mean1 - model.mean0
-    quad = float(dm @ _solve_spd(avg, dm, "average covariance")) / 8.0
-    logdet = 0.5 * (
-        _logdet_spd(avg, "average covariance")
-        - 0.5 * (_logdet_spd(model.cov0, "cov0") + _logdet_spd(model.cov1, "cov1"))
-    )
-    return quad + logdet
+    return _chernoff_exponent(model, 0.5)
 
 
 def bhattacharyya_coefficient_gaussian(model: GaussianModel) -> float:
@@ -128,9 +126,9 @@ def mahalanobis_bound_gaussian(model: GaussianModel) -> BerBounds:
     Mahalanobis distance between class means. Bounds from above only."""
     p = model.prior_p
     q = 1.0 - p
-    avg = (model.cov0 + model.cov1) / 2.0
+    chol = _cholesky((model.cov0 + model.cov1) / 2.0, "average covariance")
     dm = model.mean1 - model.mean0
-    delta = float(dm @ _solve_spd(avg, dm, "average covariance"))
+    delta = float(dm @ np.linalg.solve(chol.T, np.linalg.solve(chol, dm)))
     return BerBounds(lower=0.0, upper=2.0 * p * q / (1.0 + p * q * delta), source="mahalanobis")
 
 
@@ -145,15 +143,7 @@ def chernoff_upper_gaussian(model: GaussianModel, alpha: float) -> float:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     p = model.prior_p
     q = 1.0 - p
-    blend = alpha * model.cov1 + (1.0 - alpha) * model.cov0
-    dm = model.mean1 - model.mean0
-    quad = 0.5 * alpha * (1.0 - alpha) * float(dm @ _solve_spd(blend, dm, "blended covariance"))
-    logdet = 0.5 * (
-        _logdet_spd(blend, "blended covariance")
-        - (1.0 - alpha) * _logdet_spd(model.cov0, "cov0")
-        - alpha * _logdet_spd(model.cov1, "cov1")
-    )
-    return (p ** alpha) * (q ** (1.0 - alpha)) * math.exp(-(quad + logdet))
+    return (p ** alpha) * (q ** (1.0 - alpha)) * math.exp(-_chernoff_exponent(model, alpha))
 
 
 def da_bound(
@@ -171,7 +161,7 @@ def da_bound(
     label_drift is the expected labeling-function disagreement, 0 under
     covariate shift.
     """
-    if label_drift < 0.0:
+    if not (label_drift >= 0.0):
         raise ValueError(f"label_drift must be >= 0, got {label_drift}")
     if abs(shift_est.p_hat - 0.5) > 0.1:
         warnings.warn(

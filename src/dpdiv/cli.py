@@ -158,6 +158,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_bounds(args):
+    if not (args.label_drift >= 0.0):
+        raise DatasetError(f"--label-drift must be >= 0, got {args.label_drift}")
     source = load_csv(args.source, label_column=args.label_column)
     est = divergence.estimate_from_labeled(source)
     report = {

@@ -4,13 +4,17 @@ All container types are immutable after construction (their arrays are marked
 read-only), so they are safe to share across threads. Randomness always flows
 through :func:`derive_rng`, which hashes a master seed together with integer
 sub-keys; trials seeded this way are independent and order-insensitive.
+A GaussianModel rejects non-finite parameters and factors each class
+covariance once; its sample and log_density methods, the oracle and the
+closed-form bounds all read those factors.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,13 +108,21 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """A two-class Gaussian mixture: per-class mean/covariance plus the class-0 prior."""
+    """A two-class Gaussian mixture: per-class mean/covariance plus the class-0 prior.
+
+    Construction rejects non-finite entries, asymmetric covariances and
+    covariances that are not positive definite, then factors each covariance
+    once: chol0/chol1 are the read-only lower Cholesky factors. sample and
+    log_density read those factors, so no caller factors a class again.
+    """
 
     mean0: np.ndarray
     mean1: np.ndarray
     cov0: np.ndarray
     cov1: np.ndarray
     prior_p: float = 0.5
+    chol0: np.ndarray = field(init=False, repr=False, compare=False)
+    chol1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m0 = np.asarray(self.mean0, dtype=np.float64).reshape(-1)
@@ -118,31 +130,55 @@ class GaussianModel:
         if m0.shape != m1.shape or m0.size < 1:
             raise DatasetError(f"mean shapes differ: {m0.shape} vs {m1.shape}")
         d = m0.size
-        covs = []
-        for name, c in (("cov0", self.cov0), ("cov1", self.cov1)):
+        for name, m in (("mean0", m0), ("mean1", m1)):
+            if not np.all(np.isfinite(m)):
+                raise DatasetError(f"{name} has a non-finite entry")
+        for k, (name, c) in enumerate((("cov0", self.cov0), ("cov1", self.cov1))):
             c = np.asarray(c, dtype=np.float64)
             if c.shape != (d, d):
                 raise DatasetError(f"{name} has shape {c.shape}, expected ({d}, {d})")
+            if not np.all(np.isfinite(c)):
+                raise DatasetError(f"{name} has a non-finite entry")
             scale = max(float(np.max(np.abs(c))), 1.0)
             if np.max(np.abs(c - c.T)) > 1e-12 * scale:
                 raise DatasetError(f"{name} is not symmetric within 1e-12 relative tolerance")
+            c = _readonly(c)
             smallest = float(np.linalg.eigvalsh(c)[0])
-            if smallest <= 0.0:
+            try:
+                chol = np.linalg.cholesky(c) if smallest > 0.0 else None
+            except np.linalg.LinAlgError:
+                chol = None
+            if chol is None:
                 raise DatasetError(
                     f"{name} is not positive definite: smallest eigenvalue {smallest:.6e}"
                 )
-            covs.append(c)
+            object.__setattr__(self, name, c)
+            object.__setattr__(self, f"chol{k}", _readonly(chol))
         if not (0.0 < float(self.prior_p) < 1.0):
             raise DatasetError(f"prior_p must lie strictly in (0, 1), got {self.prior_p}")
         object.__setattr__(self, "mean0", _readonly(m0))
         object.__setattr__(self, "mean1", _readonly(m1))
-        object.__setattr__(self, "cov0", _readonly(covs[0]))
-        object.__setattr__(self, "cov1", _readonly(covs[1]))
         object.__setattr__(self, "prior_p", float(self.prior_p))
 
     @property
     def d(self) -> int:
         return self.mean0.size
+
+    def _class(self, cls: int) -> tuple[np.ndarray, np.ndarray]:
+        return (self.mean0, self.chol0) if cls == 0 else (self.mean1, self.chol1)
+
+    def sample(self, cls: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n rows drawn from class cls: standard-normal draws times its Cholesky factor."""
+        mean, chol = self._class(cls)
+        return rng.standard_normal((n, self.d)) @ chol.T + mean
+
+    def log_density(self, cls: int, x) -> np.ndarray:
+        """Log-density of class cls at each row of x."""
+        mean, chol = self._class(cls)
+        const = -0.5 * self.d * math.log(2.0 * math.pi) - float(np.log(np.diag(chol)).sum())
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = np.linalg.solve(chol, (x - mean).T)
+        return const - 0.5 * np.sum(y * y, axis=0)
 
 
 def diagonal_gaussian_model(mean0, var0, mean1, var1, prior_p=0.5) -> GaussianModel:
@@ -166,20 +202,7 @@ def sample_gaussian(model: GaussianModel, n0: int, n1: int, seed) -> LabeledSamp
     if n0 < 1 or n1 < 1:
         raise DatasetError(f"need at least one point per class, got n0={n0}, n1={n1}")
     key = _as_seed_key(seed)
-    blocks = []
-    for cls, (mean, cov, n) in enumerate(
-        ((model.mean0, model.cov0, n0), (model.mean1, model.cov1, n1))
-    ):
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            smallest = float(np.linalg.eigvalsh(cov)[0])
-            raise DatasetError(
-                f"covariance of class {cls} is not positive definite "
-                f"(smallest eigenvalue {smallest:.6e})"
-            ) from None
-        rng = derive_rng(*key, cls)
-        blocks.append(rng.standard_normal((n, model.d)) @ chol.T + mean)
+    blocks = [model.sample(cls, derive_rng(*key, cls), n) for cls, n in enumerate((n0, n1))]
     labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     return LabeledSample(points=np.vstack(blocks), labels=labels)
 

@@ -43,7 +43,7 @@ def _check_inputs(source0, source1, target, shift_weight):
     s1 = np.asarray(source1, dtype=np.float64)
     if s0.ndim != 2 or s1.ndim != 2 or s0.shape[1] != s1.shape[1]:
         raise ValueError("source matrices must be 2-D with a common number of columns")
-    if shift_weight < 0.0:
+    if not (shift_weight >= 0.0):
         raise ValueError(f"shift_weight must be >= 0, got {shift_weight}")
     tgt = None
     if shift_weight > 0.0:

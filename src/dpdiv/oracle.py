@@ -3,7 +3,9 @@
 Computes the Bayes error, divergence, affinity, Bhattacharyya, total
 variation, and Chernoff integrals directly from log-densities, so the
 graph-based estimators and every bound can be validated without building a
-single spanning tree.
+single spanning tree. A Gaussian pair takes its densities and samplers from
+the model itself (GaussianModel.log_density and .sample), so it reuses the
+Cholesky factors the model computed once.
 
 Integration strategy:
   d <= 2  composite tensor Gauss-Legendre over the integration box. Panels
@@ -17,6 +19,7 @@ Integration strategy:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -287,29 +290,6 @@ def scaled_chernoff_integral(pair: DensityPair) -> float:
     return integrals(pair, ["scaled_chernoff"])["scaled_chernoff"][0]
 
 
-def _gaussian_logpdf_fn(mean: np.ndarray, cov: np.ndarray):
-    chol = np.linalg.cholesky(cov)
-    half_logdet = float(np.log(np.diag(chol)).sum())
-    d = mean.size
-    const = -0.5 * d * math.log(2.0 * math.pi) - half_logdet
-
-    def logpdf(x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.linalg.solve(chol, (x - mean).T)
-        return const - 0.5 * np.sum(y * y, axis=0)
-
-    return logpdf
-
-
-def _gaussian_sampler_fn(mean: np.ndarray, cov: np.ndarray):
-    chol = np.linalg.cholesky(cov)
-
-    def sample(rng, n):
-        return rng.standard_normal((n, mean.size)) @ chol.T + mean
-
-    return sample
-
-
 def gaussian_pair(model: GaussianModel, quad_nodes: int | None = None,
                   mc_points: int = DEFAULT_MC_POINTS) -> DensityPair:
     """DensityPair for a two-class Gaussian model.
@@ -323,13 +303,13 @@ def gaussian_pair(model: GaussianModel, quad_nodes: int | None = None,
     lo = np.minimum(model.mean0 - s0, model.mean1 - s1)
     hi = np.maximum(model.mean0 + s0, model.mean1 + s1)
     return DensityPair(
-        log_density_0=_gaussian_logpdf_fn(model.mean0, model.cov0),
-        log_density_1=_gaussian_logpdf_fn(model.mean1, model.cov1),
+        log_density_0=functools.partial(model.log_density, 0),
+        log_density_1=functools.partial(model.log_density, 1),
         prior_p=model.prior_p,
         dimension=model.d,
         integration_box=np.stack([lo, hi], axis=1),
-        sample_0=_gaussian_sampler_fn(model.mean0, model.cov0),
-        sample_1=_gaussian_sampler_fn(model.mean1, model.cov1),
+        sample_0=functools.partial(model.sample, 0),
+        sample_1=functools.partial(model.sample, 1),
         quad_nodes=quad_nodes,
         mc_points=mc_points,
     )

@@ -132,6 +132,19 @@ class TestBoundsCommand:
         assert rc == 2
         assert "label 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drift", ["-1", "nan"])
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_bad_label_drift_exits_2_before_loading(self, drift, with_target, tmp_path, capsys):
+        # the CSVs do not exist: the flag is rejected before either is read
+        argv = ["bounds", "--source", str(tmp_path / "missing.csv"),
+                "--label-drift", drift, "--out", str(tmp_path / "out")]
+        if with_target:
+            argv += ["--target", str(tmp_path / "missing_target.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--label-drift must be >= 0" in err and "missing" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSelectCommand:
     def test_writes_json_and_csv(self, tmp_path):
@@ -159,6 +172,23 @@ class TestSelectCommand:
         csv_lines = (out / "select.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "step,feature_name,phi"
         assert len(csv_lines) == 3
+
+    def test_nan_shift_weight_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
+        from dpdiv import divergence
+
+        def no_tree(points):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(divergence, "build_mst", no_tree)
+        sample = sample_gaussian(fukunaga_d1(), 20, 20, seed=9007)
+        save_csv(sample, tmp_path / "src.csv")
+        target = write_points_csv(tmp_path / "t.csv", derive_rng(9008).normal(size=(40, 8)))
+        out = tmp_path / "out"
+        rc = cli.main(["select", "--source", str(tmp_path / "src.csv"), "--target", target,
+                       "--shift-weight", "nan", "--out", str(out)])
+        assert rc == 2
+        assert "shift_weight must be >= 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMstDumpCommand:
@@ -292,6 +322,20 @@ class TestOracleCommand:
         rc = cli.main(["oracle", "--model", str(path)])
         assert rc == 2
         assert "missing model keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["mean0", "mean1", "cov0", "cov1"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_model_parameter_exits_2(self, field, bad, tmp_path, capsys):
+        payload = {"mean0": [0.0, 0.0], "mean1": [1.0, 1.0],
+                   "cov0": [1.0, 1.0], "cov1": [2.0, 2.0]}
+        payload[field][1] = bad
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")  # writes NaN / Infinity
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} has a non-finite entry" in err
+        assert not out.exists()
 
 
 @pytest.fixture()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,45 @@ class TestGaussianModel:
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DatasetError, match="prior_p"):
                 diagonal_gaussian_model([0.0], [1.0], [1.0], [1.0], prior_p=p)
+
+    @pytest.mark.parametrize("field", ["mean0", "mean1", "cov0", "cov1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry_naming_field(self, field, bad):
+        params = {"mean0": [0.0, 0.0], "mean1": [1.0, 1.0],
+                  "cov0": np.eye(2), "cov1": 2.0 * np.eye(2)}
+        params[field] = np.array(params[field], dtype=np.float64)
+        params[field].flat[-1] = bad
+        with pytest.raises(DatasetError, match=f"{field} has a non-finite entry"):
+            GaussianModel(**params)
+
+    def test_init_takes_the_five_parameters_only(self):
+        init = [f.name for f in dataclasses.fields(GaussianModel) if f.init]
+        assert init == ["mean0", "mean1", "cov0", "cov1", "prior_p"]
+        model = fukunaga_d1()
+        moved = dataclasses.replace(model, prior_p=0.3)  # the factors are recomputed
+        np.testing.assert_array_equal(moved.chol1, model.chol1)
+        assert "chol" not in repr(model)
+
+    def test_log_density_matches_scipy(self):
+        from scipy.stats import multivariate_normal
+
+        rng = derive_rng(1701)
+        a = rng.normal(size=(3, 3))
+        model = GaussianModel(rng.normal(size=3), rng.normal(size=3),
+                              a @ a.T + np.eye(3), np.diag([0.5, 1.0, 2.0]))
+        x = rng.normal(size=(20, 3))
+        for cls, (mean, cov) in enumerate(((model.mean0, model.cov0),
+                                           (model.mean1, model.cov1))):
+            want = multivariate_normal(mean, cov).logpdf(x)
+            np.testing.assert_allclose(model.log_density(cls, x), want, rtol=1e-12)
+
+    def test_sample_is_the_sampler_behind_sample_gaussian(self):
+        model = fukunaga_d1()
+        sample = sample_gaussian(model, 4, 6, seed=(5, 2))
+        np.testing.assert_array_equal(
+            sample.points[:4], model.sample(0, derive_rng(5, 2, 0), 4))
+        np.testing.assert_array_equal(
+            sample.points[4:], model.sample(1, derive_rng(5, 2, 1), 6))
 
 
 class TestSampleGaussian:

@@ -1,13 +1,17 @@
 """Checks that the benchmark tooling and the test suites stay wired to the package."""
 
+import dataclasses
 import importlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-from dpdiv import divergence, experiments, oracle
-from dpdiv.dataset import derive_rng
+import numpy as np
+import pytest
+
+from dpdiv import bounds, divergence, experiments, oracle
+from dpdiv.dataset import GaussianModel, derive_rng, diagonal_gaussian_model, sample_gaussian
 
 import suites
 
@@ -88,6 +92,48 @@ def test_suite_model_makes_one_oracle_pass(monkeypatch):
     # the two density masses of the normalization check
     assert calls == [9]
     assert quantities["ap"] == oracle.affinity_integral(quantities["pair"])
+
+
+def test_one_factorization_per_class_covariance(monkeypatch):
+    calls = []
+    original = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    rng = derive_rng(1702)
+    a = rng.normal(size=(3, 3))
+    model3 = GaussianModel(rng.normal(size=3), rng.normal(size=3) + 1.0,
+                           a @ a.T + np.eye(3), np.diag([0.5, 1.0, 2.0]))
+    assert calls == [(3, 3), (3, 3)]
+    model1 = diagonal_gaussian_model([0.0], [1.0], [1.5], [2.0])
+    del calls[:]
+
+    for seed in range(3):
+        sample_gaussian(model3, 10, 12, seed)
+    oracle.integrals(oracle.gaussian_pair(model1), ("bayes_error", "bc"))
+    oracle.integrals(oracle.gaussian_pair(model3, mc_points=100_000), ("bayes_error", "bc"))
+    assert calls == []
+    # the one model run_fukunaga builds is factored once, each trial reuses it
+    experiments.run_fukunaga("D2", 20, 2, seed=0)
+    assert calls == [(8, 8), (8, 8)]
+    del calls[:]
+
+    bounds.bhattacharyya_distance_gaussian(model3)
+    assert calls == [(3, 3)]
+    bounds.chernoff_upper_gaussian(model3, 0.3)
+    assert calls == [(3, 3)] * 2
+    bounds.mahalanobis_bound_gaussian(model3)
+    assert calls == [(3, 3)] * 3
+
+    assert not model3.chol0.flags.writeable
+    with pytest.raises(ValueError):
+        model3.chol0[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model3.chol0 = np.eye(3)
+    np.testing.assert_allclose(model3.chol0 @ model3.chol0.T, model3.cov0, rtol=0, atol=1e-12)
 
 
 _ESTIMATE_AND_LIST_SCIPY = (

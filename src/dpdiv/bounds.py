@@ -163,6 +163,8 @@ def da_bound(
     """
     if not (label_drift >= 0.0):
         raise ValueError(f"label_drift must be >= 0, got {label_drift}")
+    if label_drift == np.inf:
+        raise ValueError("label_drift must be finite, got inf")
     if abs(shift_est.p_hat - 0.5) > 0.1:
         warnings.warn(
             "shift divergence assumes equally sized source and target pools; "

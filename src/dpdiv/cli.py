@@ -160,6 +160,8 @@ def _cmd_estimate(args):
 def _cmd_bounds(args):
     if not (args.label_drift >= 0.0):
         raise DatasetError(f"--label-drift must be >= 0, got {args.label_drift}")
+    if args.label_drift == np.inf:
+        raise DatasetError("--label-drift must be finite, got inf")
     source = load_csv(args.source, label_column=args.label_column)
     est = divergence.estimate_from_labeled(source)
     report = {

@@ -114,6 +114,7 @@ class GaussianModel:
     covariances that are not positive definite, then factors each covariance
     once: chol0/chol1 are the read-only lower Cholesky factors. sample and
     log_density read those factors, so no caller factors a class again.
+    Two models are equal when their five parameters are.
     """
 
     mean0: np.ndarray
@@ -159,6 +160,14 @@ class GaussianModel:
         object.__setattr__(self, "mean0", _readonly(m0))
         object.__setattr__(self, "mean1", _readonly(m1))
         object.__setattr__(self, "prior_p", float(self.prior_p))
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianModel):
+            return NotImplemented
+        return self.prior_p == other.prior_p and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("mean0", "mean1", "cov0", "cov1")
+        )
 
     @property
     def d(self) -> int:

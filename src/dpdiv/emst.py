@@ -16,15 +16,33 @@ order reduces to v < parent[t] in all four placements of v and parent[t]
 around t.
 
 The loop keeps only the vertices outside the tree, compacted by swap-remove,
-so step k touches n - k rows. Row sums do not depend on the row count, so
-the lengths are the same bits a full-length pass would give. The boolean
-masks are written into three buffers allocated once at full length: numpy
-caches freed arrays below 1 KiB by exact size, and masks that shrink by one
-element every step would leave about 2 MiB of them cached.
+so step k touches n - k of them. They are the columns of a (d, w) array: each
+step subtracts the vertex that joined as a (d, 1) column into a reused
+buffer, squares it in place and adds its d rows, so every ufunc call runs d
+inner loops of length w, not w loops of length d. numpy runs 2-D ufuncs on
+strided operands about three times slower than on contiguous ones, so the
+array stays contiguous: a swap-remove moves one column inside the width w,
+the dead columns past the live ones are computed and ignored, and the live
+ones are copied to a narrower array once more than w/16 have died.
 
-Prim runs on the distinct rows only. np.unique groups equal rows (-0.0 and
-0.0 compare equal, and give the same d2 to every row), each group's
-representative is its smallest index, and the distinct rows are ordered by
+The row sums follow numpy's own order for sum(axis=1), so every d2 keeps the
+bits of ((a - b) ** 2).sum(axis=1), the formula tests/bruteforce.py uses;
+the tie rule compares those bits. numpy adds d < 8 terms in sequence; for
+8 <= d <= 128 it keeps eight accumulators r[j] += x[8b + j], combines them as
+((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds the d % 8 tail
+in sequence; above 128 it splits at h = d//2 - (d//2) % 8 and adds the two
+halves' sums. The columns hold the coordinates of each block of eight in
+bit-reversed order (0, 4, 2, 6, 1, 5, 3, 7), so each combining level adds the
+block's second half to its first, again with contiguous operands. Row sums do
+not depend on the row count, so the lengths are the same bits a full-length
+pass would give. The boolean masks are written into buffers allocated once at
+full length: numpy caches freed arrays below 1 KiB by exact size, and masks
+that shrink by one element every step would leave about 2 MiB of them cached.
+
+Prim runs on the distinct rows only. A stable lexsort of the rows puts equal
+rows next to each other (-0.0 and 0.0 compare equal, and give the same d2 to
+every row), so each group's representative is its first row in sorted order,
+which is its smallest index, and the distinct rows are ordered by
 representative, so the tie rule on their positions is the rule on the
 representatives. Under the strict (d2, i, j) order the tree is unique, and
 Kruskal on all rows builds it as follows, provided distinct rows never have
@@ -84,15 +102,16 @@ class MstResult:
 
 
 def build_mst(points) -> MstResult:
-    """Exact Euclidean MST of an (n, d) point matrix, n >= 2.
+    """Exact Euclidean MST of an (n, d) point matrix, n >= 2, d >= 1.
 
     Output edges are canonically oriented (i < j) and sorted by (i, j).
     Duplicate points are allowed; the tie rule resolves their zero-length
     edges deterministically.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be a 2-D matrix, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError(
+            f"points must be a 2-D matrix with at least one column, got shape {pts.shape}")
     n = pts.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
@@ -100,12 +119,15 @@ def build_mst(points) -> MstResult:
         bad = np.argwhere(~np.isfinite(pts))[0]
         raise ValueError(f"non-finite coordinate at row {bad[0]}, column {bad[1]}")
 
-    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
-    rep = np.sort(first)
+    order = np.lexsort(pts.T[::-1])
+    starts = np.ones(n, dtype=bool)
+    np.any(pts[order[1:]] != pts[order[:-1]], axis=1, out=starts[1:])
+    own_rep = np.empty(n, dtype=np.int64)
+    own_rep[order] = order[starts][np.cumsum(starts) - 1]
+    rep = np.flatnonzero(own_rep == np.arange(n))
     i, j, d2 = _unique_tree(pts[rep])
     i, j = rep[i], rep[j]
     if rep.size < n and np.all(d2 > 0):
-        own_rep = first[inverse.ravel()]
         dup = np.flatnonzero(own_rep != np.arange(n))
         i = np.concatenate((i, own_rep[dup]))
         j = np.concatenate((j, dup))
@@ -133,10 +155,13 @@ def _unique_tree(pts):
 
 def _prim(pts):
     """Edges (i, j, d2) of dense Prim over all rows, in the order they join."""
-    n = pts.shape[0]
+    n, d = pts.shape
+    laid = pts[:, _sum_order(d)]
+    at = laid[:, :, None]
+    cols = laid[1:].T.copy()
+    buf = np.empty_like(cols)
+    dist2 = _sq_dist(cols, at[0], buf).copy()
     rest = np.arange(1, n)
-    rows = pts[1:].copy()
-    dist2 = ((rows - pts[0]) ** 2).sum(axis=1)
     parent = np.zeros(n - 1, dtype=np.int64)
     sel, upd, tie = (np.empty(n - 1, dtype=bool) for _ in range(3))
 
@@ -145,28 +170,72 @@ def _prim(pts):
     out_d2 = np.empty(n - 1, dtype=np.float64)
     for m in range(n - 1, 0, -1):
         d2 = dist2[:m]
-        cand = np.flatnonzero(np.equal(d2, d2.min(), out=sel[:m]))
-        if cand.size > 1:
+        k = int(d2.argmin())
+        if np.count_nonzero(np.equal(d2, d2[k], out=sel[:m])) > 1:
+            cand = np.flatnonzero(sel[:m])
             t, p = rest[cand], parent[cand]
             k = cand[np.lexsort((np.maximum(p, t), np.minimum(p, t)))[0]]
-        else:
-            k = cand[0]
         v, u = int(rest[k]), int(parent[k])
         last = m - 1
         out_i[last], out_j[last], out_d2[last] = min(u, v), max(u, v), d2[k]
 
         # v joins the tree: swap-remove it, then relax the rest against v
         rest[k], parent[k], dist2[k] = rest[last], parent[last], dist2[last]
-        rows[k] = rows[last]
+        cols[:, k] = cols[:, last]
+        width = cols.shape[1]
+        if width - last > width // 16:
+            cols = cols[:, :last].copy()
+            buf = np.empty_like(cols)
         d2 = dist2[:last]
-        nd2 = ((rows[:last] - pts[v]) ** 2).sum(axis=1)
+        nd2 = _sq_dist(cols, at[v], buf)[:last]
         better = np.less(nd2, d2, out=upd[:last])
-        tied = np.greater(parent[:last], v, out=tie[:last])
-        tied &= np.equal(nd2, d2, out=sel[:last])
-        better |= tied
-        np.copyto(parent[:last], v, where=better)
+        tied = np.equal(nd2, d2, out=tie[:last])
+        np.putmask(parent[:last], better, v)
         np.minimum(d2, nd2, out=d2)
+        if np.count_nonzero(tied):
+            np.minimum(parent[:last], v, out=parent[:last], where=tied)
     return out_i, out_j, out_d2
+
+
+_BIT_REVERSED = (0, 4, 2, 6, 1, 5, 3, 7)
+
+
+def _sum_order(d):
+    """Coordinate order of the columns that _sum_rows adds in numpy's order."""
+    if d > 128:
+        h = d // 2 - (d // 2) % 8
+        return _sum_order(h) + [h + c for c in _sum_order(d - h)]
+    full = d - d % 8
+    return [b + r for b in range(0, full, 8) for r in _BIT_REVERSED] + list(range(full, d))
+
+
+def _sq_dist(cols, x, buf):
+    """Squared distances from the (d, 1) column x to each column of the (d, w)
+    array cols, laid out by _sum_order; buf is a (d, w) work array."""
+    np.subtract(cols, x, out=buf)
+    np.square(buf, out=buf)
+    return _sum_rows(buf)
+
+
+def _sum_rows(sq):
+    """Sum the rows of sq in place in numpy's pairwise order; returns sq[0]."""
+    d = sq.shape[0]
+    if d > 128:
+        h = d // 2 - (d // 2) % 8
+        total = _sum_rows(sq[:h])
+        total += _sum_rows(sq[h:])
+        return total
+    full = d - d % 8
+    if full:
+        for b in range(8, full, 8):
+            sq[:8] += sq[b:b + 8]
+        sq[:4] += sq[4:8]
+        sq[:2] += sq[2:4]
+        sq[0] += sq[1]
+    total = sq[0]
+    for r in range(max(full, 1), d):
+        total += sq[r]
+    return total
 
 
 def add_jitter(points, seed) -> np.ndarray:

@@ -45,6 +45,8 @@ def _check_inputs(source0, source1, target, shift_weight):
         raise ValueError("source matrices must be 2-D with a common number of columns")
     if not (shift_weight >= 0.0):
         raise ValueError(f"shift_weight must be >= 0, got {shift_weight}")
+    if shift_weight == np.inf:
+        raise ValueError("shift_weight must be finite, got inf")
     tgt = None
     if shift_weight > 0.0:
         if target is None:

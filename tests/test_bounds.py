@@ -143,6 +143,10 @@ class TestDaBound:
         with pytest.raises(ValueError, match="label_drift"):
             bounds.da_bound(fake_estimate(0.5), fake_estimate(0.1), label_drift=float("nan"))
 
+    def test_infinite_label_drift_rejected(self):
+        with pytest.raises(ValueError, match="label_drift must be finite"):
+            bounds.da_bound(fake_estimate(0.5), fake_estimate(0.1), label_drift=float("inf"))
+
     def test_holds_on_covariate_shift_scenarios(self):
         for seed in range(5):
             report, target_error = da_bound_vs_target_error(seed)

@@ -145,6 +145,17 @@ class TestBoundsCommand:
         assert "--label-drift must be >= 0" in err and "missing" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_infinite_label_drift_exits_2_before_loading(self, with_target, tmp_path, capsys):
+        argv = ["bounds", "--source", str(tmp_path / "missing.csv"),
+                "--label-drift", "inf", "--out", str(tmp_path / "out")]
+        if with_target:
+            argv += ["--target", str(tmp_path / "missing_target.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--label-drift must be finite, got inf" in err and "missing" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSelectCommand:
     def test_writes_json_and_csv(self, tmp_path):
@@ -188,6 +199,23 @@ class TestSelectCommand:
                        "--shift-weight", "nan", "--out", str(out)])
         assert rc == 2
         assert "shift_weight must be >= 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_shift_weight_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
+        from dpdiv import divergence
+
+        def no_tree(points):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(divergence, "build_mst", no_tree)
+        sample = sample_gaussian(fukunaga_d1(), 20, 20, seed=9009)
+        save_csv(sample, tmp_path / "src.csv")
+        target = write_points_csv(tmp_path / "t.csv", derive_rng(9010).normal(size=(40, 8)))
+        out = tmp_path / "out"
+        rc = cli.main(["select", "--source", str(tmp_path / "src.csv"), "--target", target,
+                       "--shift-weight", "inf", "--out", str(out)])
+        assert rc == 2
+        assert "shift_weight must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
 

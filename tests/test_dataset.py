@@ -129,6 +129,17 @@ class TestGaussianModel:
         with pytest.raises(DatasetError, match=f"{field} has a non-finite entry"):
             GaussianModel(**params)
 
+    def test_equality_compares_the_parameters(self):
+        model = fukunaga_d1()  # d = 8
+        assert (model == fukunaga_d1()) is True
+        assert (model != fukunaga_d1()) is False
+        for change in ({"prior_p": 0.3}, {"mean1": model.mean1 + 1e-12},
+                       {"cov0": 2.0 * model.cov0}):
+            other = dataclasses.replace(model, **change)
+            assert (model == other) is False
+            assert (model != other) is True
+        assert (model == "model") is False
+
     def test_init_takes_the_five_parameters_only(self):
         init = [f.name for f in dataclasses.fields(GaussianModel) if f.init]
         assert init == ["mean0", "mean1", "cov0", "cov1", "prior_p"]

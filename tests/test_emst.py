@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bruteforce import kruskal_mst, kruskal_total_length
-from dpdiv.emst import MstResult, add_jitter, build_mst
+from dpdiv.emst import MstResult, _sq_dist, _sum_order, add_jitter, build_mst
 
 
 def edge_pairs(mst):
@@ -51,6 +51,8 @@ class TestSmallCases:
             build_mst(np.array([[0.0], [np.inf]]))
         with pytest.raises(ValueError, match="2-D"):
             build_mst(np.zeros(4))
+        with pytest.raises(ValueError, match="at least one column"):
+            build_mst(np.zeros((3, 0)))
 
 
 class TestAgainstBruteForce:
@@ -76,14 +78,14 @@ class TestAgainstBruteForce:
 class TestTiesAgainstBruteForce:
     """Exact edge lists and lengths where many candidate edges tie."""
 
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", [*range(1, 9), 9, 12, 16, 17])
     def test_integer_lattice(self, d):
         rng = np.random.default_rng(100 + d)
         for _ in range(6):
             n = int(rng.integers(4, 60))
             assert_matches_kruskal(rng.integers(0, 3, size=(n, d)).astype(float))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 12, 16, 17, 20])
     def test_every_row_three_times(self, d):
         rng = np.random.default_rng(200 + d)
         for base in (rng.normal(size=(15, d)), rng.integers(0, 2, size=(15, d)).astype(float)):
@@ -156,6 +158,21 @@ class TestDistinctRowsAndSortedPath:
         with pytest.raises(RuntimeError, match="expected 3 edges") as caught:
             MstResult(i=[0, 1], j=[1, 2], length=[1.0, 1.0], n_points=4)
         assert not isinstance(caught.value, ValueError)
+
+
+class TestColumnKernel:
+    def test_squared_distances_keep_numpys_row_sum_bits(self):
+        # The tie rule compares d2 bits; a numpy that changes its summation
+        # order fails here before any tree differs from the brute force.
+        rng = np.random.default_rng(600)
+        for d in [*range(1, 141), 200, 256, 257, 300]:
+            a = rng.normal(size=(37, d)) * 10.0 ** rng.uniform(-3, 3, size=(37, d))
+            b = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3, size=d)
+            order = _sum_order(d)
+            assert sorted(order) == list(range(d))
+            cols = a[:, order].T.copy()
+            got = _sq_dist(cols, b[order][:, None], np.empty_like(cols))
+            assert got.tobytes() == ((a - b) ** 2).sum(axis=1).tobytes(), f"d = {d}"
 
 
 class TestStructuralProperties:

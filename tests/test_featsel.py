@@ -78,6 +78,13 @@ class TestCriterionPhi:
             with pytest.raises(ValueError, match="shift_weight"):
                 criterion_phi(x, y, target, (0,), shift_weight=float("nan"))
 
+    def test_infinite_shift_weight_rejected(self):
+        x = np.zeros((10, 2))
+        y = np.ones((10, 2))
+        for target in (None, y):
+            with pytest.raises(ValueError, match="shift_weight must be finite"):
+                criterion_phi(x, y, target, (0,), shift_weight=float("inf"))
+
 
 class TestForwardSelect:
     def test_exhaustive_selection_is_permutation(self):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from dpdiv import bounds, divergence, experiments, oracle
-from dpdiv.dataset import GaussianModel, derive_rng, diagonal_gaussian_model, sample_gaussian
+from dpdiv.dataset import (GaussianModel, derive_rng, diagonal_gaussian_model, sample_gaussian,
+                           save_csv)
 
 import suites
 
@@ -136,16 +137,28 @@ def test_one_factorization_per_class_covariance(monkeypatch):
     np.testing.assert_allclose(model3.chol0 @ model3.chol0.T, model3.cov0, rtol=0, atol=1e-12)
 
 
-_ESTIMATE_AND_LIST_SCIPY = (
+_RUN_AND_LIST_SCIPY = (
     "import sys; sys.path.insert(0, sys.argv[1]); from dpdiv import cli; "
-    "rc = cli.main(['estimate', '--a', sys.argv[2], '--b', sys.argv[3], '--out', sys.argv[4]]); "
+    "rc = cli.main(sys.argv[2:]); "
     "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
     "sys.exit(rc)"
 )
 
 
+def _scipy_modules_after(argv):
+    """Run cli.main(argv) in a fresh interpreter; the scipy modules it imported."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_SCIPY, str(REPO / "src"), *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_cli_estimate_imports_no_scipy(tmp_path):
-    # Every one-shot CLI call pays for what dpdiv imports; importing scipy costs a few tenths of a second.
+    # Every one-shot CLI call pays for what dpdiv imports: importing scipy costs a
+    # few tenths of a second and 30-35 MiB of peak RSS. The tree workloads
+    # (select with a target, fukunaga) must not pull it in either.
     rng = derive_rng(2025)
     paths = []
     for name, shift in (("a", 0.0), ("b", 0.5)):
@@ -153,10 +166,18 @@ def test_cli_estimate_imports_no_scipy(tmp_path):
         path = tmp_path / f"{name}.csv"
         path.write_text("x0,x1\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in rows))
         paths.append(str(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", _ESTIMATE_AND_LIST_SCIPY, str(REPO / "src"), *paths,
-         str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _scipy_modules_after(
+        ["estimate", "--a", paths[0], "--b", paths[1], "--out", str(tmp_path / "out")]) == "[]"
+
+    source = tmp_path / "source.csv"
+    save_csv(sample_gaussian(diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0, 0.0, 0.0],
+                                                     [1.0] * 3), 30, 30, seed=2026), source)
+    target = tmp_path / "target.csv"
+    target.write_text("x0,x1,x2\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rng.normal(size=(60, 3)) + 0.5))
+    assert _scipy_modules_after(
+        ["select", "--source", str(source), "--target", str(target), "--k", "2",
+         "--shift-weight", "1", "--out", str(tmp_path / "select")]) == "[]"
+    assert _scipy_modules_after(
+        ["fukunaga", "--dataset", "D2", "--n", "50", "--trials", "2",
+         "--out", str(tmp_path / "fukunaga")]) == "[]"

@@ -6,7 +6,12 @@ through :func:`derive_rng`, which hashes a master seed together with integer
 sub-keys; trials seeded this way are independent and order-insensitive.
 A GaussianModel rejects non-finite parameters and factors each class
 covariance once; its sample and log_density methods, the oracle and the
-closed-form bounds all read those factors.
+closed-form bounds all read those factors. log_density solves L y = x - mean
+by forward substitution on the stored lower factor L, in place over the d
+contiguous coordinate rows, where a general solve would factor the
+triangular matrix again with pivoting; the quadratic form is the sum of the
+squared rows. It serves the oracle's quadrature grid and its Monte Carlo
+strata alike.
 """
 
 from __future__ import annotations
@@ -182,12 +187,27 @@ class GaussianModel:
         return rng.standard_normal((n, self.d)) @ chol.T + mean
 
     def log_density(self, cls: int, x) -> np.ndarray:
-        """Log-density of class cls at each row of x."""
+        """Log-density of class cls at each row of x: an (n, d) array, or one length-d point.
+
+        Forward substitution on the stored factor (see the module docstring).
+        Raises DatasetError unless x has d columns.
+        """
         mean, chol = self._class(cls)
-        const = -0.5 * self.d * math.log(2.0 * math.pi) - float(np.log(np.diag(chol)).sum())
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.linalg.solve(chol, (x - mean).T)
-        return const - 0.5 * np.sum(y * y, axis=0)
+        if x.ndim != 2 or x.shape[1] != self.d:
+            raise DatasetError(f"x has shape {x.shape}, expected (n, {self.d})")
+        const = -0.5 * self.d * math.log(2.0 * math.pi) - float(np.log(np.diag(chol)).sum())
+        y = np.subtract(x.T, mean[:, None], order="C")
+        out = np.empty(x.shape[0])  # scratch for L[i, j] * y[j], then the result
+        for i in range(self.d):
+            for j in range(i):
+                y[i] -= np.multiply(y[j], chol[i, j], out=out)
+            y[i] /= chol[i, i]
+        y *= y
+        np.add.reduce(y, axis=0, out=out)
+        out *= -0.5
+        out += const
+        return out
 
 
 def diagonal_gaussian_model(mean0, var0, mean1, var1, prior_p=0.5) -> GaussianModel:

@@ -15,6 +15,16 @@ Integration strategy:
           proposal (f0 + f1) / 2, which keeps every integrand ratio in
           scope bounded. Strata use derived seeds, so results are
           deterministic and independent of evaluation order.
+
+One pass evaluates both log-densities once per set of points (the grid, or
+one Monte Carlo stratum) and checks that each returns one value per point.
+Terms several integrands share are computed once per set: p f0 and q f1
+(bayes_error, dp_tilde, tv) and log(p f0 + q f1) (affinity, mass). The
+density masses recompute exp(lf0) and exp(lf1) rather than keep them. The
+default 2-D grid is 1536^2 points, and its (n, 2) coordinate array is the
+pass's widest, so it is dropped as soon as both log-densities exist; the
+pass's memory peak is then set by the weights, the log-densities and the
+shared terms.
 """
 
 from __future__ import annotations
@@ -53,7 +63,8 @@ class IntegrationBudgetError(OracleError):
 class DensityPair:
     """Two log-densities with a class prior and a rectangular integration box.
 
-    log_density_0/1 map an (n, d) array to length-n log-density values.
+    log_density_0/1 map an (n, d) array to length-n log-density values; a
+    pass raises OracleError on any other shape.
     integration_box is a (d, 2) array of per-dimension (low, high) limits
     that must capture essentially all mass of both densities. For d > 2,
     sample_0/sample_1 must draw from the respective densities: they feed the
@@ -122,8 +133,44 @@ def _quad_grid(pair: DensityPair):
     return grid, (w0[:, None] * w1[None, :]).ravel()
 
 
+class _Terms:
+    """One pass's log-densities at points x and the terms several integrands share.
+
+    a = p f0 and b = q f1 (bayes_error, dp_tilde, tv) and lmix = log(p f0 + q f1)
+    (affinity, mass) are computed on first use and kept for the rest of the
+    pass. Each is the expression those integrands evaluated on their own, so
+    sharing it leaves every value's bits unchanged.
+    """
+
+    def __init__(self, pair, x):
+        n = x.shape[0]
+        lf = []
+        for k, log_density in enumerate((pair.log_density_0, pair.log_density_1)):
+            values = np.asarray(log_density(x), dtype=np.float64)
+            if values.shape != (n,):
+                raise OracleError(
+                    f"log_density_{k} returned shape {values.shape} for {n} points, "
+                    f"expected ({n},)"
+                )
+            lf.append(values)
+        self.lf0, self.lf1 = lf
+        self.p, self.q = pair.prior_p, 1.0 - pair.prior_p
+
+    @functools.cached_property
+    def a(self):
+        return self.p * np.exp(self.lf0)
+
+    @functools.cached_property
+    def b(self):
+        return self.q * np.exp(self.lf1)
+
+    @functools.cached_property
+    def lmix(self):
+        return np.logaddexp(math.log(self.p) + self.lf0, math.log(self.q) + self.lf1)
+
+
 def _integrate_multi(pair, integrands):
-    """Evaluate several integrands on shared nodes/samples.
+    """Evaluate several integrands, each a function of one pass's _Terms, on shared points.
 
     Returns a list of (value, standard_error) pairs; quadrature reports a
     standard error of 0. Sharing points matters for identity checks: they
@@ -132,45 +179,41 @@ def _integrate_multi(pair, integrands):
     """
     if pair.dimension <= 2:
         grid, w = _quad_grid(pair)
-        lf0 = np.asarray(pair.log_density_0(grid), dtype=np.float64)
-        lf1 = np.asarray(pair.log_density_1(grid), dtype=np.float64)
-        return [(float(np.sum(w * fn(lf0, lf1))), 0.0) for fn in integrands]
+        terms = _Terms(pair, grid)
+        del grid  # the pass's widest array; only the log-densities are needed from here
+        return [(float(np.sum(w * fn(terms))), 0.0) for fn in integrands]
 
     per_stratum = pair.mc_points // MC_STRATA
     half = per_stratum // 2
     means = np.empty((len(integrands), MC_STRATA))
     for s in range(MC_STRATA):
         rng = derive_rng(MC_ROOT_SEED, s)
-        x = np.vstack([pair.sample_0(rng, half), pair.sample_1(rng, per_stratum - half)])
-        lf0 = np.asarray(pair.log_density_0(x), dtype=np.float64)
-        lf1 = np.asarray(pair.log_density_1(x), dtype=np.float64)
-        inv_q = np.exp(-(np.logaddexp(lf0, lf1) - math.log(2.0)))
+        terms = _Terms(pair, np.vstack([pair.sample_0(rng, half),
+                                        pair.sample_1(rng, per_stratum - half)]))
+        inv_q = np.exp(-(np.logaddexp(terms.lf0, terms.lf1) - math.log(2.0)))
         for k, fn in enumerate(integrands):
-            means[k, s] = np.mean(fn(lf0, lf1) * inv_q)
+            means[k, s] = np.mean(fn(terms) * inv_q)
     return [(float(m.mean()), float(m.std(ddof=1) / math.sqrt(MC_STRATA))) for m in means]
 
 
 def _integrand_table(p, q, alpha):
-    """Every integrand by name, as a function of the two log-densities."""
-    lp, lq = math.log(p), math.log(q)
+    """Every integrand by name, as a function of one pass's _Terms."""
     coef = 2.0 * math.sqrt(p * q)
-    lead = alpha * lp + (1.0 - alpha) * lq
+    lead = alpha * math.log(p) + (1.0 - alpha) * math.log(q)
 
-    def dp_tilde(lf0, lf1):
-        a = p * np.exp(lf0)
-        b = q * np.exp(lf1)
-        s = a + b
-        return np.where(s > 0.0, (a - b) ** 2 / np.where(s > 0.0, s, 1.0), 0.0)
+    def dp_tilde(t):
+        s = t.a + t.b
+        return np.where(s > 0.0, (t.a - t.b) ** 2 / np.where(s > 0.0, s, 1.0), 0.0)
 
     return {
-        "bayes_error": lambda lf0, lf1: np.minimum(p * np.exp(lf0), q * np.exp(lf1)),
+        "bayes_error": lambda t: np.minimum(t.a, t.b),
         "dp_tilde": dp_tilde,
-        "affinity": lambda lf0, lf1: np.exp(lf0 + lf1 - np.logaddexp(lp + lf0, lq + lf1)),
-        "mass": lambda lf0, lf1: np.exp(np.logaddexp(lp + lf0, lq + lf1)),
-        "bc": lambda lf0, lf1: coef * np.exp(0.5 * (lf0 + lf1)),
-        "tv": lambda lf0, lf1: np.abs(p * np.exp(lf0) - q * np.exp(lf1)),
-        "chernoff": lambda lf0, lf1: np.exp(lead + alpha * lf0 + (1.0 - alpha) * lf1),
-        "scaled_chernoff": lambda lf0, lf1: np.exp(q * lf0 + p * lf1),
+        "affinity": lambda t: np.exp(t.lf0 + t.lf1 - t.lmix),
+        "mass": lambda t: np.exp(t.lmix),
+        "bc": lambda t: coef * np.exp(0.5 * (t.lf0 + t.lf1)),
+        "tv": lambda t: np.abs(t.a - t.b),
+        "chernoff": lambda t: np.exp(lead + alpha * t.lf0 + (1.0 - alpha) * t.lf1),
+        "scaled_chernoff": lambda t: np.exp(q * t.lf0 + p * t.lf1),
     }
 
 
@@ -178,7 +221,7 @@ def _integrand_table(p, q, alpha):
 _NEEDS = {"affinity": ("dp_tilde", "mass")}
 
 # f0 and f1 themselves: every pass checks that each density integrates to 1.
-_DENSITY_MASSES = (lambda lf0, lf1: np.exp(lf0), lambda lf0, lf1: np.exp(lf1))
+_DENSITY_MASSES = (lambda t: np.exp(t.lf0), lambda t: np.exp(t.lf1))
 
 
 def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
@@ -195,7 +238,8 @@ def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
     IntegrationBudgetError. dp_tilde is clamped into [0, 1] after checking
     it lies within numerical noise of that range; the affinity is checked
     against (divergence) = (total mass) - 4pq (affinity) on the same points,
-    and disagreement beyond 1e-6 raises.
+    and disagreement beyond 1e-6, a broken integrator rather than bad input,
+    raises RuntimeError.
     """
     names = tuple(names)
     p, q = pair.prior_p, 1.0 - pair.prior_p
@@ -231,7 +275,7 @@ def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
     if "affinity" in out:
         a, dpt, m = out["affinity"][0], out["dp_tilde"][0], out["mass"][0]
         if abs(dpt - (m - 4.0 * p * q * a)) > 1e-6:
-            raise OracleError(
+            raise RuntimeError(
                 f"affinity/divergence identity violated: {dpt:.10f} vs {m - 4 * p * q * a:.10f}"
             )
     if "dp_tilde" in names:
@@ -265,7 +309,7 @@ def affinity_integral(pair: DensityPair) -> float:
 
     Cross-checks the identity (divergence) = (total mass) - 4pq (affinity)
     on the same evaluation points; disagreement beyond 1e-6 means the
-    integrator is broken, so it raises.
+    integrator is broken, so it raises RuntimeError.
     """
     return integrals(pair, ["affinity"])["affinity"][0]
 

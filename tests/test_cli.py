@@ -344,6 +344,25 @@ class TestOracleCommand:
         assert set(json.loads(capsys.readouterr().out)) >= {
             "bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"}
 
+    def test_broken_identity_exits_1(self, model_1d_json, tmp_path, monkeypatch, capsys):
+        # a broken affinity/divergence identity is an internal fault, not bad input
+        from dpdiv import oracle
+
+        original = oracle._integrand_table
+
+        def off_mass(p, q, alpha):
+            table = original(p, q, alpha)
+            mass = table["mass"]
+            table["mass"] = lambda t: mass(t) * (1.0 + 1e-3)
+            return table
+
+        monkeypatch.setattr(oracle, "_integrand_table", off_mass)
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--model", model_1d_json, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: affinity/divergence identity" in err
+        assert not out.exists()
+
     def test_bad_model_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"mean0\": [0]}", encoding="utf-8")

@@ -160,6 +160,26 @@ class TestGaussianModel:
                                            (model.mean1, model.cov1))):
             want = multivariate_normal(mean, cov).logpdf(x)
             np.testing.assert_allclose(model.log_density(cls, x), want, rtol=1e-12)
+        # random covariances at d = 1-6, and a factor with |L10| > |L00|, where
+        # an LU solve would pivot and forward substitution does not
+        covs = [np.array([[0.01, 0.05], [0.05, 1.0]])]
+        for d in range(1, 7):
+            a = rng.normal(size=(d, d))
+            covs.append(a @ a.T + 0.1 * np.eye(d))
+        for cov in covs:
+            d = cov.shape[0]
+            model = GaussianModel(rng.normal(size=d), np.zeros(d), cov, np.eye(d))
+            x = model.sample(0, rng, 50)
+            want = multivariate_normal(model.mean0, cov).logpdf(x).reshape(-1)
+            np.testing.assert_allclose(model.log_density(0, x), want, rtol=1e-12)
+            if cov is covs[0]:
+                assert abs(model.chol0[1, 0]) > abs(model.chol0[0, 0])
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_log_density_rejects_wrong_column_count(self, columns):
+        model = diagonal_gaussian_model([0, 0], [1, 1], [1, 1], [1, 1])
+        with pytest.raises(DatasetError, match=r"shape \(3, %d\), expected \(n, 2\)" % columns):
+            model.log_density(0, np.zeros((3, columns)))
 
     def test_sample_is_the_sampler_behind_sample_gaussian(self):
         model = fukunaga_d1()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,21 @@ class TestIntegrals:
         assert integrals(pair, ["bc"], target_se=bc_se)["bc"][1] == bc_se
 
 
+class TestPassMemory:
+    def test_default_2d_pass_peak(self):
+        # the 2-D grid is dropped once both log-densities exist, and each shared
+        # term is computed once; the pass peaked at 185.2 MiB with the grid kept
+        pair = gaussian_pair(diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6],
+                                                     [0.9, 1.4]))
+        tracemalloc.start()
+        try:
+            integrals(pair, ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 175 * 2 ** 20
+
+
 class TestQuadratureConvergence:
     def test_doubling_changes_below_1e6(self):
         model = diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4])
@@ -276,6 +292,18 @@ class TestDensityPairValidation:
         pair = dataclasses.replace(
             base, log_density_0=lambda x: base.log_density_0(x) + math.log(1.05))
         with pytest.raises(OracleError, match=r"density 0 integrates to 1\.02"):
+            integrals(pair, ["bc"])
+
+    def test_log_density_must_return_one_value_per_point(self):
+        # an (n, 1) column would broadcast against the (n,) weights to (n, n)
+        def unit(x):
+            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
+
+        pair = DensityPair(
+            log_density_0=unit, log_density_1=lambda x: unit(x)[:, None],
+            prior_p=0.5, dimension=1, integration_box=[[-9.0, 9.0]],
+        )
+        with pytest.raises(OracleError, match=r"log_density_1 returned shape \(4096, 1\)"):
             integrals(pair, ["bc"])
 
     def test_high_dimension_needs_samplers(self):

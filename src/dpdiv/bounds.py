@@ -18,20 +18,23 @@ import numpy as np
 from .dataset import GaussianModel
 from .divergence import DivergenceEstimate
 
-BER_SOURCES = ("dp_empirical", "dp_analytic", "bhattacharyya", "mahalanobis")
+
+def check_weight(name: str, value: float) -> None:
+    """Raise ValueError unless value is a finite number >= 0 (NaN fails)."""
+    if not (value >= 0.0):
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got inf")
 
 
 @dataclass(frozen=True)
 class BerBounds:
-    """A lower/upper bracket on the Bayes error rate, tagged with its source."""
+    """A lower/upper bracket on the Bayes error rate."""
 
     lower: float
     upper: float
-    source: str
 
     def __post_init__(self):
-        if self.source not in BER_SOURCES:
-            raise ValueError(f"unknown source {self.source!r}, expected one of {BER_SOURCES}")
         if not (0.0 <= self.lower <= self.upper <= 0.5):
             raise ValueError(
                 f"invalid bracket [{self.lower}, {self.upper}], need 0 <= lower <= upper <= 0.5"
@@ -59,17 +62,16 @@ def ber_bounds_from_estimate(est: DivergenceEstimate) -> BerBounds:
     lower = 1/2 - sqrt(dp_tilde)/2, upper = 1/2 - dp_tilde/2. Both collapse
     to 0.5 for indistinguishable samples and to 0 for separable ones.
     """
-    return ber_bounds_from_dp_tilde(est.dp_tilde, source="dp_empirical")
+    return ber_bounds_from_dp_tilde(est.dp_tilde)
 
 
-def ber_bounds_from_dp_tilde(dp_tilde: float, source="dp_analytic") -> BerBounds:
+def ber_bounds_from_dp_tilde(dp_tilde: float) -> BerBounds:
     """Same bracket, from a scalar divergence value (e.g. a quadrature reference)."""
     if not (0.0 <= dp_tilde <= 1.0):
         raise ValueError(f"dp_tilde must lie in [0, 1], got {dp_tilde}")
     return BerBounds(
         lower=max(0.0, 0.5 - 0.5 * math.sqrt(dp_tilde)),
         upper=min(0.5, 0.5 - 0.5 * dp_tilde),
-        source=source,
     )
 
 
@@ -118,7 +120,7 @@ def bc_bound_gaussian(model: GaussianModel) -> BerBounds:
     """Classical Bhattacharyya bracket: 1/2 - sqrt(1 - BC^2)/2 <= BER <= BC/2."""
     bc = bhattacharyya_coefficient_gaussian(model)
     lower = 0.5 - 0.5 * math.sqrt(max(0.0, 1.0 - bc * bc))
-    return BerBounds(lower=lower, upper=0.5 * bc, source="bhattacharyya")
+    return BerBounds(lower=lower, upper=0.5 * bc)
 
 
 def mahalanobis_bound_gaussian(model: GaussianModel) -> BerBounds:
@@ -129,7 +131,7 @@ def mahalanobis_bound_gaussian(model: GaussianModel) -> BerBounds:
     chol = _cholesky((model.cov0 + model.cov1) / 2.0, "average covariance")
     dm = model.mean1 - model.mean0
     delta = float(dm @ np.linalg.solve(chol.T, np.linalg.solve(chol, dm)))
-    return BerBounds(lower=0.0, upper=2.0 * p * q / (1.0 + p * q * delta), source="mahalanobis")
+    return BerBounds(lower=0.0, upper=2.0 * p * q / (1.0 + p * q * delta))
 
 
 def chernoff_upper_gaussian(model: GaussianModel, alpha: float) -> float:
@@ -161,10 +163,7 @@ def da_bound(
     label_drift is the expected labeling-function disagreement, 0 under
     covariate shift.
     """
-    if not (label_drift >= 0.0):
-        raise ValueError(f"label_drift must be >= 0, got {label_drift}")
-    if label_drift == np.inf:
-        raise ValueError("label_drift must be finite, got inf")
+    check_weight("label_drift", label_drift)
     if abs(shift_est.p_hat - 0.5) > 0.1:
         warnings.warn(
             "shift divergence assumes equally sized source and target pools; "

@@ -130,25 +130,23 @@ def load_model_json(path) -> GaussianModel:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise DatasetError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     missing = [k for k in ("mean0", "mean1", "cov0", "cov1") if k not in raw]
     if missing:
         raise DatasetError(f"{path}: missing model keys {missing}")
 
-    def as_cov(key):
-        arr = np.asarray(raw[key], dtype=np.float64)
-        return np.diag(arr) if arr.ndim == 1 else arr
+    def read(key, convert=lambda v: np.asarray(v, dtype=np.float64)):
+        try:
+            value = convert(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}: bad value for model key {key!r} ({exc})") from None
+        return np.diag(value) if key.startswith("cov") and value.ndim == 1 else value
 
     return GaussianModel(
-        mean0=np.asarray(raw["mean0"], dtype=np.float64),
-        mean1=np.asarray(raw["mean1"], dtype=np.float64),
-        cov0=as_cov("cov0"),
-        cov1=as_cov("cov1"),
-        prior_p=float(raw.get("prior_p", 0.5)),
+        mean0=read("mean0"), mean1=read("mean1"), cov0=read("cov0"), cov1=read("cov1"),
+        prior_p=read("prior_p", float) if "prior_p" in raw else 0.5,
     )
-
-
-def _ber_dict(b: bounds.BerBounds) -> dict:
-    return {"lower": b.lower, "upper": b.upper}
 
 
 def _cmd_estimate(args):
@@ -158,21 +156,18 @@ def _cmd_estimate(args):
 
 
 def _cmd_bounds(args):
-    if not (args.label_drift >= 0.0):
-        raise DatasetError(f"--label-drift must be >= 0, got {args.label_drift}")
-    if args.label_drift == np.inf:
-        raise DatasetError("--label-drift must be finite, got inf")
+    bounds.check_weight("--label-drift", args.label_drift)
     source = load_csv(args.source, label_column=args.label_column)
     est = divergence.estimate_from_labeled(source)
     report = {
         "schema": SCHEMA_VERSION,
-        "dp_bounds": _ber_dict(bounds.ber_bounds_from_estimate(est)),
+        "dp_bounds": asdict(bounds.ber_bounds_from_estimate(est)),
         "bc": None, "mahalanobis": None, "da": None,
     }
     if args.model:
         model = load_model_json(args.model)
-        report["bc"] = _ber_dict(bounds.bc_bound_gaussian(model))
-        report["mahalanobis"] = _ber_dict(bounds.mahalanobis_bound_gaussian(model))
+        report["bc"] = asdict(bounds.bc_bound_gaussian(model))
+        report["mahalanobis"] = asdict(bounds.mahalanobis_bound_gaussian(model))
     if args.target:
         target = load_points_csv(args.target, drop_column=args.label_column)
         shift = divergence.estimate(source.points, target)

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .serialize import atomic_write_text, csv_text
+
 
 class DatasetError(ValueError):
     """Malformed input data: bad CSV cells, labels, shapes, or model parameters."""
@@ -252,12 +254,23 @@ def project(sample: LabeledSample, features) -> LabeledSample:
     return LabeledSample(points=sample.points[:, idx], labels=sample.labels, feature_names=names)
 
 
-# CSV format: UTF-8, header line, comma separator, '.' decimal point.
-# Serialization writes 17 significant digits so values round-trip exactly.
+def row_groups(pts: np.ndarray) -> np.ndarray:
+    """Each row's group: the smallest index of an equal row (-0.0 == 0.0, NaN rows unequal)."""
+    n = pts.shape[0]
+    order = np.lexsort(pts.T[::-1])
+    starts = np.ones(n, dtype=bool)
+    np.any(pts[order[1:]] != pts[order[:-1]], axis=1, out=starts[1:])
+    own_rep = np.empty(n, dtype=np.int64)
+    own_rep[order] = order[starts][np.cumsum(starts) - 1]
+    return own_rep
+
+
+# CSV format: UTF-8 (a leading byte-order mark is skipped), header line, comma
+# separator, '.' decimal point; save_csv writes floats through serialize.csv_text.
 
 def _read_csv(path):
     """Header (stripped cell names) and data rows of a CSV file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DatasetError(f"{path}: empty file")
@@ -312,12 +325,12 @@ def load_csv(path, label_column="label") -> LabeledSample:
 
     table = _parse_columns(path, header, rows, range(len(header)), label_idx)
     pts = np.delete(table, label_idx, axis=1)
-    n_unique = np.unique(pts, axis=0).shape[0]
-    if n_unique < pts.shape[0]:
+    n_dup = np.count_nonzero(row_groups(pts) != np.arange(pts.shape[0]))
+    if n_dup:
         # Duplicates are permitted, but they create zero-length tie edges in
         # downstream spanning trees; the tie rule keeps results deterministic.
         warnings.warn(
-            f"{path}: {pts.shape[0] - n_unique} duplicate feature rows detected",
+            f"{path}: {n_dup} duplicate feature rows detected",
             stacklevel=2,
         )
     return LabeledSample(points=pts, labels=table[:, label_idx].astype(np.int64),
@@ -339,9 +352,5 @@ def load_points_csv(path, drop_column=None) -> np.ndarray:
 def save_csv(sample: LabeledSample, path, label_column="label") -> None:
     """Write a labeled sample as CSV with 17-significant-digit coordinates."""
     names = sample.feature_names or tuple(f"x{i}" for i in range(sample.d))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join([*names, label_column]) + "\n")
-        for row, label in zip(sample.points, sample.labels):
-            cells = [format(v, ".17g") for v in row]
-            cells.append(str(int(label)))
-            fh.write(",".join(cells) + "\n")
+    rows = ((*row, label) for row, label in zip(sample.points, sample.labels))
+    atomic_write_text(path, csv_text((*names, label_column), rows))

@@ -36,7 +36,8 @@ class DivergenceEstimate:
     p_hat: float
 
 
-def _check_pair(sample_f, sample_g):
+def fr_statistic(sample_f, sample_g) -> int:
+    """Count pooled-MST edges joining a point of sample_f to a point of sample_g."""
     f = np.asarray(sample_f, dtype=np.float64)
     g = np.asarray(sample_g, dtype=np.float64)
     if f.ndim != 2 or g.ndim != 2:
@@ -45,12 +46,6 @@ def _check_pair(sample_f, sample_g):
         raise ValueError("both samples must be non-empty")
     if f.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {f.shape[1]} vs {g.shape[1]}")
-    return f, g
-
-
-def fr_statistic(sample_f, sample_g) -> int:
-    """Count pooled-MST edges joining a point of sample_f to a point of sample_g."""
-    f, g = _check_pair(sample_f, sample_g)
     mst = build_mst(np.vstack([f, g]))
     n_f = f.shape[0]
     return int(np.count_nonzero((mst.i < n_f) != (mst.j < n_f)))
@@ -58,9 +53,8 @@ def fr_statistic(sample_f, sample_g) -> int:
 
 def estimate(sample_f, sample_g) -> DivergenceEstimate:
     """Divergence point estimates from two point matrices (f rows first in the pool)."""
-    f, g = _check_pair(sample_f, sample_g)
-    c = fr_statistic(f, g)
-    n_f, n_g = f.shape[0], g.shape[0]
+    c = fr_statistic(sample_f, sample_g)
+    n_f, n_g = len(sample_f), len(sample_g)
     n = n_f + n_g
     p_hat = n_f / n
     dp_tilde_raw = 1.0 - 2.0 * c / n

@@ -39,18 +39,18 @@ pass would give. The boolean masks are written into buffers allocated once at
 full length: numpy caches freed arrays below 1 KiB by exact size, and masks
 that shrink by one element every step would leave about 2 MiB of them cached.
 
-Prim runs on the distinct rows only. A stable lexsort of the rows puts equal
-rows next to each other (-0.0 and 0.0 compare equal, and give the same d2 to
-every row), so each group's representative is its first row in sorted order,
-which is its smallest index, and the distinct rows are ordered by
-representative, so the tie rule on their positions is the rule on the
-representatives. Under the strict (d2, i, j) order the tree is unique, and
-Kruskal on all rows builds it as follows, provided distinct rows never have
-d2 == 0: the zero-length edges come first, and inside a group the star from
-its representative precedes every other pair; all pairs between two groups
-have the same d2 bits, and the representatives' pair is the first of them.
-So each duplicate joins its representative by a zero-length edge, and the
-groups are joined by the tree over the representatives. When a squared
+Prim runs on the distinct rows only, grouped by dataset.row_groups: a stable
+lexsort of the rows puts equal rows next to each other (-0.0 and 0.0 compare
+equal, and give the same d2 to every row), so each group's representative is
+its first row in sorted order, which is its smallest index, and the distinct
+rows are ordered by representative, so the tie rule on their positions is the
+rule on the representatives. Under the strict (d2, i, j) order the tree is
+unique, and Kruskal on all rows builds it as follows, provided distinct rows
+never have d2 == 0: the zero-length edges come first, and inside a group the
+star from its representative precedes every other pair; all pairs between two
+groups have the same d2 bits, and the representatives' pair is the first of
+them. So each duplicate joins its representative by a zero-length edge, and
+the groups are joined by the tree over the representatives. When a squared
 difference underflows (rows 1e-300 and 0.0), distinct rows tie with the
 duplicates at d2 == 0. The smallest edge is always in the tree, so a zero in
 the representatives' tree detects that, and Prim then runs over all rows.
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import derive_rng
+from .dataset import derive_rng, row_groups
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,7 @@ def build_mst(points) -> MstResult:
         bad = np.argwhere(~np.isfinite(pts))[0]
         raise ValueError(f"non-finite coordinate at row {bad[0]}, column {bad[1]}")
 
-    order = np.lexsort(pts.T[::-1])
-    starts = np.ones(n, dtype=bool)
-    np.any(pts[order[1:]] != pts[order[:-1]], axis=1, out=starts[1:])
-    own_rep = np.empty(n, dtype=np.int64)
-    own_rep[order] = order[starts][np.cumsum(starts) - 1]
+    own_rep = row_groups(pts)
     rep = np.flatnonzero(own_rep == np.arange(n))
     i, j, d2 = _unique_tree(pts[rep])
     i, j = rep[i], rep[j]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import shift_penalty
+from .bounds import check_weight, shift_penalty
 from .divergence import estimate
 
 
@@ -43,10 +43,7 @@ def _check_inputs(source0, source1, target, shift_weight):
     s1 = np.asarray(source1, dtype=np.float64)
     if s0.ndim != 2 or s1.ndim != 2 or s0.shape[1] != s1.shape[1]:
         raise ValueError("source matrices must be 2-D with a common number of columns")
-    if not (shift_weight >= 0.0):
-        raise ValueError(f"shift_weight must be >= 0, got {shift_weight}")
-    if shift_weight == np.inf:
-        raise ValueError("shift_weight must be finite, got inf")
+    check_weight("shift_weight", shift_weight)
     tgt = None
     if shift_weight > 0.0:
         if target is None:
@@ -57,6 +54,12 @@ def _check_inputs(source0, source1, target, shift_weight):
     elif target is not None:
         tgt = np.asarray(target, dtype=np.float64)
     return s0, s1, tgt
+
+
+def _zscore(x):
+    """Columns centred and scaled by their own mean and std; constant columns keep scale 1."""
+    mu, sd = x.mean(axis=0), x.std(axis=0)
+    return (x - mu) / np.where(sd > 0, sd, 1.0)
 
 
 def criterion_phi(source0, source1, target, features, shift_weight=0.0) -> float:
@@ -99,15 +102,11 @@ def forward_select(source0, source1, target=None, k=None, shift_weight=0.0,
     if not (1 <= k <= d):
         raise ValueError(f"k must lie in [1, {d}], got {k}")
     if standardize:
-        pooled = np.vstack([s0, s1])
-        mu, sd = pooled.mean(axis=0), pooled.std(axis=0)
-        sd = np.where(sd > 0, sd, 1.0)
-        s0 = (s0 - mu) / sd
-        s1 = (s1 - mu) / sd
+        n0 = s0.shape[0]
+        pooled = _zscore(np.vstack([s0, s1]))
+        s0, s1 = pooled[:n0], pooled[n0:]
         if tgt is not None:
-            tmu, tsd = tgt.mean(axis=0), tgt.std(axis=0)
-            tsd = np.where(tsd > 0, tsd, 1.0)
-            tgt = (tgt - tmu) / tsd
+            tgt = _zscore(tgt)
 
     selected: list[int] = []
     values: list[float] = []

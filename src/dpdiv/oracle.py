@@ -19,8 +19,8 @@ Integration strategy:
 One pass evaluates both log-densities once per set of points (the grid, or
 one Monte Carlo stratum) and checks that each returns one value per point.
 Terms several integrands share are computed once per set: p f0 and q f1
-(bayes_error, dp_tilde, tv) and log(p f0 + q f1) (affinity, mass). The
-density masses recompute exp(lf0) and exp(lf1) rather than keep them. The
+(bayes_error, dp_tilde, tv). The density masses recompute exp(lf0) and
+exp(lf1) rather than keep them. The
 default 2-D grid is 1536^2 points, and its (n, 2) coordinate array is the
 pass's widest, so it is dropped as soon as both log-densities exist; the
 pass's memory peak is then set by the weights, the log-densities and the
@@ -136,10 +136,10 @@ def _quad_grid(pair: DensityPair):
 class _Terms:
     """One pass's log-densities at points x and the terms several integrands share.
 
-    a = p f0 and b = q f1 (bayes_error, dp_tilde, tv) and lmix = log(p f0 + q f1)
-    (affinity, mass) are computed on first use and kept for the rest of the
-    pass. Each is the expression those integrands evaluated on their own, so
-    sharing it leaves every value's bits unchanged.
+    a = p f0 and b = q f1 (bayes_error, dp_tilde, tv) are computed on first
+    use and kept for the rest of the pass. Each is the expression those
+    integrands evaluated on their own, so sharing it leaves every value's bits
+    unchanged.
     """
 
     def __init__(self, pair, x):
@@ -163,10 +163,6 @@ class _Terms:
     @functools.cached_property
     def b(self):
         return self.q * np.exp(self.lf1)
-
-    @functools.cached_property
-    def lmix(self):
-        return np.logaddexp(math.log(self.p) + self.lf0, math.log(self.q) + self.lf1)
 
 
 def _integrate_multi(pair, integrands):
@@ -199,7 +195,8 @@ def _integrate_multi(pair, integrands):
 def _integrand_table(p, q, alpha):
     """Every integrand by name, as a function of one pass's _Terms."""
     coef = 2.0 * math.sqrt(p * q)
-    lead = alpha * math.log(p) + (1.0 - alpha) * math.log(q)
+    lp, lq = math.log(p), math.log(q)
+    lead = alpha * lp + (1.0 - alpha) * lq
 
     def dp_tilde(t):
         s = t.a + t.b
@@ -208,8 +205,7 @@ def _integrand_table(p, q, alpha):
     return {
         "bayes_error": lambda t: np.minimum(t.a, t.b),
         "dp_tilde": dp_tilde,
-        "affinity": lambda t: np.exp(t.lf0 + t.lf1 - t.lmix),
-        "mass": lambda t: np.exp(t.lmix),
+        "affinity": lambda t: np.exp(t.lf0 + t.lf1 - np.logaddexp(lp + t.lf0, lq + t.lf1)),
         "bc": lambda t: coef * np.exp(0.5 * (t.lf0 + t.lf1)),
         "tv": lambda t: np.abs(t.a - t.b),
         "chernoff": lambda t: np.exp(lead + alpha * t.lf0 + (1.0 - alpha) * t.lf1),
@@ -218,7 +214,7 @@ def _integrand_table(p, q, alpha):
 
 
 # The affinity is cross-checked against the divergence identity on its own points.
-_NEEDS = {"affinity": ("dp_tilde", "mass")}
+_NEEDS = {"affinity": ("dp_tilde",)}
 
 # f0 and f1 themselves: every pass checks that each density integrates to 1.
 _DENSITY_MASSES = (lambda t: np.exp(t.lf0), lambda t: np.exp(t.lf1))
@@ -227,10 +223,9 @@ _DENSITY_MASSES = (lambda t: np.exp(t.lf0), lambda t: np.exp(t.lf1))
 def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
     """Several integrals of one density pair from a single pass over shared points.
 
-    names are bayes_error, dp_tilde, affinity, bc, tv, chernoff,
-    scaled_chernoff or mass (the total mass of p f0 + q f1); returns
-    {name: (value, standard_error)}, the same values the per-integral
-    functions below return one at a time.
+    names are bayes_error, dp_tilde, affinity, bc, tv, chernoff or
+    scaled_chernoff; returns {name: (value, standard_error)}, the same values
+    the per-integral functions below return one at a time.
     alpha is the Chernoff exponent. The same pass integrates f0 and f1, and a
     density whose mass is off 1 by more than 1e-6 (quadrature, d <= 2) or
     1e-2 (Monte Carlo) raises. With target_se, a Monte Carlo standard error
@@ -238,7 +233,8 @@ def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
     IntegrationBudgetError. dp_tilde is clamped into [0, 1] after checking
     it lies within numerical noise of that range; the affinity is checked
     against (divergence) = (total mass) - 4pq (affinity) on the same points,
-    and disagreement beyond 1e-6, a broken integrator rather than bad input,
+    the total mass read from the two density masses as p mass0 + q mass1, and
+    disagreement beyond 1e-6, a broken integrator rather than bad input,
     raises RuntimeError.
     """
     names = tuple(names)
@@ -273,7 +269,7 @@ def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
                 standard_error=se,
             )
     if "affinity" in out:
-        a, dpt, m = out["affinity"][0], out["dp_tilde"][0], out["mass"][0]
+        a, dpt, m = out["affinity"][0], out["dp_tilde"][0], p * mass0[0] + q * mass1[0]
         if abs(dpt - (m - 4.0 * p * q * a)) > 1e-6:
             raise RuntimeError(
                 f"affinity/divergence identity violated: {dpt:.10f} vs {m - 4 * p * q * a:.10f}"

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 
 def format_float(x: float) -> str:
@@ -75,9 +74,14 @@ def csv_text(header, rows) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+    """Write via a sibling temp file and rename, so readers never see partial output.
+
+    The temp file is created with mode 0666 less the umask, the mode open()
+    would give the file (mkstemp would give 0600).
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

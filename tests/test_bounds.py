@@ -34,7 +34,6 @@ class TestBerBoundsFromEstimate:
         b = bounds.ber_bounds_from_estimate(fake_estimate(0.64))
         assert b.lower == pytest.approx(0.1, abs=1e-15)
         assert b.upper == pytest.approx(0.18, abs=1e-15)
-        assert b.source == "dp_empirical"
 
     def test_strictly_decreasing_in_divergence(self):
         grid = np.linspace(0.0, 1.0, 21)

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -77,6 +79,15 @@ class TestEstimateCommand:
                        "--b", str(tmp_path / "no.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_artifact_file_mode_follows_the_umask(self, cluster_csvs, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            assert cli.main(["estimate", "--a", cluster_csvs[0], "--b", cluster_csvs[1],
+                             "--out", str(tmp_path / "out")]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "out" / "estimate.json").stat().st_mode) == 0o644
 
 
 class TestBoundsCommand:
@@ -218,6 +229,22 @@ class TestSelectCommand:
         assert "shift_weight must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("first", ["label", "x0"])
+    def test_utf8_bom_is_not_part_of_the_first_header_cell(self, first, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        header = ["label", "x0", "x1"] if first == "label" else ["x0", "x1", "label"]
+        rows = [[str(v) for v in (i % 2, i, i * i % 7)] for i in range(12)]
+        if first == "x0":
+            rows = [r[1:] + r[:1] for r in rows]
+        src = tmp_path / "src.csv"
+        src.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n",
+                       encoding="utf-8-sig")
+        assert src.read_bytes().startswith(b"\xef\xbb\xbf")
+        out = tmp_path / "out"
+        assert cli.main(["select", "--source", str(src), "--k", "2", "--out", str(out)]) == 0
+        names = json.loads((out / "select.json").read_text())["selected_names"]
+        assert sorted(names) == ["x0", "x1"]
+
 
 class TestMstDumpCommand:
     def test_matches_library(self, tmp_path):
@@ -338,9 +365,9 @@ class TestOracleCommand:
         path.write_text(json.dumps({"mean0": [0.0] * d, "mean1": [1.0] * d,
                                     "cov0": [1.0] * d, "cov1": [2.0] * d}))
         assert cli.main(["oracle", "--model", str(path), "--out", str(tmp_path)]) == 0
-        # one pass: six integrals, the total mass the affinity's identity
-        # check needs and the two density masses of the normalization check
-        assert calls == [9]
+        # one pass: six integrals and the two density masses, which serve the
+        # normalization check and the affinity's identity check
+        assert calls == [8]
         assert set(json.loads(capsys.readouterr().out)) >= {
             "bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"}
 
@@ -350,13 +377,13 @@ class TestOracleCommand:
 
         original = oracle._integrand_table
 
-        def off_mass(p, q, alpha):
+        def off_affinity(p, q, alpha):
             table = original(p, q, alpha)
-            mass = table["mass"]
-            table["mass"] = lambda t: mass(t) * (1.0 + 1e-3)
+            affinity = table["affinity"]
+            table["affinity"] = lambda t: affinity(t) * (1.0 + 1e-3)
             return table
 
-        monkeypatch.setattr(oracle, "_integrand_table", off_mass)
+        monkeypatch.setattr(oracle, "_integrand_table", off_affinity)
         out = tmp_path / "out"
         assert cli.main(["oracle", "--model", model_1d_json, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -369,6 +396,23 @@ class TestOracleCommand:
         rc = cli.main(["oracle", "--model", str(path)])
         assert rc == 2
         assert "missing model keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, expected", [
+        ({"mean0": [0.0], "mean1": [1.0], "cov0": [1.0], "cov1": [1.0], "prior_p": None},
+         "bad value for model key 'prior_p'"),
+        ({"mean0": [0.0], "mean1": [1.0], "cov0": [1.0], "cov1": [1.0], "prior_p": "x"},
+         "bad value for model key 'prior_p'"),
+        ("mean0 mean1 cov0 cov1", "expected a JSON object, got str"),
+    ], ids=["null_prior", "string_prior", "top_level_string"])
+    def test_malformed_model_json_exits_2(self, payload, expected, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {expected}")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["mean0", "mean1", "cov0", "cov1"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -67,6 +69,35 @@ class TestLoadCsv:
         path = write(tmp_path, "dup.csv", "x,label\n1,0\n1,1\n2,1\n")
         with pytest.warns(UserWarning, match="duplicate"):
             load_csv(path)
+
+    def test_signed_zero_rows_are_duplicates(self, tmp_path):
+        # -0.0 == 0.0, as in the tree builder's row grouping
+        path = write(tmp_path, "zeros.csv", "x,y,label\n0.0,1,0\n-0.0,1,1\n2,3,1\n")
+        with pytest.warns(UserWarning, match=": 1 duplicate feature rows detected"):
+            load_csv(path)
+
+    def test_save_csv_golden_bytes(self, tmp_path):
+        sample = LabeledSample(
+            points=[[-0.0, 1e-300, 0.1], [1 / 3, 2.0 ** 60, -5e-324],
+                    [1e16, -1.5, 123456789.123456789]],
+            labels=[0, 1, 0], feature_names=("a", "b", "c"))
+        path = tmp_path / "golden.csv"
+        save_csv(sample, path)
+        assert path.read_bytes() == (
+            b"a,b,c,label\n"
+            b"-0,1e-300,0.10000000000000001,0\n"
+            b"0.33333333333333331,1.152921504606847e+18,-4.9406564584124654e-324,1\n"
+            b"10000000000000000,-1.5,123456789.12345679,0\n"
+        )
+
+    def test_save_csv_file_mode_follows_the_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            path = tmp_path / "mode.csv"
+            save_csv(sample_gaussian(fukunaga_d1(), 3, 3, seed=1), path)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_roundtrip_is_exact(self, tmp_path):
         sample = sample_gaussian(fukunaga_d1(), 40, 40, seed=3)

@@ -89,9 +89,9 @@ def test_suite_model_makes_one_oracle_pass(monkeypatch):
     calls = _count_passes(monkeypatch)
     model = oracle.random_gaussian_model(derive_rng(1601), dimension=2)
     quantities = suites.oracle_quantities(model)
-    # six integrals, the total mass the affinity's identity check needs and
-    # the two density masses of the normalization check
-    assert calls == [9]
+    # six integrals and the two density masses, which serve the
+    # normalization check and the affinity's identity check
+    assert calls == [8]
     assert quantities["ap"] == oracle.affinity_integral(quantities["pair"])
 
 

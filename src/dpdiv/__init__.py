@@ -51,7 +51,6 @@ from .experiments import (
 from .featsel import SelectionTrace, criterion_phi, forward_select
 from .oracle import (
     DensityPair,
-    IntegrationBudgetError,
     OracleError,
     affinity_integral,
     bayes_error,

@@ -80,11 +80,15 @@ def shift_penalty(shift_est: DivergenceEstimate) -> float:
     return 2.0 * math.sqrt(shift_est.dp_tilde)
 
 
-def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+def _blend(model: GaussianModel, alpha: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of B = alpha*cov1 + (1-alpha)*cov0, and dm' B^-1 dm
+    with dm = mean1 - mean0. At alpha = 1/2, B is the averaged covariance."""
     try:
-        return np.linalg.cholesky(mat)
+        chol = np.linalg.cholesky(alpha * model.cov1 + (1.0 - alpha) * model.cov0)
     except np.linalg.LinAlgError:
-        raise ValueError(f"{what} is singular or not positive definite") from None
+        raise ValueError("blended covariance is singular or not positive definite") from None
+    dm = model.mean1 - model.mean0
+    return chol, float(dm @ np.linalg.solve(chol.T, np.linalg.solve(chol, dm)))
 
 
 def _logdet(chol: np.ndarray) -> float:
@@ -93,12 +97,10 @@ def _logdet(chol: np.ndarray) -> float:
 
 def _chernoff_exponent(model: GaussianModel, alpha: float) -> float:
     """-log int f0^alpha f1^(1-alpha); factors only the blended covariance."""
-    chol = _cholesky(alpha * model.cov1 + (1.0 - alpha) * model.cov0, "blended covariance")
-    dm = model.mean1 - model.mean0
-    y = np.linalg.solve(chol, dm)
-    quad = 0.5 * alpha * (1.0 - alpha) * float(dm @ np.linalg.solve(chol.T, y))
+    chol, quad = _blend(model, alpha)
     ld0, ld1 = _logdet(model.chol0), _logdet(model.chol1)
-    return quad + 0.5 * (_logdet(chol) - ((1.0 - alpha) * ld0 + alpha * ld1))
+    return 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
+        _logdet(chol) - ((1.0 - alpha) * ld0 + alpha * ld1))
 
 
 def bhattacharyya_distance_gaussian(model: GaussianModel) -> float:
@@ -128,9 +130,7 @@ def mahalanobis_bound_gaussian(model: GaussianModel) -> BerBounds:
     Mahalanobis distance between class means. Bounds from above only."""
     p = model.prior_p
     q = 1.0 - p
-    chol = _cholesky((model.cov0 + model.cov1) / 2.0, "average covariance")
-    dm = model.mean1 - model.mean0
-    delta = float(dm @ np.linalg.solve(chol.T, np.linalg.solve(chol, dm)))
+    delta = _blend(model, 0.5)[1]
     return BerBounds(lower=0.0, upper=2.0 * p * q / (1.0 + p * q * delta))
 
 

@@ -124,29 +124,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_model_json(path) -> GaussianModel:
-    """Model JSON: mean0, mean1, cov0, cov1 (matrix or diagonal vector), prior_p."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Model JSON: mean0, mean1, cov0, cov1 (matrix or diagonal vector), prior_p.
+
+    Every error, the model's own checks included, names the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise DatasetError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    missing = [k for k in ("mean0", "mean1", "cov0", "cov1") if k not in raw]
-    if missing:
-        raise DatasetError(f"{path}: missing model keys {missing}")
+        if not isinstance(raw, dict):
+            raise DatasetError(f"expected a JSON object, got {type(raw).__name__}")
+        missing = [k for k in ("mean0", "mean1", "cov0", "cov1") if k not in raw]
+        if missing:
+            raise DatasetError(f"missing model keys {missing}")
 
-    def read(key, convert=lambda v: np.asarray(v, dtype=np.float64)):
-        try:
-            value = convert(raw[key])
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}: bad value for model key {key!r} ({exc})") from None
-        return np.diag(value) if key.startswith("cov") and value.ndim == 1 else value
+        def read(key, convert=lambda v: np.asarray(v, dtype=np.float64)):
+            try:
+                value = convert(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"bad value for model key {key!r} ({exc})") from None
+            return np.diag(value) if key.startswith("cov") and value.ndim == 1 else value
 
-    return GaussianModel(
-        mean0=read("mean0"), mean1=read("mean1"), cov0=read("cov0"), cov1=read("cov1"),
-        prior_p=read("prior_p", float) if "prior_p" in raw else 0.5,
-    )
+        return GaussianModel(
+            mean0=read("mean0"), mean1=read("mean1"), cov0=read("cov0"), cov1=read("cov1"),
+            prior_p=read("prior_p", float) if "prior_p" in raw else 0.5,
+        )
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}: invalid JSON ({exc})") from None
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _cmd_estimate(args):

@@ -280,8 +280,8 @@ def _read_csv(path):
 def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
     """Parse the given columns of every data row as floats; other cells are never read.
 
-    The label_idx cell, when given, must also be 0 or 1. Each row reports its
-    first bad cell in column order.
+    Every parsed cell must be finite, and the label_idx cell, when given,
+    must also be 0 or 1. Each row reports its first bad cell in column order.
     """
     values = []
     for lineno, row in enumerate(rows, start=2):
@@ -299,6 +299,10 @@ def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
                 ) from None
             if i == label_idx and value not in (0.0, 1.0):
                 raise DatasetError(f"{path}:{lineno}: label {row[i]!r} is not 0 or 1")
+            if not math.isfinite(value):
+                raise DatasetError(
+                    f"{path}:{lineno}: non-finite cell {row[i]!r} in column {header[i]!r}"
+                )
             parsed.append(value)
         values.append(parsed)
     if not values:
@@ -343,10 +347,7 @@ def load_points_csv(path, drop_column=None) -> np.ndarray:
     keep = [i for i, h in enumerate(header) if h != drop_column]
     if not keep:
         raise DatasetError(f"{path}: no feature columns left after dropping {drop_column!r}")
-    pts = _parse_columns(path, header, rows, keep)
-    if not np.all(np.isfinite(pts)):
-        raise DatasetError(f"{path}: non-finite value in data")
-    return pts
+    return _parse_columns(path, header, rows, keep)
 
 
 def save_csv(sample: LabeledSample, path, label_column="label") -> None:

@@ -5,11 +5,12 @@ distances (square roots only when edge lengths are reported). Exactness
 matters because downstream statistics count specific edges; approximate or
 k-NN-graph trees can silently drop a true edge and bias those counts.
 
-Tie rule: whenever two candidate edges have equal squared length, the one
-with the smaller canonical (i, j) pair (i < j, lexicographic) wins. Real
-data can contain exact ties, so determinism has to be imposed. Prim applies
-the rule in two places. Choosing the next vertex compares edges that share
-no endpoint, so the tied candidates are lexsorted by their pairs. Relaxing
+Tie rule: whenever two candidate edges (i, j) have equal squared length,
+the one with the smallest key min(i, j)*n + max(i, j) wins, n the row count;
+that is the lexicographic order of the canonical pairs (i < j). Real data can
+contain exact ties, so determinism has to be imposed. Prim applies the rule
+in two places. Choosing the next vertex compares edges that share no
+endpoint, so the tied candidate with the smallest key is taken. Relaxing
 an outside vertex t against the vertex v that just joined compares (v, t)
 with t's current best edge (parent[t], t); both end at t, so the canonical
 order reduces to v < parent[t] in all four placements of v and parent[t]
@@ -170,7 +171,7 @@ def _prim(pts):
         if np.count_nonzero(np.equal(d2, d2[k], out=sel[:m])) > 1:
             cand = np.flatnonzero(sel[:m])
             t, p = rest[cand], parent[cand]
-            k = cand[np.lexsort((np.maximum(p, t), np.minimum(p, t)))[0]]
+            k = cand[(np.minimum(p, t) * n + np.maximum(p, t)).argmin()]
         v, u = int(rest[k]), int(parent[k])
         last = m - 1
         out_i[last], out_j[last], out_d2[last] = min(u, v), max(u, v), d2[k]

@@ -15,6 +15,8 @@ Integration strategy:
           proposal (f0 + f1) / 2, which keeps every integrand ratio in
           scope bounded. Strata use derived seeds, so results are
           deterministic and independent of evaluation order.
+integrals returns each value with its standard error (0 for quadrature) and
+sets no error target of its own: each caller judges the error it needs.
 
 One pass evaluates both log-densities once per set of points (the grid, or
 one Monte Carlo stratum) and checks that each returns one value per point.
@@ -48,15 +50,6 @@ MC_ROOT_SEED = 0x0D1BE5
 
 class OracleError(ValueError):
     """Invalid density pair or an integral outside its provable range."""
-
-
-class IntegrationBudgetError(OracleError):
-    """Monte Carlo error target missed at the configured point budget."""
-
-    def __init__(self, message, value, standard_error):
-        super().__init__(message)
-        self.value = value
-        self.standard_error = standard_error
 
 
 @dataclass(frozen=True)
@@ -122,15 +115,11 @@ def _composite_leggauss(lo: float, hi: float, n_total: int):
 
 
 def _quad_grid(pair: DensityPair):
+    """Tensor product of one composite rule per dimension: (n^d, d) points, n^d weights."""
     n = pair.quad_nodes or DEFAULT_QUAD_NODES[pair.dimension]
-    box = pair.integration_box
-    if pair.dimension == 1:
-        x, w = _composite_leggauss(box[0, 0], box[0, 1], n)
-        return x[:, None], w
-    x0, w0 = _composite_leggauss(box[0, 0], box[0, 1], n)
-    x1, w1 = _composite_leggauss(box[1, 0], box[1, 1], n)
-    grid = np.stack([np.repeat(x0, x1.size), np.tile(x1, x0.size)], axis=1)
-    return grid, (w0[:, None] * w1[None, :]).ravel()
+    xs, ws = zip(*(_composite_leggauss(lo, hi, n) for lo, hi in pair.integration_box))
+    grid = np.stack(np.meshgrid(*xs, indexing="ij", copy=False), axis=-1)
+    return grid.reshape(-1, pair.dimension), functools.reduce(np.multiply.outer, ws).ravel()
 
 
 class _Terms:
@@ -213,24 +202,21 @@ def _integrand_table(p, q, alpha):
     }
 
 
-# The affinity is cross-checked against the divergence identity on its own points.
-_NEEDS = {"affinity": ("dp_tilde",)}
-
 # f0 and f1 themselves: every pass checks that each density integrates to 1.
 _DENSITY_MASSES = (lambda t: np.exp(t.lf0), lambda t: np.exp(t.lf1))
 
 
-def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
+def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
     """Several integrals of one density pair from a single pass over shared points.
 
     names are bayes_error, dp_tilde, affinity, bc, tv, chernoff or
     scaled_chernoff; returns {name: (value, standard_error)}, the same values
-    the per-integral functions below return one at a time.
+    the per-integral functions below return one at a time. The standard error
+    is 0 for quadrature and the spread of the stratum means for Monte Carlo;
+    each caller judges it against its own tolerance.
     alpha is the Chernoff exponent. The same pass integrates f0 and f1, and a
     density whose mass is off 1 by more than 1e-6 (quadrature, d <= 2) or
-    1e-2 (Monte Carlo) raises. With target_se, a Monte Carlo standard error
-    above it on any integral but those two masses raises
-    IntegrationBudgetError. dp_tilde is clamped into [0, 1] after checking
+    1e-2 (Monte Carlo) raises. dp_tilde is clamped into [0, 1] after checking
     it lies within numerical noise of that range; the affinity is checked
     against (divergence) = (total mass) - 4pq (affinity) on the same points,
     the total mass read from the two density masses as p mass0 + q mass1, and
@@ -240,13 +226,11 @@ def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
     names = tuple(names)
     p, q = pair.prior_p, 1.0 - pair.prior_p
     table = _integrand_table(p, q, alpha)
-    evaluated = []
     for name in names:
         if name not in table:
             raise OracleError(f"unknown integral {name!r}, expected one of {sorted(table)}")
-        for key in (name, *_NEEDS.get(name, ())):
-            if key not in evaluated:
-                evaluated.append(key)
+    # the affinity brings dp_tilde for its identity check
+    evaluated = list(dict.fromkeys(names + (("dp_tilde",) if "affinity" in names else ())))
     if "chernoff" in evaluated and not (0.0 < alpha < 1.0):
         raise OracleError(f"alpha must lie strictly in (0, 1), got {alpha}")
     *values, mass0, mass1 = _integrate_multi(
@@ -259,15 +243,6 @@ def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
                 "check normalization or widen the box"
             )
     out = dict(zip(evaluated, values))
-    for key, (value, se) in out.items():
-        if target_se is not None and se > target_se:
-            raise IntegrationBudgetError(
-                f"Monte Carlo budget exhausted: standard error {se:.3e} > target "
-                f"{target_se:.3e} at {pair.mc_points // MC_STRATA * MC_STRATA} points "
-                f"(value {value:.6e})",
-                value=value,
-                standard_error=se,
-            )
     if "affinity" in out:
         a, dpt, m = out["affinity"][0], out["dp_tilde"][0], p * mass0[0] + q * mass1[0]
         if abs(dpt - (m - 4.0 * p * q * a)) > 1e-6:
@@ -283,8 +258,8 @@ def integrals(pair: DensityPair, names, alpha=0.5, target_se=None) -> dict:
     return {name: out[name] for name in names}
 
 
-# Each function below returns one value. For its Monte Carlo standard error
-# or an error budget, call integrals(pair, [name], target_se=...)[name].
+# Each function below returns one value. For its Monte Carlo standard error,
+# call integrals(pair, [name])[name].
 
 def bayes_error(pair: DensityPair) -> float:
     """Minimum achievable misclassification rate: integral of min(p f0, q f1)."""

@@ -136,6 +136,22 @@ class TestBoundsCommand:
             assert pools.startswith("warning: ") and "equally sized" in pools
             assert "UserWarning" not in err and "cli.py" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--source", "{bad}"],
+        ["bounds", "--source", "{good}", "--target", "{bad}"],
+        ["estimate", "--a", "{good}", "--b", "{bad}"],
+    ], ids=["labeled_source", "target_points", "estimate_points"])
+    def test_non_finite_cell_exits_2_naming_file_line_and_column(
+            self, argv, labeled_csv, tmp_path, capsys):
+        # two equal inf rows: the file is refused before any duplicate-row warning
+        bad = tmp_path / "inf.csv"
+        bad.write_text("x,label\n1,0\ninf,0\ninf,1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [a.format(bad=bad, good=labeled_csv) for a in argv] + ["--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: non-finite cell 'inf' in column 'x'\n"
+        assert not out.exists()
+
     def test_single_class_exits_2_naming_missing_class(self, tmp_path, capsys):
         path = tmp_path / "single.csv"
         path.write_text("x,label\n1,1\n2,1\n", encoding="utf-8")
@@ -426,6 +442,7 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{field} has a non-finite entry" in err
+        assert str(path) in err
         assert not out.exists()
 
 

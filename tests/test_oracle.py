@@ -12,7 +12,6 @@ from dpdiv.dataset import derive_rng, diagonal_gaussian_model
 from dpdiv.experiments import fukunaga_d2
 from dpdiv.oracle import (
     DensityPair,
-    IntegrationBudgetError,
     OracleError,
     affinity_integral,
     bayes_error,
@@ -67,13 +66,6 @@ class TestBayesError:
         reference = bayes_error(pair_1d(1.7))
         assert se < 2e-3
         assert value == pytest.approx(reference, abs=5 * se + 1e-6)
-
-    def test_budget_error_carries_residual(self):
-        model = fukunaga_d2()
-        with pytest.raises(IntegrationBudgetError) as info:
-            integrals(gaussian_pair(model, mc_points=100_000), ["bayes_error"], target_se=1e-12)
-        assert info.value.standard_error > 1e-12
-        assert 0.0 < info.value.value < 0.5
 
 
 class TestDpTildeIntegral:
@@ -223,20 +215,6 @@ class TestIntegrals:
         with pytest.raises(OracleError, match="alpha"):
             integrals(pair, ["bc", "chernoff"], alpha=1.0)
 
-    def test_budget_error(self):
-        pair = gaussian_pair(fukunaga_d2(), mc_points=20_000)
-        with pytest.raises(IntegrationBudgetError):
-            integrals(pair, ["tv", "bc"], target_se=1e-12)
-
-    def test_budget_ignores_the_density_masses(self):
-        # the normalization check's masses carry a larger standard error
-        # (1.74e-3) than bc (1.56e-3) on these points; only bc is budgeted
-        pair = gaussian_pair(fukunaga_d2(), mc_points=20_000)
-        bc_se = integrals(pair, ["bc"])["bc"][1]
-        masses = oracle._integrate_multi(pair, list(oracle._DENSITY_MASSES))
-        assert min(se for _, se in masses) > bc_se
-        assert integrals(pair, ["bc"], target_se=bc_se)["bc"][1] == bc_se
-
 
 class TestPassMemory:
     def test_default_2d_pass_peak(self):
@@ -251,6 +229,27 @@ class TestPassMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 175 * 2 ** 20
+
+
+class TestQuadGrid:
+    @pytest.mark.parametrize("nodes", [16, 100, 512])
+    def test_1d_grid_is_the_composite_rule(self, nodes):
+        pair = pair_1d(1.3, p=0.4, quad_nodes=nodes)
+        x, w = oracle._composite_leggauss(*pair.integration_box[0], nodes)
+        grid, weights = oracle._quad_grid(pair)
+        assert np.array_equal(grid, x[:, None])
+        assert np.array_equal(weights, w)
+
+    @pytest.mark.parametrize("nodes", [16, 100, 512])
+    def test_2d_grid_is_the_row_major_tensor_product(self, nodes):
+        model = diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4])
+        pair = gaussian_pair(model, quad_nodes=nodes)
+        x0, w0 = oracle._composite_leggauss(*pair.integration_box[0], nodes)
+        x1, w1 = oracle._composite_leggauss(*pair.integration_box[1], nodes)
+        grid, weights = oracle._quad_grid(pair)
+        assert np.array_equal(grid, np.stack([np.repeat(x0, x1.size), np.tile(x1, x0.size)],
+                                             axis=1))
+        assert np.array_equal(weights, (w0[:, None] * w1[None, :]).ravel())
 
 
 class TestQuadratureConvergence:

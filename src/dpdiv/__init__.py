@@ -29,17 +29,14 @@ from .dataset import (
     diagonal_gaussian_model,
     load_csv,
     load_points_csv,
-    project,
     sample_gaussian,
     save_csv,
 )
 from .divergence import DivergenceEstimate, estimate, estimate_from_labeled, fr_statistic
 from .emst import MstResult, add_jitter, build_mst
 from .experiments import (
-    FUKUNAGA_DATASETS,
     FUKUNAGA_SAMPLING_MODELS,
     McSummary,
-    SweepResult,
     SweepRow,
     fukunaga_d1,
     fukunaga_d2,
@@ -59,7 +56,6 @@ from .oracle import (
     dp_tilde_integral,
     gaussian_pair,
     integrals,
-    random_gaussian_model,
     scaled_chernoff_integral,
     tv_integral,
 )

@@ -23,7 +23,7 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import bounds, divergence, emst, experiments, featsel, oracle
-from .dataset import DatasetError, GaussianModel, load_csv, load_points_csv
+from .dataset import DatasetError, GaussianModel, load_csv, load_points_csv, read_text
 from .serialize import atomic_write_text, csv_text, json_dumps
 from .svgplot import line_plot_svg
 
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("json", "csv", "svg"), default="json,csv")
 
     p = subs.add_parser("fukunaga", help="bound distribution on an 8-D Gaussian benchmark")
-    p.add_argument("--dataset", choices=sorted(experiments.FUKUNAGA_DATASETS), required=True)
+    p.add_argument("--dataset", choices=sorted(experiments.FUKUNAGA_SAMPLING_MODELS),
+                   required=True)
     p.add_argument("--n", type=int, default=1000, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=50)
     common(p, ("json", "csv", "svg"), default="json,csv")
@@ -128,9 +129,9 @@ def load_model_json(path) -> GaussianModel:
 
     Every error, the model's own checks included, names the file.
     """
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(text)
         if not isinstance(raw, dict):
             raise DatasetError(f"expected a JSON object, got {type(raw).__name__}")
         missing = [k for k in ("mean0", "mean1", "cov0", "cov1") if k not in raw]
@@ -221,7 +222,7 @@ _SWEEP_CURVES = (
 
 
 def _cmd_sweep(args):
-    rows = experiments.run_sweep(args.steps, args.n, args.trials, args.seed).rows
+    rows = experiments.run_sweep(args.steps, args.n, args.trials, args.seed)
     xs = [r.separation for r in rows]
     series = [{"x": xs, "y": [getattr(r, name) for r in rows], "label": label}
               for name, label in _SWEEP_CURVES]

@@ -1,4 +1,4 @@
-"""Labeled two-class samples: CSV ingestion, projection, and seeded Gaussian synthesis.
+"""Labeled two-class samples: CSV ingestion and seeded Gaussian synthesis.
 
 All container types are immutable after construction (their arrays are marked
 read-only), so they are safe to share across threads. Randomness always flows
@@ -17,6 +17,7 @@ strata alike.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,12 +44,6 @@ def derive_rng(*key: int) -> np.random.Generator:
             raise DatasetError(f"seed components must be non-negative, got {k}")
         flat.append(k)
     return np.random.default_rng(np.random.SeedSequence(flat))
-
-
-def _as_seed_key(seed) -> tuple[int, ...]:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -101,12 +96,9 @@ class LabeledSample:
     def d(self) -> int:
         return self.points.shape[1]
 
-    def points_for_label(self, label: int) -> np.ndarray:
-        return self.points[self.labels == label]
-
     def split_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(class-0 rows, class-1 rows); raises DatasetError if either class is empty."""
-        f, g = self.points_for_label(0), self.points_for_label(1)
+        f, g = (self.points[self.labels == label] for label in (0, 1))
         if f.shape[0] == 0 or g.shape[0] == 0:
             missing = 0 if f.shape[0] == 0 else 1
             raise DatasetError(f"sample contains no rows with label {missing}")
@@ -227,31 +219,16 @@ def sample_gaussian(model: GaussianModel, n0: int, n1: int, seed) -> LabeledSamp
     """Draw n0 class-0 rows followed by n1 class-1 rows from the model.
 
     Sampling multiplies standard-normal draws by the Cholesky factor of each
-    covariance. The two classes use independent sub-streams of `seed`, so
-    identical (model, n0, n1, seed) inputs give bit-identical output.
+    covariance. `seed` is a non-negative integer or a tuple or list of them;
+    the two classes use independent sub-streams of it, so identical
+    (model, n0, n1, seed) inputs give bit-identical output.
     """
     if n0 < 1 or n1 < 1:
         raise DatasetError(f"need at least one point per class, got n0={n0}, n1={n1}")
-    key = _as_seed_key(seed)
+    key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     blocks = [model.sample(cls, derive_rng(*key, cls), n) for cls, n in enumerate((n0, n1))]
     labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     return LabeledSample(points=np.vstack(blocks), labels=labels)
-
-
-def project(sample: LabeledSample, features) -> LabeledSample:
-    """Restrict a sample to the given feature columns, in the given order."""
-    idx = [int(f) for f in features]
-    if len(idx) == 0:
-        raise DatasetError("feature index set must be non-empty")
-    if len(set(idx)) != len(idx):
-        raise DatasetError(f"feature indices must be distinct, got {idx}")
-    for f in idx:
-        if not (0 <= f < sample.d):
-            raise DatasetError(f"feature index {f} out of range for d={sample.d}")
-    names = None
-    if sample.feature_names is not None:
-        names = tuple(sample.feature_names[f] for f in idx)
-    return LabeledSample(points=sample.points[:, idx], labels=sample.labels, feature_names=names)
 
 
 def row_groups(pts: np.ndarray) -> np.ndarray:
@@ -268,10 +245,18 @@ def row_groups(pts: np.ndarray) -> np.ndarray:
 # CSV format: UTF-8 (a leading byte-order mark is skipped), header line, comma
 # separator, '.' decimal point; save_csv writes floats through serialize.csv_text.
 
+def read_text(path) -> str:
+    """A file's UTF-8 text, a leading byte-order mark skipped; other bytes raise DatasetError."""
+    with open(path, "rb") as fh:
+        try:
+            return fh.read().decode("utf-8").removeprefix("\ufeff")  # errors give file offsets
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _read_csv(path):
     """Header (stripped cell names) and data rows of a CSV file."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows:
         raise DatasetError(f"{path}: empty file")
     return [h.strip() for h in rows[0]], rows[1:]
@@ -310,19 +295,21 @@ def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _column_index(header, column):
+    """A column given as an int or digit string is its index; a name, its header index or None."""
+    if isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit()):
+        return int(column)
+    return header.index(column) if column in header else None
+
+
 def load_csv(path, label_column="label") -> LabeledSample:
     """Load a labeled sample from CSV. `label_column` is a header name or index."""
     header, rows = _read_csv(path)
-    if isinstance(label_column, int) or (
-        isinstance(label_column, str) and label_column.lstrip("-").isdigit()
-    ):
-        label_idx = int(label_column)
-        if not (0 <= label_idx < len(header)):
-            raise DatasetError(f"{path}: label column index {label_idx} out of range")
-    else:
-        if label_column not in header:
-            raise DatasetError(f"{path}: no column named {label_column!r} in header {header}")
-        label_idx = header.index(label_column)
+    label_idx = _column_index(header, label_column)
+    if label_idx is None:
+        raise DatasetError(f"{path}: no column named {label_column!r} in header {header}")
+    if not (0 <= label_idx < len(header)):
+        raise DatasetError(f"{path}: label column index {label_idx} out of range")
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     if not feature_names:
         raise DatasetError(f"{path}: no feature columns besides the label")
@@ -342,9 +329,10 @@ def load_csv(path, label_column="label") -> LabeledSample:
 
 
 def load_points_csv(path, drop_column=None) -> np.ndarray:
-    """Load an unlabeled point matrix from CSV, optionally dropping one named column."""
+    """Load an unlabeled point matrix from CSV, dropping drop_column (name or index) if present."""
     header, rows = _read_csv(path)
-    keep = [i for i, h in enumerate(header) if h != drop_column]
+    drop = _column_index(header, drop_column)  # an index out of range drops nothing
+    keep = [i for i in range(len(header)) if i != drop]
     if not keep:
         raise DatasetError(f"{path}: no feature columns left after dropping {drop_column!r}")
     return _parse_columns(path, header, rows, keep)

@@ -1,6 +1,9 @@
 """Scripted studies: benchmark bound comparisons, the mean-separation sweep,
 and estimator-consistency curves.
 
+run_sweep returns its SweepRow tuple, one row per separation; run_fukunaga
+and run_consistency return McSummary values. The benchmark names D1 and D2
+are the keys of FUKUNAGA_SAMPLING_MODELS, which the CLI offers as --dataset.
 Monte Carlo trials derive per-trial seeds from the master seed, so runs are
 reproducible, trial-order independent, and safe to parallelize externally.
 """
@@ -47,10 +50,8 @@ def fukunaga_d2_as_sampled() -> GaussianModel:
     return diagonal_gaussian_model(np.zeros(8), np.ones(8), _D2_MEAN1, var1)
 
 
-FUKUNAGA_DATASETS = {"D1": fukunaga_d1, "D2": fukunaga_d2}
-
 # Sampling models behind the reference Monte-Carlo table (D1 is identical
-# under either reading because all its spreads equal 1).
+# under either reading because all its spreads equal 1), keyed by dataset name.
 FUKUNAGA_SAMPLING_MODELS = {"D1": fukunaga_d1, "D2": fukunaga_d2_as_sampled}
 
 
@@ -87,12 +88,6 @@ class SweepRow:
     n_trials: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    separations: tuple[float, ...]
-    rows: tuple[SweepRow, ...]
-
-
 def _check_trials(n_trials: int) -> None:
     if n_trials < 1:
         raise ValueError(f"need at least 1 trial, got {n_trials}")
@@ -104,17 +99,7 @@ def _trial_estimates(model: GaussianModel, n: int, n_trials: int, *key):
             for trial in range(n_trials)]
 
 
-def _sweep_model_1d(separation: float) -> GaussianModel:
-    return diagonal_gaussian_model([0.0], [1.0], [separation], [1.0])
-
-
-def _sweep_model_2d(separation: float) -> GaussianModel:
-    return diagonal_gaussian_model(
-        [0.0, 0.0], [1.0, 1.0], [separation, 0.0], [1.0, 1.0]
-    )
-
-
-def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed) -> SweepResult:
+def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed) -> tuple[SweepRow, ...]:
     """Sweep the mean separation of two spherical unit-variance bivariate
     Gaussians across [0, 5] and record true error, analytic bounds, and
     graph-estimated bounds averaged over independent trials.
@@ -123,24 +108,25 @@ def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed) -> SweepResul
     equal spherical covariances, every coordinate orthogonal to the mean
     difference contributes an identical factor to both densities, which
     cancels inside each integrand, so the integrals equal their 1-D values.
-    Each step takes its true error and divergence from one oracle pass at
-    the default quadrature grid.
+    Each step builds its 1-D model once and takes its true error and
+    divergence from one oracle pass at the default quadrature grid. Returns
+    one row per step, in order of separation.
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 sweep steps, got {n_steps}")
     _check_trials(n_trials)
-    separations = np.linspace(0.0, 5.0, n_steps)
     rows = []
-    for step, sep in enumerate(separations):
-        pair = oracle.gaussian_pair(_sweep_model_1d(float(sep)))
-        truth = oracle.integrals(pair, ("bayes_error", "dp_tilde"))
+    for step, sep in enumerate(np.linspace(0.0, 5.0, n_steps).tolist()):
+        model_1d = diagonal_gaussian_model([0.0], [1.0], [sep], [1.0])
+        truth = oracle.integrals(oracle.gaussian_pair(model_1d), ("bayes_error", "dp_tilde"))
         analytic = bounds.ber_bounds_from_dp_tilde(truth["dp_tilde"][0])
-        bc = bounds.bc_bound_gaussian(_sweep_model_1d(float(sep)))
+        bc = bounds.bc_bound_gaussian(model_1d)
 
+        model_2d = diagonal_gaussian_model([0.0, 0.0], [1.0, 1.0], [sep, 0.0], [1.0, 1.0])
         empirical = [bounds.ber_bounds_from_estimate(est) for est in _trial_estimates(
-            _sweep_model_2d(float(sep)), n_per_class, n_trials, seed, step)]
+            model_2d, n_per_class, n_trials, seed, step)]
         rows.append(SweepRow(
-            separation=float(sep),
+            separation=sep,
             ber_true=truth["bayes_error"][0],
             dp_upper_analytic=analytic.upper,
             dp_lower_analytic=analytic.lower,
@@ -151,7 +137,7 @@ def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed) -> SweepResul
             n_per_class=n_per_class,
             n_trials=n_trials,
         ))
-    return SweepResult(separations=tuple(float(s) for s in separations), rows=tuple(rows))
+    return tuple(rows)
 
 
 def run_fukunaga(dataset: str, n_per_class: int, n_trials: int, seed) -> McSummary:

@@ -44,15 +44,13 @@ def _check_inputs(source0, source1, target, shift_weight):
     if s0.ndim != 2 or s1.ndim != 2 or s0.shape[1] != s1.shape[1]:
         raise ValueError("source matrices must be 2-D with a common number of columns")
     check_weight("shift_weight", shift_weight)
-    tgt = None
-    if shift_weight > 0.0:
-        if target is None:
-            raise ValueError("shift_weight > 0 requires a target sample")
-        tgt = np.asarray(target, dtype=np.float64)
-        if tgt.ndim != 2 or tgt.shape[1] != s0.shape[1]:
-            raise ValueError("target must be 2-D with the same number of columns")
-    elif target is not None:
-        tgt = np.asarray(target, dtype=np.float64)
+    if shift_weight == 0.0:
+        return s0, s1, None  # only the shift penalty reads the target
+    if target is None:
+        raise ValueError("shift_weight > 0 requires a target sample")
+    tgt = np.asarray(target, dtype=np.float64)
+    if tgt.ndim != 2 or tgt.shape[1] != s0.shape[1]:
+        raise ValueError("target must be 2-D with the same number of columns")
     return s0, s1, tgt
 
 
@@ -87,8 +85,9 @@ def forward_select(source0, source1, target=None, k=None, shift_weight=0.0,
 
     Ties break toward the smallest feature index (the cross counts are
     integers, so exact ties are common at small n). standardize z-scores the
-    source columns (pooled) and target columns (separately) first; this is
-    the domain-normalization pre-pass and is off by default.
+    source columns (pooled) and, when the shift penalty reads it, the target
+    columns (separately) first; this is the domain-normalization pre-pass and
+    is off by default.
 
     Rescaling every column by one positive constant never changes the
     selection (cross counts are scale-invariant); per-feature rescaling can.

@@ -3,9 +3,10 @@
 Computes the Bayes error, divergence, affinity, Bhattacharyya, total
 variation, and Chernoff integrals directly from log-densities, so the
 graph-based estimators and every bound can be validated without building a
-single spanning tree. A Gaussian pair takes its densities and samplers from
-the model itself (GaussianModel.log_density and .sample), so it reuses the
-Cholesky factors the model computed once.
+single spanning tree. It imports no bound, so the closed forms in bounds
+are checked against integrals they never feed. A Gaussian pair takes its
+densities and samplers from the model itself (GaussianModel.log_density and
+.sample), so it reuses the Cholesky factors the model computed once.
 
 Integration strategy:
   d <= 2  composite tensor Gauss-Legendre over the integration box. Panels
@@ -38,7 +39,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import bhattacharyya_distance_gaussian
 from .dataset import GaussianModel, derive_rng
 
 PANEL_NODES = 16
@@ -59,7 +59,8 @@ class DensityPair:
     log_density_0/1 map an (n, d) array to length-n log-density values; a
     pass raises OracleError on any other shape.
     integration_box is a (d, 2) array of per-dimension (low, high) limits
-    that must capture essentially all mass of both densities. For d > 2,
+    that must capture essentially all mass of both densities; the pair's
+    dimension d is read from it, d >= 1. For d > 2,
     sample_0/sample_1 must draw from the respective densities: they feed the
     mixture importance sampler. The evaluation points depend on the pair
     alone: quad_nodes per dimension for d <= 2 (None for the default, else
@@ -71,7 +72,6 @@ class DensityPair:
     log_density_0: Callable[[np.ndarray], np.ndarray]
     log_density_1: Callable[[np.ndarray], np.ndarray]
     prior_p: float
-    dimension: int
     integration_box: np.ndarray
     sample_0: Callable[[np.random.Generator, int], np.ndarray] | None = None
     sample_1: Callable[[np.random.Generator, int], np.ndarray] | None = None
@@ -81,9 +81,10 @@ class DensityPair:
     def __post_init__(self):
         if not (0.0 < self.prior_p < 1.0):
             raise OracleError(f"prior_p must lie strictly in (0, 1), got {self.prior_p}")
-        if self.dimension < 1:
-            raise OracleError(f"dimension must be >= 1, got {self.dimension}")
-        box = np.asarray(self.integration_box, dtype=np.float64).reshape(self.dimension, 2)
+        box = np.array(self.integration_box, dtype=np.float64)
+        if box.ndim != 2 or box.shape[0] < 1 or box.shape[1] != 2:
+            raise OracleError(
+                f"integration box must be a (d, 2) array with d >= 1, got shape {box.shape}")
         if not np.all(box[:, 0] < box[:, 1]):
             raise OracleError("integration box must satisfy low < high in every dimension")
         box.flags.writeable = False
@@ -100,6 +101,10 @@ class DensityPair:
                 raise OracleError("d > 2 integration needs sample_0 and sample_1 callables")
             if self.mc_points < 10 * MC_STRATA:
                 raise OracleError(f"mc_points too small: {self.mc_points}")
+
+    @property
+    def dimension(self) -> int:
+        return self.integration_box.shape[0]
 
 
 def _composite_leggauss(lo: float, hi: float, n_total: int):
@@ -321,38 +326,9 @@ def gaussian_pair(model: GaussianModel, quad_nodes: int | None = None,
         log_density_0=functools.partial(model.log_density, 0),
         log_density_1=functools.partial(model.log_density, 1),
         prior_p=model.prior_p,
-        dimension=model.d,
         integration_box=np.stack([lo, hi], axis=1),
         sample_0=functools.partial(model.sample, 0),
         sample_1=functools.partial(model.sample, 1),
         quad_nodes=quad_nodes,
         mc_points=mc_points,
     )
-
-
-def random_gaussian_model(rng: np.random.Generator, dimension=None,
-                          equal_priors=False) -> GaussianModel:
-    """Random well-conditioned Gaussian model for validation suites.
-
-    Rejection-samples until the closed-form Bhattacharyya distance lands in
-    [0.02, 2.5], which keeps the classes neither
-    nearly identical nor nearly separated; inequality checks then carry
-    slack far above integration noise.
-    """
-    for _ in range(1000):
-        d = int(dimension) if dimension is not None else int(rng.integers(1, 5))
-        mean0 = rng.normal(0.0, 0.8, d)
-        mean1 = mean0 + rng.normal(0.0, 0.7, d)
-
-        def rand_cov():
-            basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
-            eig = rng.uniform(0.4, 2.2, d)
-            c = (basis * eig) @ basis.T
-            return (c + c.T) / 2.0
-
-        prior = 0.5 if equal_priors else float(rng.uniform(0.2, 0.8))
-        model = GaussianModel(mean0=mean0, mean1=mean1, cov0=rand_cov(), cov1=rand_cov(),
-                              prior_p=prior)
-        if 0.02 <= bhattacharyya_distance_gaussian(model) <= 2.5:
-            return model
-    raise RuntimeError("failed to draw a model inside the separation window")

@@ -61,9 +61,7 @@ def csv_text(header, rows) -> str:
         for v in row:
             if hasattr(v, "item"):
                 v = v.item()
-            if isinstance(v, bool):
-                cells.append(str(int(v)))
-            elif isinstance(v, int):
+            if isinstance(v, int):
                 cells.append(str(v))
             elif isinstance(v, float):
                 cells.append(format_float(v))

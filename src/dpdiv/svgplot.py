@@ -25,10 +25,6 @@ def _nice_ticks(lo: float, hi: float, target=6):
     return ticks
 
 
-def _fmt_tick(v: float) -> str:
-    return f"{v:g}"
-
-
 def line_plot_svg(series, title="", x_label="", y_label=""):
     """Render series = [{x, y, label}, ...] as a 720 x 480 SVG string.
 
@@ -71,7 +67,7 @@ def line_plot_svg(series, title="", x_label="", y_label=""):
             )
             parts.append(
                 f'<text x="{px(t):.2f}" y="{mt + ph + 18}" text-anchor="middle">'
-                f"{_fmt_tick(t)}</text>"
+                f"{t:g}</text>"
             )
     for t in _nice_ticks(y_lo, y_hi):
         if y_lo <= t <= y_hi:
@@ -81,7 +77,7 @@ def line_plot_svg(series, title="", x_label="", y_label=""):
             )
             parts.append(
                 f'<text x="{ml - 8}" y="{py(t) + 4:.2f}" text-anchor="end">'
-                f"{_fmt_tick(t)}</text>"
+                f"{t:g}</text>"
             )
     parts.append(
         f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">{x_label}</text>'

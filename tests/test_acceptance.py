@@ -112,9 +112,9 @@ class TestCriterion3FukunagaBounds:
 class TestCriterion4Sweep:
     def test_sweep_sandwich_and_empirical_tracking(self):
         started = time.perf_counter()
-        result = run_sweep(n_steps=150, n_per_class=300, n_trials=10, seed=0xD1BE5)
+        rows = run_sweep(n_steps=150, n_per_class=300, n_trials=10, seed=0xD1BE5)
         deviations = []
-        for row in result.rows:
+        for row in rows:
             bc_lower = row.bc_lower
             assert row.dp_lower_analytic - bc_lower >= SLACK
             assert row.ber_true - row.dp_lower_analytic >= SLACK

@@ -7,8 +7,8 @@ from dpdiv import bounds
 from dpdiv.dataset import derive_rng, diagonal_gaussian_model
 from dpdiv.divergence import DivergenceEstimate, estimate
 from dpdiv.experiments import fukunaga_d1, fukunaga_d2
-from dpdiv.oracle import random_gaussian_model
-from suites import da_bound_vs_target_error, equal_prior_suite, bound_ordering_chain_slacks
+from suites import (da_bound_vs_target_error, equal_prior_suite, bound_ordering_chain_slacks,
+                    random_gaussian_model)
 
 
 def fake_estimate(dp_tilde, n_f=100, n_g=100):

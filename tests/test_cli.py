@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,38 @@ class TestBoundsCommand:
         assert "--label-drift must be finite, got inf" in err and "missing" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--source", "{bad}"],
+        ["bounds", "--source", "{good}", "--target", "{bad}"],
+    ], ids=["labeled_source", "target_points"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_non_utf8_csv_exits_2_naming_file(self, argv, bom, labeled_csv, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(bom + b"x,label\n1,0\n\xff,1\n")
+        out = tmp_path / "out"
+        argv = [a.format(bad=bad, good=labeled_csv) for a in argv] + ["--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text (")
+        # the position is the bad byte's offset in the file
+        assert f"byte 0xff in position {len(bom) + 12}:" in err
+        assert not out.exists()
+
+    def test_label_column_index_also_drops_it_from_the_target(self, tmp_path, capsys):
+        rng = derive_rng(9011)
+        paths = []
+        for name, shift in (("s.csv", 0.0), ("t.csv", 0.4)):
+            rows = [f"{i % 2},{x:.17g},{y:.17g}"
+                    for i, (x, y) in enumerate(rng.normal(size=(40, 2)) + shift)]
+            paths.append(tmp_path / name)
+            paths[-1].write_text("\n".join(["label,x,y", *rows]) + "\n", encoding="utf-8")
+        reports = []
+        for column in ("0", "label"):
+            assert cli.main(["bounds", "--source", str(paths[0]), "--label-column", column,
+                             "--target", str(paths[1]), "--out", str(tmp_path / column)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and json.loads(reports[0])["da"] is not None
+
 
 class TestSelectCommand:
     def test_writes_json_and_csv(self, tmp_path):
@@ -285,6 +318,17 @@ class TestMstDumpCommand:
         assert cli.main(["mst-dump", "--input", src, "--jitter", "--out", str(out1)]) == 0
         assert cli.main(["mst-dump", "--input", src, "--jitter", "--out", str(out2)]) == 0
         assert (out1 / "mst.csv").read_bytes() == (out2 / "mst.csv").read_bytes()
+
+    def test_label_column_index_is_dropped(self, tmp_path):
+        rows = [f"{i % 2},{x:.17g},{y:.17g}"
+                for i, (x, y) in enumerate(derive_rng(9012).normal(size=(20, 2)))]
+        src = tmp_path / "labeled.csv"
+        src.write_text("\n".join(["label,x,y", *rows]) + "\n", encoding="utf-8")
+        for column in ("0", "label"):
+            assert cli.main(["mst-dump", "--input", str(src), "--label-column", column,
+                             "--out", str(tmp_path / column)]) == 0
+        assert (tmp_path / "0" / "mst.csv").read_bytes() == \
+            (tmp_path / "label" / "mst.csv").read_bytes()
 
     def test_broken_tree_exits_1_with_traceback(self, tmp_path, monkeypatch, capsys):
         src = write_points_csv(tmp_path / "pts.csv", derive_rng(9006).normal(size=(5, 2)))
@@ -429,6 +473,23 @@ class TestOracleCommand:
         assert err.startswith(f"error: {path}: {expected}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_non_utf8_model_json_exits_2_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"mean0": [0], "mean1": [1], "cov0": [1], "cov1": [1], "n": "\xff"}')
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text (") and "0xff" in err
+        assert not out.exists()
+
+    def test_model_json_may_start_with_a_byte_order_mark(self, model_1d_json, tmp_path):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(model_1d_json).read_bytes())
+        for name, path in (("bom", bom), ("plain", model_1d_json)):
+            assert cli.main(["oracle", "--model", str(path), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "bom" / "oracle.json").read_bytes() == \
+            (tmp_path / "plain" / "oracle.json").read_bytes()
 
     @pytest.mark.parametrize("field", ["mean0", "mean1", "cov0", "cov1"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -13,7 +13,6 @@ from dpdiv.dataset import (
     diagonal_gaussian_model,
     load_csv,
     load_points_csv,
-    project,
     sample_gaussian,
     save_csv,
 )
@@ -226,7 +225,7 @@ class TestSampleGaussian:
         # first coordinate of class 1 is centered at 2.56; mean of 500 draws
         # of a unit-variance Gaussian lies within 3/sqrt(500) except ~0.3% of seeds
         sample = sample_gaussian(fukunaga_d1(), 500, 500, seed=7)
-        m = sample.points_for_label(1)[:, 0].mean()
+        m = sample.split_classes()[1][:, 0].mean()
         assert abs(m - 2.56) < 3.0 / np.sqrt(500)
 
     def test_identity_model_variance(self):
@@ -243,6 +242,14 @@ class TestSampleGaussian:
         np.testing.assert_array_equal(a.labels, b.labels)
         c = sample_gaussian(model, 50, 60, seed=124)
         assert not np.array_equal(a.points, c.points)
+
+    def test_seed_forms(self):
+        # an integer seed is the one-element key: every spelling of it draws the same rows
+        model = fukunaga_d1()
+        base = sample_gaussian(model, 7, 9, seed=5).points
+        for seed in ((5,), [5], np.int64(5)):
+            np.testing.assert_array_equal(sample_gaussian(model, 7, 9, seed=seed).points, base)
+        assert not np.array_equal(sample_gaussian(model, 7, 9, seed=(5, 2)).points, base)
 
     def test_labels_layout(self):
         sample = sample_gaussian(fukunaga_d1(), 3, 5, seed=0)
@@ -263,39 +270,11 @@ class TestSampleGaussian:
         hits = 0
         for seed in range(100):
             sample = sample_gaussian(model, n, n, seed=(909, seed))
-            e0 = np.linalg.norm(sample.points_for_label(0).mean(axis=0) - model.mean0)
-            e1 = np.linalg.norm(sample.points_for_label(1).mean(axis=0) - model.mean1)
+            f, g = sample.split_classes()
+            e0 = np.linalg.norm(f.mean(axis=0) - model.mean0)
+            e1 = np.linalg.norm(g.mean(axis=0) - model.mean1)
             hits += (e0 < threshold0) and (e1 < threshold1)
         assert hits >= 95
-
-
-class TestProject:
-    @pytest.fixture()
-    def sample(self):
-        return sample_gaussian(fukunaga_d1(), 20, 20, seed=5)
-
-    def test_identity_projection(self, sample):
-        out = project(sample, range(8))
-        np.testing.assert_array_equal(out.points, sample.points)
-        np.testing.assert_array_equal(out.labels, sample.labels)
-
-    def test_single_column(self, sample):
-        out = project(sample, (2,))
-        assert out.d == 1
-        np.testing.assert_array_equal(out.points[:, 0], sample.points[:, 2])
-
-    def test_composition(self, sample):
-        twice = project(project(sample, (3, 1)), (0,))
-        once = project(sample, (3,))
-        np.testing.assert_array_equal(twice.points, once.points)
-
-    def test_errors(self, sample):
-        with pytest.raises(DatasetError, match="out of range"):
-            project(sample, (8,))
-        with pytest.raises(DatasetError, match="distinct"):
-            project(sample, (1, 1))
-        with pytest.raises(DatasetError, match="non-empty"):
-            project(sample, ())
 
 
 class TestDeriveRng:

@@ -109,7 +109,7 @@ class TestEstimateFromLabeled:
             diagonal_gaussian_model([0.0, 0.0], [1, 1], [1.0, 0.0], [1, 1]), 30, 50, seed=8
         )
         est = estimate_from_labeled(sample)
-        manual = estimate(sample.points_for_label(0), sample.points_for_label(1))
+        manual = estimate(*sample.split_classes())
         assert est == manual
 
     def test_two_point_sample(self):

@@ -64,29 +64,29 @@ def small():
 
 class TestRunSweep:
     def test_grid_spans_zero_to_five(self, small):
-        assert small.separations[0] == 0.0 and small.separations[-1] == 5.0
-        assert len(small.rows) == 6
+        assert small[0].separation == 0.0 and small[-1].separation == 5.0
+        assert len(small) == 6
 
     def test_zero_separation_row(self, small):
-        row = small.rows[0]
+        row = small[0]
         assert row.ber_true == pytest.approx(0.5, abs=1e-9)
         assert row.dp_upper_analytic == pytest.approx(0.5, abs=1e-9)
         assert row.dp_lower_analytic == pytest.approx(0.5, abs=1e-9)
         assert row.bc_upper == pytest.approx(0.5, abs=1e-9)
 
     def test_true_error_non_increasing(self, small):
-        errs = [r.ber_true for r in small.rows]
+        errs = [r.ber_true for r in small]
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_analytic_bounds_bracket_truth(self, small):
-        for row in small.rows:
+        for row in small:
             assert row.dp_lower_analytic <= row.ber_true + 1e-7
             assert row.ber_true <= row.dp_upper_analytic + 1e-7
             assert row.bc_lower <= row.ber_true + 1e-7
             assert row.ber_true <= row.bc_upper + 1e-7
 
     def test_divergence_bounds_inside_bc_bounds(self, small):
-        for row in small.rows:
+        for row in small:
             assert row.dp_upper_analytic <= row.bc_upper + 1e-7
             assert row.dp_lower_analytic >= row.bc_lower - 1e-7
 

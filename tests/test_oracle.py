@@ -20,10 +20,10 @@ from dpdiv.oracle import (
     dp_tilde_integral,
     gaussian_pair,
     integrals,
-    random_gaussian_model,
     scaled_chernoff_integral,
     tv_integral,
 )
+from suites import random_gaussian_model
 
 
 def pair_1d(sep, p=0.5, **kw):
@@ -278,7 +278,7 @@ class TestDensityPairValidation:
 
         pair = DensityPair(
             log_density_0=doubled, log_density_1=unit,
-            prior_p=0.5, dimension=1, integration_box=[[-9.0, 9.0]],
+            prior_p=0.5, integration_box=[[-9.0, 9.0]],
         )
         with pytest.raises(OracleError, match="integrates to"):
             integrals(pair, ["bc"])
@@ -300,7 +300,7 @@ class TestDensityPairValidation:
 
         pair = DensityPair(
             log_density_0=unit, log_density_1=lambda x: unit(x)[:, None],
-            prior_p=0.5, dimension=1, integration_box=[[-9.0, 9.0]],
+            prior_p=0.5, integration_box=[[-9.0, 9.0]],
         )
         with pytest.raises(OracleError, match=r"log_density_1 returned shape \(4096, 1\)"):
             integrals(pair, ["bc"])
@@ -312,7 +312,7 @@ class TestDensityPairValidation:
         with pytest.raises(OracleError, match="sample_0"):
             DensityPair(
                 log_density_0=unit, log_density_1=unit,
-                prior_p=0.5, dimension=3, integration_box=[[-9, 9]] * 3,
+                prior_p=0.5, integration_box=[[-9, 9]] * 3,
             )
 
     def test_box_must_cover_mass(self):
@@ -321,7 +321,7 @@ class TestDensityPairValidation:
 
         pair = DensityPair(
             log_density_0=unit, log_density_1=unit,
-            prior_p=0.5, dimension=1, integration_box=[[-1.0, 1.0]],
+            prior_p=0.5, integration_box=[[-1.0, 1.0]],
         )
         with pytest.raises(OracleError, match="integrates to"):
             integrals(pair, ["bc"])
@@ -331,11 +331,30 @@ class TestDensityPairValidation:
             return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
 
         with pytest.raises(OracleError, match="prior_p"):
-            DensityPair(unit, unit, prior_p=1.0, dimension=1,
-                        integration_box=[[-9, 9]])
+            DensityPair(unit, unit, prior_p=1.0, integration_box=[[-9, 9]])
         with pytest.raises(OracleError, match="low < high"):
-            DensityPair(unit, unit, prior_p=0.5, dimension=1,
-                        integration_box=[[9, -9]])
+            DensityPair(unit, unit, prior_p=0.5, integration_box=[[9, -9]])
+
+    @pytest.mark.parametrize("box, shape", [
+        ([-9.0, 9.0], r"\(2,\)"),
+        ([[-9.0, 9.0, 0.0]], r"\(1, 3\)"),
+        (np.zeros((0, 2)), r"\(0, 2\)"),
+        ([[[-9.0, 9.0]]], r"\(1, 1, 2\)"),
+    ], ids=["flat", "three_columns", "no_rows", "three_axes"])
+    def test_box_must_be_d_by_2(self, box, shape):
+        def unit(x):
+            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
+
+        with pytest.raises(OracleError, match=r"\(d, 2\) array with d >= 1, got shape " + shape):
+            DensityPair(unit, unit, prior_p=0.5, integration_box=box)
+
+    def test_dimension_is_read_from_the_box(self):
+        pair = gaussian_pair(diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0] * 3, [1.0] * 3))
+        assert pair.dimension == 3 and pair.integration_box.shape == (3, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.dimension = 2
+        with pytest.raises(TypeError, match="dimension"):
+            dataclasses.replace(pair, dimension=2)
 
     @pytest.mark.parametrize("nodes", [0, -5, 15])
     def test_node_count_below_one_panel_rejected(self, nodes):

@@ -87,7 +87,7 @@ def test_sweep_makes_one_oracle_pass_per_step(monkeypatch):
 
 def test_suite_model_makes_one_oracle_pass(monkeypatch):
     calls = _count_passes(monkeypatch)
-    model = oracle.random_gaussian_model(derive_rng(1601), dimension=2)
+    model = suites.random_gaussian_model(derive_rng(1601), dimension=2)
     quantities = suites.oracle_quantities(model)
     # six integrals and the two density masses, which serve the
     # normalization check and the affinity's identity check

@@ -23,7 +23,8 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import bounds, divergence, emst, experiments, featsel, oracle
-from .dataset import DatasetError, GaussianModel, load_csv, load_points_csv, read_text
+from .dataset import (DatasetError, GaussianModel, label_name, load_csv, load_points_csv,
+                      read_text)
 from .serialize import atomic_write_text, csv_text, json_dumps
 from .svgplot import line_plot_svg
 
@@ -175,7 +176,8 @@ def _cmd_bounds(args):
         report["bc"] = asdict(bounds.bc_bound_gaussian(model))
         report["mahalanobis"] = asdict(bounds.mahalanobis_bound_gaussian(model))
     if args.target:
-        target = load_points_csv(args.target, drop_column=args.label_column)
+        label = label_name(args.source, args.label_column)
+        target = load_points_csv(args.target, drop_column=label)
         shift = divergence.estimate(source.points, target)
         report["da"] = asdict(bounds.da_bound(est, shift, label_drift=args.label_drift))
     text = json_dumps(report)
@@ -185,7 +187,7 @@ def _cmd_bounds(args):
 def _cmd_select(args):
     source = load_csv(args.source, label_column=args.label_column)
     f, g = source.split_classes()
-    target = (load_points_csv(args.target, drop_column=args.label_column)
+    target = (load_points_csv(args.target, drop_column=label_name(args.source, args.label_column))
               if args.target else None)
     trace = featsel.forward_select(
         f, g, target=target, k=args.k, shift_weight=args.shift_weight,

@@ -295,21 +295,28 @@ def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _column_index(header, column):
-    """A column given as an int or digit string is its index; a name, its header index or None."""
-    if isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit()):
-        return int(column)
-    return header.index(column) if column in header else None
+def _label_index(path, header, column) -> int:
+    """The label column's index: an int or digit string is an index, anything else a name."""
+    is_index = isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit())
+    if not is_index and column not in header:
+        raise DatasetError(f"{path}: no column named {column!r} in header {header}")
+    idx = int(column) if is_index else header.index(column)
+    if not (0 <= idx < len(header)):
+        raise DatasetError(f"{path}: label column index {idx} out of range")
+    return idx
+
+
+def label_name(path, label_column) -> str:
+    """The header name of the column that load_csv(path, label_column) reads as the label."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+    return header[_label_index(path, header, label_column)]
 
 
 def load_csv(path, label_column="label") -> LabeledSample:
     """Load a labeled sample from CSV. `label_column` is a header name or index."""
     header, rows = _read_csv(path)
-    label_idx = _column_index(header, label_column)
-    if label_idx is None:
-        raise DatasetError(f"{path}: no column named {label_column!r} in header {header}")
-    if not (0 <= label_idx < len(header)):
-        raise DatasetError(f"{path}: label column index {label_idx} out of range")
+    label_idx = _label_index(path, header, label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     if not feature_names:
         raise DatasetError(f"{path}: no feature columns besides the label")
@@ -329,10 +336,9 @@ def load_csv(path, label_column="label") -> LabeledSample:
 
 
 def load_points_csv(path, drop_column=None) -> np.ndarray:
-    """Load an unlabeled point matrix from CSV, dropping drop_column (name or index) if present."""
+    """Load an unlabeled point matrix from CSV, optionally dropping one named column."""
     header, rows = _read_csv(path)
-    drop = _column_index(header, drop_column)  # an index out of range drops nothing
-    keep = [i for i in range(len(header)) if i != drop]
+    keep = [i for i, h in enumerate(header) if h != drop_column]
     if not keep:
         raise DatasetError(f"{path}: no feature columns left after dropping {drop_column!r}")
     return _parse_columns(path, header, rows, keep)

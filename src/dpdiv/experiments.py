@@ -1,9 +1,6 @@
 """Scripted studies: benchmark bound comparisons, the mean-separation sweep,
 and estimator-consistency curves.
 
-run_sweep returns its SweepRow tuple, one row per separation; run_fukunaga
-and run_consistency return McSummary values. The benchmark names D1 and D2
-are the keys of FUKUNAGA_SAMPLING_MODELS, which the CLI offers as --dataset.
 Monte Carlo trials derive per-trial seeds from the master seed, so runs are
 reproducible, trial-order independent, and safe to parallelize externally.
 """

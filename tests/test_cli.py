@@ -201,14 +201,18 @@ class TestBoundsCommand:
         assert f"byte 0xff in position {len(bom) + 12}:" in err
         assert not out.exists()
 
-    def test_label_column_index_also_drops_it_from_the_target(self, tmp_path, capsys):
+    @pytest.mark.parametrize("labeled_target", [True, False], ids=["labeled", "unlabeled"])
+    def test_label_column_index_drops_its_name_from_the_target(self, labeled_target,
+                                                               tmp_path, capsys):
+        # the target drops the source's label column by name, and only if it has one
         rng = derive_rng(9011)
         paths = []
-        for name, shift in (("s.csv", 0.0), ("t.csv", 0.4)):
-            rows = [f"{i % 2},{x:.17g},{y:.17g}"
-                    for i, (x, y) in enumerate(rng.normal(size=(40, 2)) + shift)]
+        for name, shift, labeled in (("s.csv", 0.0, True), ("t.csv", 0.4, labeled_target)):
+            lines = ["x,y", *(f"{x:.17g},{y:.17g}" for x, y in rng.normal(size=(40, 2)) + shift)]
+            if labeled:
+                lines = ["label,x,y", *(f"{i % 2},{row}" for i, row in enumerate(lines[1:]))]
             paths.append(tmp_path / name)
-            paths[-1].write_text("\n".join(["label,x,y", *rows]) + "\n", encoding="utf-8")
+            paths[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
         reports = []
         for column in ("0", "label"):
             assert cli.main(["bounds", "--source", str(paths[0]), "--label-column", column,
@@ -319,16 +323,14 @@ class TestMstDumpCommand:
         assert cli.main(["mst-dump", "--input", src, "--jitter", "--out", str(out2)]) == 0
         assert (out1 / "mst.csv").read_bytes() == (out2 / "mst.csv").read_bytes()
 
-    def test_label_column_index_is_dropped(self, tmp_path):
-        rows = [f"{i % 2},{x:.17g},{y:.17g}"
-                for i, (x, y) in enumerate(derive_rng(9012).normal(size=(20, 2)))]
-        src = tmp_path / "labeled.csv"
-        src.write_text("\n".join(["label,x,y", *rows]) + "\n", encoding="utf-8")
-        for column in ("0", "label"):
-            assert cli.main(["mst-dump", "--input", str(src), "--label-column", column,
-                             "--out", str(tmp_path / column)]) == 0
-        assert (tmp_path / "0" / "mst.csv").read_bytes() == \
-            (tmp_path / "label" / "mst.csv").read_bytes()
+    def test_label_column_is_matched_by_name_only(self, tmp_path):
+        # an unlabeled input keeps every column: "0" names no column of it
+        src = write_points_csv(tmp_path / "pts.csv", derive_rng(9012).normal(size=(20, 2)))
+        for name, extra in (("plain", []), ("index", ["--label-column", "0"])):
+            assert cli.main(["mst-dump", "--input", src, *extra,
+                             "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "index" / "mst.csv").read_bytes() == \
+            (tmp_path / "plain" / "mst.csv").read_bytes()
 
     def test_broken_tree_exits_1_with_traceback(self, tmp_path, monkeypatch, capsys):
         src = write_points_csv(tmp_path / "pts.csv", derive_rng(9006).normal(size=(5, 2)))

@@ -18,6 +18,7 @@ from .bounds import (
     bhattacharyya_coefficient_gaussian,
     chernoff_upper_gaussian,
     da_bound,
+    gaussian_bounds,
     mahalanobis_bound_gaussian,
     shift_penalty,
 )

@@ -95,9 +95,9 @@ def _logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
-def _chernoff_exponent(model: GaussianModel, alpha: float) -> float:
-    """-log int f0^alpha f1^(1-alpha); factors only the blended covariance."""
-    chol, quad = _blend(model, alpha)
+def _chernoff_exponent(model: GaussianModel, alpha: float, chol: np.ndarray,
+                       quad: float) -> float:
+    """-log int f0^alpha f1^(1-alpha), given (chol, quad) = _blend(model, alpha)."""
     ld0, ld1 = _logdet(model.chol0), _logdet(model.chol1)
     return 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
         _logdet(chol) - ((1.0 - alpha) * ld0 + alpha * ld1))
@@ -109,7 +109,7 @@ def bhattacharyya_distance_gaussian(model: GaussianModel) -> float:
     The Chernoff exponent at alpha = 1/2: (1/8) dm' avg^-1 dm
     + (1/2) log(det(avg) / sqrt(det(cov0) det(cov1))), avg the averaged covariance.
     """
-    return _chernoff_exponent(model, 0.5)
+    return _chernoff_exponent(model, 0.5, *_blend(model, 0.5))
 
 
 def bhattacharyya_coefficient_gaussian(model: GaussianModel) -> float:
@@ -118,20 +118,26 @@ def bhattacharyya_coefficient_gaussian(model: GaussianModel) -> float:
     return 2.0 * math.sqrt(p * (1.0 - p)) * math.exp(-bhattacharyya_distance_gaussian(model))
 
 
+def gaussian_bounds(model: GaussianModel) -> tuple[BerBounds, BerBounds]:
+    """bc_bound_gaussian and mahalanobis_bound_gaussian, in that order, from one
+    factorisation of the averaged covariance."""
+    p = model.prior_p
+    q = 1.0 - p
+    chol, delta = _blend(model, 0.5)
+    bc = 2.0 * math.sqrt(p * q) * math.exp(-_chernoff_exponent(model, 0.5, chol, delta))
+    return (BerBounds(lower=0.5 - 0.5 * math.sqrt(max(0.0, 1.0 - bc * bc)), upper=0.5 * bc),
+            BerBounds(lower=0.0, upper=2.0 * p * q / (1.0 + p * q * delta)))
+
+
 def bc_bound_gaussian(model: GaussianModel) -> BerBounds:
     """Classical Bhattacharyya bracket: 1/2 - sqrt(1 - BC^2)/2 <= BER <= BC/2."""
-    bc = bhattacharyya_coefficient_gaussian(model)
-    lower = 0.5 - 0.5 * math.sqrt(max(0.0, 1.0 - bc * bc))
-    return BerBounds(lower=lower, upper=0.5 * bc)
+    return gaussian_bounds(model)[0]
 
 
 def mahalanobis_bound_gaussian(model: GaussianModel) -> BerBounds:
     """Upper bound 2pq / (1 + pq * delta), delta the averaged-covariance
     Mahalanobis distance between class means. Bounds from above only."""
-    p = model.prior_p
-    q = 1.0 - p
-    delta = _blend(model, 0.5)[1]
-    return BerBounds(lower=0.0, upper=2.0 * p * q / (1.0 + p * q * delta))
+    return gaussian_bounds(model)[1]
 
 
 def chernoff_upper_gaussian(model: GaussianModel, alpha: float) -> float:
@@ -145,7 +151,8 @@ def chernoff_upper_gaussian(model: GaussianModel, alpha: float) -> float:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     p = model.prior_p
     q = 1.0 - p
-    return (p ** alpha) * (q ** (1.0 - alpha)) * math.exp(-_chernoff_exponent(model, alpha))
+    return (p ** alpha) * (q ** (1.0 - alpha)) * math.exp(
+        -_chernoff_exponent(model, alpha, *_blend(model, alpha)))
 
 
 def da_bound(

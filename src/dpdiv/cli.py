@@ -173,8 +173,8 @@ def _cmd_bounds(args):
     }
     if args.model:
         model = load_model_json(args.model)
-        report["bc"] = asdict(bounds.bc_bound_gaussian(model))
-        report["mahalanobis"] = asdict(bounds.mahalanobis_bound_gaussian(model))
+        bc, mahalanobis = bounds.gaussian_bounds(model)
+        report["bc"], report["mahalanobis"] = asdict(bc), asdict(mahalanobis)
     if args.target:
         label = label_name(args.source, args.label_column)
         target = load_points_csv(args.target, drop_column=label)

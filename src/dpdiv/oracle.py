@@ -19,15 +19,23 @@ Integration strategy:
 integrals returns each value with its standard error (0 for quadrature) and
 sets no error target of its own: each caller judges the error it needs.
 
-One pass evaluates both log-densities once per set of points (the grid, or
-one Monte Carlo stratum) and checks that each returns one value per point.
-Terms several integrands share are computed once per set: p f0 and q f1
-(bayes_error, dp_tilde, tv). The density masses recompute exp(lf0) and
-exp(lf1) rather than keep them. The
-default 2-D grid is 1536^2 points, and its (n, 2) coordinate array is the
-pass's widest, so it is dropped as soon as both log-densities exist; the
-pass's memory peak is then set by the weights, the log-densities and the
-shared terms.
+One pass evaluates both log-densities once per set of points (a grid leaf,
+or one Monte Carlo stratum) and checks that each returns one value per
+point. Terms several integrands share are computed once per set: p f0 and
+q f1 (bayes_error, dp_tilde, tv). The density masses recompute exp(lf0) and
+exp(lf1) rather than keep them.
+
+The grid is never built whole (the default 2-D grid is 1536^2 points). np.sum
+over a contiguous float64 array adds pairwise: it halves the range, rounding
+the half down to a multiple of 8, until a part holds at most 128 terms. The
+pass cuts the grid's row-major order by the same rule into leaves of at most
+QUAD_BLOCK_POINTS points, sums each integrand over one leaf at a time, and
+adds the leaf sums back up the same tree, so every value has the bits of one
+np.sum over the whole grid. The loop rebinds one leaf's terms to the next
+rather than freeing them at the end of each leaf: the allocator then reuses
+the blocks, where freeing lets it return the heap to the system and fault it
+back in, leaf after leaf. A pass's memory is a few leaves' worth, whatever the
+number of nodes.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ from .dataset import GaussianModel, derive_rng
 
 PANEL_NODES = 16
 DEFAULT_QUAD_NODES = {1: 4096, 2: 1536}  # per dimension
+# most points per quadrature leaf; at least 128, the most numpy's pairwise sum adds unsplit
+QUAD_BLOCK_POINTS = 1 << 16
 DEFAULT_MC_POINTS = 1_000_000
 MC_STRATA = 100
 MC_ROOT_SEED = 0x0D1BE5
@@ -119,19 +129,58 @@ def _composite_leggauss(lo: float, hi: float, n_total: int):
     return x, w
 
 
-def _quad_grid(pair: DensityPair):
-    """Tensor product of one composite rule per dimension: (n^d, d) points, n^d weights."""
+def _pairwise_half(size: int) -> int:
+    """Where numpy's pairwise summation splits size terms (half, rounded down
+    to a multiple of 8), or 0 when size is a leaf of at most QUAD_BLOCK_POINTS."""
+    if size <= QUAD_BLOCK_POINTS:
+        return 0
+    half = size // 2
+    return half - half % 8
+
+
+def _leaves(start: int, stop: int):
+    """The leaves [start, stop) of _pairwise_half's tree over that range, in order."""
+    half = _pairwise_half(stop - start)
+    if not half:
+        yield start, stop
+        return
+    yield from _leaves(start, start + half)
+    yield from _leaves(start + half, stop)
+
+
+def _tree_sum(leaf_sums, size: int):
+    """Add leaf sums, taken in order from an iterator, up _pairwise_half's tree over size."""
+    half = _pairwise_half(size)
+    if not half:
+        return next(leaf_sums)
+    return _tree_sum(leaf_sums, half) + _tree_sum(leaf_sums, size - half)
+
+
+def _quad_blocks(pair: DensityPair):
+    """The tensor product of one composite rule per dimension, one leaf at a time.
+
+    Yields (points, weights) for each leaf of _leaves over the n^d grid
+    points in row-major order: an (m, d) array and m weights, each with the
+    bits of the whole product's. A leaf is cut from the grid rows (values of
+    x0) it touches, so it is never more than two rows wider than its points.
+    """
     n = pair.quad_nodes or DEFAULT_QUAD_NODES[pair.dimension]
-    xs, ws = zip(*(_composite_leggauss(lo, hi, n) for lo, hi in pair.integration_box))
-    grid = np.stack(np.meshgrid(*xs, indexing="ij", copy=False), axis=-1)
-    return grid.reshape(-1, pair.dimension), functools.reduce(np.multiply.outer, ws).ravel()
+    (x0, w0), *rest = (_composite_leggauss(lo, hi, n) for lo, hi in pair.integration_box)
+    row = math.prod(x.size for x, _ in rest)  # points per grid row; 1 in 1-D
+    for start, stop in _leaves(0, x0.size * row):
+        rows = slice(start // row, -(-stop // row))
+        cut = slice(start - rows.start * row, stop - rows.start * row)
+        points = np.stack(np.meshgrid(x0[rows], *(x for x, _ in rest), indexing="ij",
+                                      copy=False), axis=-1).reshape(-1, pair.dimension)
+        weights = functools.reduce(np.multiply.outer, (w0[rows], *(w for _, w in rest)))
+        yield points[cut], weights.ravel()[cut]
 
 
 class _Terms:
     """One pass's log-densities at points x and the terms several integrands share.
 
     a = p f0 and b = q f1 (bayes_error, dp_tilde, tv) are computed on first
-    use and kept for the rest of the pass. Each is the expression those
+    use and kept while the pass integrates over x. Each is the expression those
     integrands evaluated on their own, so sharing it leaves every value's bits
     unchanged.
     """
@@ -168,10 +217,12 @@ def _integrate_multi(pair, integrands):
     Monte Carlo values themselves carry noise.
     """
     if pair.dimension <= 2:
-        grid, w = _quad_grid(pair)
-        terms = _Terms(pair, grid)
-        del grid  # the pass's widest array; only the log-densities are needed from here
-        return [(float(np.sum(w * fn(terms))), 0.0) for fn in integrands]
+        leaf_sums, size = [], 0
+        for x, w in _quad_blocks(pair):
+            terms = _Terms(pair, x)  # rebound, not freed, between leaves: see the module docstring
+            leaf_sums.append(np.array([np.sum(w * fn(terms)) for fn in integrands]))
+            size += w.size
+        return [(float(v), 0.0) for v in _tree_sum(iter(leaf_sums), size)]
 
     per_stratum = pair.mc_points // MC_STRATA
     half = per_stratum // 2

@@ -118,6 +118,27 @@ class TestBoundsCommand:
             da["source_term"] + da["shift_term"] + da["label_drift_term"], abs=1e-12
         )
 
+    def test_model_factors_the_averaged_covariance_once(self, labeled_csv, tmp_path,
+                                                        monkeypatch):
+        # two class covariances when the model loads, then one averaged
+        # covariance shared by the Bhattacharyya and Mahalanobis brackets
+        a = derive_rng(9004).normal(size=(6, 6))
+        path = tmp_path / "model6.json"
+        path.write_text(json.dumps({"mean0": [0.0] * 6, "mean1": [0.5] * 6,
+                                    "cov0": (a @ a.T + 6 * np.eye(6)).tolist(),
+                                    "cov1": np.diag(np.arange(1.0, 7.0)).tolist()}))
+        calls = []
+        original = np.linalg.cholesky
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        argv = ["bounds", "--source", labeled_csv, "--model", str(path), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert calls == [(6, 6)] * 3
+
     def test_warnings_are_one_line_each(self, tmp_path, capsys):
         # integer lattice rows repeat; a 60-row target against 200 source rows
         # makes the pools unequal

@@ -216,10 +216,22 @@ class TestIntegrals:
             integrals(pair, ["bc", "chernoff"], alpha=1.0)
 
 
+PASS_MEMORY_MODEL = ([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4])
+SIX = ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff")
+
+
+def pair_2d(nodes):
+    return gaussian_pair(diagonal_gaussian_model(*PASS_MEMORY_MODEL), quad_nodes=nodes)
+
+
+def pair_1d_rule(nodes):
+    return pair_1d(1.3, p=0.4, quad_nodes=nodes)
+
+
 class TestPassMemory:
     def test_default_2d_pass_peak(self):
-        # the 2-D grid is dropped once both log-densities exist, and each shared
-        # term is computed once; the pass peaked at 185.2 MiB with the grid kept
+        # the bound from when a pass held the whole 1536^2 grid (185.2 MiB before
+        # the grid was dropped early); test_blocked_pass_peak pins the blocked pass
         pair = gaussian_pair(diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6],
                                                      [0.9, 1.4]))
         tracemalloc.start()
@@ -230,26 +242,75 @@ class TestPassMemory:
             tracemalloc.stop()
         assert peak <= 175 * 2 ** 20
 
+    @pytest.mark.parametrize("nodes", [None, 3072])
+    def test_blocked_pass_peak(self, nodes):
+        # one leaf of at most 2^16 points is alive at a time (under 4 MiB at the
+        # default grid), so 4x the grid points stays under the same bound
+        pair = pair_2d(nodes)
+        tracemalloc.start()
+        try:
+            integrals(pair, SIX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
-class TestQuadGrid:
-    @pytest.mark.parametrize("nodes", [16, 100, 512])
-    def test_1d_grid_is_the_composite_rule(self, nodes):
-        pair = pair_1d(1.3, p=0.4, quad_nodes=nodes)
-        x, w = oracle._composite_leggauss(*pair.integration_box[0], nodes)
-        grid, weights = oracle._quad_grid(pair)
-        assert np.array_equal(grid, x[:, None])
-        assert np.array_equal(weights, w)
+    def test_default_2d_values_keep_their_bits(self):
+        # recorded from the whole-grid pass, which summed each integrand with one np.sum
+        values = {name: v.hex() for name, (v, _) in integrals(pair_2d(None), SIX).items()}
+        assert values == {
+            "bayes_error": "0x1.010370aeb3871p-2",  # 0.25098968569080343
+            "dp_tilde": "0x1.53d91df5cb952p-2",  # 0.3318829232474815
+            "affinity": "0x1.561371051a34cp-1",
+            "bc": "0x1.92220e1c4ce82p-1",
+            "tv": "0x1.fdf91ea298f06p-2",
+            "chernoff": "0x1.92220e1c4ce82p-2",
+        }
 
-    @pytest.mark.parametrize("nodes", [16, 100, 512])
-    def test_2d_grid_is_the_row_major_tensor_product(self, nodes):
-        model = diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4])
-        pair = gaussian_pair(model, quad_nodes=nodes)
-        x0, w0 = oracle._composite_leggauss(*pair.integration_box[0], nodes)
-        x1, w1 = oracle._composite_leggauss(*pair.integration_box[1], nodes)
-        grid, weights = oracle._quad_grid(pair)
-        assert np.array_equal(grid, np.stack([np.repeat(x0, x1.size), np.tile(x1, x0.size)],
-                                             axis=1))
-        assert np.array_equal(weights, (w0[:, None] * w1[None, :]).ravel())
+
+def full_product(pair, nodes):
+    """The whole quadrature grid and its weights, built directly as a row-major tensor product."""
+    rules = [oracle._composite_leggauss(lo, hi, nodes) for lo, hi in pair.integration_box]
+    if len(rules) == 1:
+        (x, w), = rules
+        return x[:, None], w
+    (x0, w0), (x1, w1) = rules
+    grid = np.stack([np.repeat(x0, x1.size), np.tile(x1, x0.size)], axis=1)
+    return grid, (w0[:, None] * w1[None, :]).ravel()
+
+
+class TestQuadBlocks:
+    @pytest.mark.parametrize("block_points", [oracle.QUAD_BLOCK_POINTS, 1000],
+                             ids=["default", "1000"])
+    @pytest.mark.parametrize("make_pair", [pair_1d_rule, pair_2d], ids=["1d", "2d"])
+    @pytest.mark.parametrize("nodes", [16, 100, 512, 1040])
+    def test_blocks_concatenate_to_the_tensor_product(self, monkeypatch, nodes, make_pair,
+                                                      block_points):
+        monkeypatch.setattr(oracle, "QUAD_BLOCK_POINTS", block_points)
+        pair = make_pair(nodes)
+        points, weights = zip(*oracle._quad_blocks(pair))
+        assert max(w.size for w in weights) <= block_points
+        grid, w = full_product(pair, nodes)
+        assert np.array_equal(np.concatenate(points), grid)
+        assert np.array_equal(np.concatenate(weights), w)
+
+    @pytest.mark.parametrize("make_pair,nodes", [
+        (pair_2d, 100), (pair_2d, 512), (pair_2d, 1040),
+        (pair_1d_rule, 8192), (pair_1d_rule, 8400)],
+        ids=["2d-100", "2d-512", "2d-1040", "1d-8192", "1d-8400"])
+    def test_blocked_sums_equal_one_np_sum(self, monkeypatch, make_pair, nodes):
+        # adding the leaf sums up numpy's pairwise tree must give the bits of one
+        # np.sum over the whole product; at 1040 and 8400 nodes a split rounds
+        # its half down to a multiple of 8, and at 1040 the leaves end mid-row
+        monkeypatch.setattr(oracle, "QUAD_BLOCK_POINTS", 1000)
+        pair = make_pair(nodes)
+        assert sum(1 for _ in oracle._quad_blocks(pair)) > 8
+        table = oracle._integrand_table(pair.prior_p, 1.0 - pair.prior_p, 0.3)
+        fns = list(table.values()) + list(oracle._DENSITY_MASSES)
+        grid, w = full_product(pair, nodes)
+        terms = oracle._Terms(pair, grid)
+        expected = [float(np.sum(w * fn(terms))) for fn in fns]
+        assert [v for v, _ in oracle._integrate_multi(pair, fns)] == expected
 
 
 class TestQuadratureConvergence:

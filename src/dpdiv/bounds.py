@@ -178,7 +178,7 @@ def da_bound(
             stacklevel=2,
         )
     if source_error is None:
-        source_term = 0.5 - 0.5 * source_est.dp_tilde
+        source_term = ber_bounds_from_estimate(source_est).upper
     else:
         if not (0.0 <= source_error <= 1.0):
             raise ValueError(f"source_error must lie in [0, 1], got {source_error}")

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    def common(sub, writable=("json",), default=None):
+    def common(sub, run, writable=("json",), default=None):
         default = default or ",".join(writable)
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                          help=f"master random seed (default {DEFAULT_SEED} = 0xD1BE5)")
@@ -61,14 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", default=default,
                          help=f"comma-separated output formats out of {','.join(writable)} "
                               f"(default: {default})")
-        sub.set_defaults(writable_formats=writable)
+        sub.set_defaults(run=run, writable_formats=writable)
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("estimate", help="divergence estimate between two point CSVs")
     p.add_argument("--a", required=True, help="CSV of points drawn from the first sample")
     p.add_argument("--b", required=True, help="CSV of points drawn from the second sample")
-    common(p)
+    common(p, _cmd_estimate)
 
     p = subs.add_parser("bounds", help="error bounds from a labeled CSV (and options)")
     p.add_argument("--source", required=True, help="labeled source CSV")
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", default="label")
     p.add_argument("--label-drift", type=float, default=0.0,
                    help="expected labeling disagreement between domains (default 0)")
-    common(p)
+    common(p, _cmd_bounds)
 
     p = subs.add_parser("select", help="greedy forward feature selection")
     p.add_argument("--source", required=True, help="labeled source CSV")
@@ -88,31 +88,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", action="store_true", help="record every candidate value per step")
     p.add_argument("--standardize", action="store_true", help="z-score columns first")
     p.add_argument("--label-column", default="label")
-    common(p, ("json", "csv"))
+    common(p, _cmd_select, ("json", "csv"))
 
     p = subs.add_parser("sweep", help="mean-separation sweep: true error vs bounds")
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--n", type=int, default=300, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=10)
-    common(p, ("json", "csv", "svg"), default="json,csv")
+    common(p, _cmd_sweep, ("json", "csv", "svg"), default="json,csv")
 
     p = subs.add_parser("fukunaga", help="bound distribution on an 8-D Gaussian benchmark")
     p.add_argument("--dataset", choices=sorted(experiments.FUKUNAGA_SAMPLING_MODELS),
                    required=True)
     p.add_argument("--n", type=int, default=1000, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=50)
-    common(p, ("json", "csv", "svg"), default="json,csv")
+    common(p, _cmd_fukunaga, ("json", "csv", "svg"), default="json,csv")
 
     p = subs.add_parser("consistency", help="estimator error vs sample size")
     p.add_argument("--sizes", default="100,400,1600", help="comma-separated ascending sizes")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--model", help="Gaussian model JSON (default: built-in bivariate pair)")
-    common(p, ("json", "csv", "svg"), default="json,csv")
+    common(p, _cmd_consistency, ("json", "csv", "svg"), default="json,csv")
 
     p = subs.add_parser("oracle", help="integration-oracle values for a Gaussian model")
     p.add_argument("--model", required=True, help="Gaussian model JSON")
     p.add_argument("--alpha", type=float, default=0.5, help="Chernoff exponent (default 0.5)")
-    common(p)
+    common(p, _cmd_oracle)
 
     p = subs.add_parser("mst-dump", help="write the Euclidean MST edge list of a point CSV")
     p.add_argument("--input", required=True, help="CSV of points")
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add seeded jitter (1e-9 x coordinate scale) to break distance ties")
     p.add_argument("--label-column", default="label",
                    help="column to drop if present (default 'label')")
-    common(p, ("csv",))
+    common(p, _cmd_mst_dump, ("csv",))
 
     return parser
 
@@ -162,6 +162,11 @@ def _cmd_estimate(args):
     return {"estimate.json": text}, text
 
 
+def _load_target(args) -> np.ndarray:
+    """The --target points, less the column that --label-column names in the source."""
+    return load_points_csv(args.target, drop_column=label_name(args.source, args.label_column))
+
+
 def _cmd_bounds(args):
     bounds.check_weight("--label-drift", args.label_drift)
     source = load_csv(args.source, label_column=args.label_column)
@@ -176,9 +181,7 @@ def _cmd_bounds(args):
         bc, mahalanobis = bounds.gaussian_bounds(model)
         report["bc"], report["mahalanobis"] = asdict(bc), asdict(mahalanobis)
     if args.target:
-        label = label_name(args.source, args.label_column)
-        target = load_points_csv(args.target, drop_column=label)
-        shift = divergence.estimate(source.points, target)
+        shift = divergence.estimate(source.points, _load_target(args))
         report["da"] = asdict(bounds.da_bound(est, shift, label_drift=args.label_drift))
     text = json_dumps(report)
     return {"bounds.json": text}, text
@@ -187,13 +190,11 @@ def _cmd_bounds(args):
 def _cmd_select(args):
     source = load_csv(args.source, label_column=args.label_column)
     f, g = source.split_classes()
-    target = (load_points_csv(args.target, drop_column=label_name(args.source, args.label_column))
-              if args.target else None)
     trace = featsel.forward_select(
-        f, g, target=target, k=args.k, shift_weight=args.shift_weight,
-        audit=args.audit, standardize=args.standardize,
+        f, g, target=_load_target(args) if args.target else None, k=args.k,
+        shift_weight=args.shift_weight, audit=args.audit, standardize=args.standardize,
     )
-    names = source.feature_names or tuple(f"x{i}" for i in range(source.d))
+    names = source.feature_names
     payload = {
         "schema": SCHEMA_VERSION,
         "selected": list(trace.selected),
@@ -290,16 +291,12 @@ def _cmd_consistency(args):
 
 
 def _cmd_oracle(args):
-    model = load_model_json(args.model)
+    pair = oracle.gaussian_pair(load_model_json(args.model))
     values = oracle.integrals(
-        oracle.gaussian_pair(model),
-        ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"),
-        alpha=args.alpha,
-    )
-    payload = {"schema": SCHEMA_VERSION, "alpha": args.alpha,
-               "method": "quadrature" if model.d <= 2 else "monte_carlo",
+        pair, ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"), alpha=args.alpha)
+    payload = {"schema": SCHEMA_VERSION, "alpha": args.alpha, "method": pair.method,
                **{key: value for key, (value, _) in values.items()}}
-    if model.d > 2:
+    if pair.method == "monte_carlo":
         payload["standard_errors"] = {key: se for key, (_, se) in values.items()}
     text = json_dumps(payload)
     return {"oracle.json": text}, text
@@ -310,20 +307,7 @@ def _cmd_mst_dump(args):
     if args.jitter:
         points = emst.add_jitter(points, args.seed)
     mst = emst.build_mst(points)
-    rows = [(int(i), int(j), float(l)) for i, j, l in zip(mst.i, mst.j, mst.length)]
-    return {"mst.csv": csv_text(("i", "j", "length"), rows)}, None
-
-
-_COMMANDS = {
-    "estimate": _cmd_estimate,
-    "bounds": _cmd_bounds,
-    "select": _cmd_select,
-    "sweep": _cmd_sweep,
-    "fukunaga": _cmd_fukunaga,
-    "consistency": _cmd_consistency,
-    "oracle": _cmd_oracle,
-    "mst-dump": _cmd_mst_dump,
-}
+    return {"mst.csv": csv_text(("i", "j", "length"), zip(mst.i, mst.j, mst.length))}, None
 
 
 def main(argv=None) -> int:
@@ -336,7 +320,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise DatasetError(f"--seed must be non-negative, got {args.seed}")
             formats = _parse_formats(args.format, args.writable_formats, args.subcommand)
-            artifacts, stdout_text = _COMMANDS[args.subcommand](args)
+            artifacts, stdout_text = args.run(args)
             os.makedirs(args.out, exist_ok=True)
             for name, text in artifacts.items():
                 if name.rsplit(".", 1)[1] in formats:

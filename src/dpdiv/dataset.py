@@ -46,6 +46,13 @@ def derive_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(flat))
 
 
+def check_finite(pts: np.ndarray) -> None:
+    """Raise DatasetError naming the first non-finite entry of a 2-D point matrix."""
+    if not np.all(np.isfinite(pts)):
+        bad = np.argwhere(~np.isfinite(pts))[0]
+        raise DatasetError(f"non-finite coordinate at row {bad[0]}, column {bad[1]}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.flags.writeable = False
@@ -69,9 +76,7 @@ class LabeledSample:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise DatasetError(f"points must be a non-empty 2-D matrix, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            bad = np.argwhere(~np.isfinite(pts))[0]
-            raise DatasetError(f"non-finite coordinate at row {bad[0]}, column {bad[1]}")
+        check_finite(pts)
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.shape != (pts.shape[0],):
             raise DatasetError(f"labels shape {labels.shape} does not match {pts.shape[0]} rows")
@@ -127,8 +132,10 @@ class GaussianModel:
     def __post_init__(self):
         m0 = np.asarray(self.mean0, dtype=np.float64).reshape(-1)
         m1 = np.asarray(self.mean1, dtype=np.float64).reshape(-1)
-        if m0.shape != m1.shape or m0.size < 1:
+        if m0.shape != m1.shape:
             raise DatasetError(f"mean shapes differ: {m0.shape} vs {m1.shape}")
+        if m0.size < 1:
+            raise DatasetError("mean0 and mean1 need at least one entry")
         d = m0.size
         for name, m in (("mean0", m0), ("mean1", m1)):
             if not np.all(np.isfinite(m)):
@@ -243,7 +250,8 @@ def row_groups(pts: np.ndarray) -> np.ndarray:
 
 
 # CSV format: UTF-8 (a leading byte-order mark is skipped), header line, comma
-# separator, '.' decimal point; save_csv writes floats through serialize.csv_text.
+# separator, '.' decimal point, blank lines skipped; save_csv writes floats
+# through serialize.csv_text.
 
 def read_text(path) -> str:
     """A file's UTF-8 text, a leading byte-order mark skipped; other bytes raise DatasetError."""
@@ -265,11 +273,14 @@ def _read_csv(path):
 def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
     """Parse the given columns of every data row as floats; other cells are never read.
 
-    Every parsed cell must be finite, and the label_idx cell, when given,
-    must also be 0 or 1. Each row reports its first bad cell in column order.
+    Rows with no cells (blank lines) are skipped. Every parsed cell must be
+    finite, and the label_idx cell, when given, must also be 0 or 1. Each row
+    reports its first bad cell in column order, by its line in the file.
     """
     values = []
     for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
         if len(row) != len(header):
             raise DatasetError(
                 f"{path}:{lineno}: ragged row with {len(row)} cells, expected {len(header)}"
@@ -308,8 +319,7 @@ def _label_index(path, header, column) -> int:
 
 def label_name(path, label_column) -> str:
     """The header name of the column that load_csv(path, label_column) reads as the label."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
+    header, _ = _read_csv(path)
     return header[_label_index(path, header, label_column)]
 
 

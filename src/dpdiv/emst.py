@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import derive_rng, row_groups
+from .dataset import check_finite, derive_rng, row_groups
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,7 @@ def build_mst(points) -> MstResult:
     n = pts.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    if not np.all(np.isfinite(pts)):
-        bad = np.argwhere(~np.isfinite(pts))[0]
-        raise ValueError(f"non-finite coordinate at row {bad[0]}, column {bad[1]}")
+    check_finite(pts)
 
     own_rep = row_groups(pts)
     rep = np.flatnonzero(own_rep == np.arange(n))

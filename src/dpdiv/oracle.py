@@ -106,7 +106,7 @@ class DensityPair:
                 f"quad_nodes must be None or an integer >= {PANEL_NODES} (one panel), "
                 f"got {self.quad_nodes!r}"
             )
-        if self.dimension > 2:
+        if self.method == "monte_carlo":
             if self.sample_0 is None or self.sample_1 is None:
                 raise OracleError("d > 2 integration needs sample_0 and sample_1 callables")
             if self.mc_points < 10 * MC_STRATA:
@@ -115,6 +115,11 @@ class DensityPair:
     @property
     def dimension(self) -> int:
         return self.integration_box.shape[0]
+
+    @property
+    def method(self) -> str:
+        """How a pass integrates the pair: "quadrature" for d <= 2, else "monte_carlo"."""
+        return "quadrature" if self.dimension <= 2 else "monte_carlo"
 
 
 def _composite_leggauss(lo: float, hi: float, n_total: int):
@@ -216,7 +221,7 @@ def _integrate_multi(pair, integrands):
     hold pointwise, so shared-sample results agree to rounding even when the
     Monte Carlo values themselves carry noise.
     """
-    if pair.dimension <= 2:
+    if pair.method == "quadrature":
         leaf_sums, size = [], 0
         for x, w in _quad_blocks(pair):
             terms = _Terms(pair, x)  # rebound, not freed, between leaves: see the module docstring
@@ -291,7 +296,7 @@ def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
         raise OracleError(f"alpha must lie strictly in (0, 1), got {alpha}")
     *values, mass0, mass1 = _integrate_multi(
         pair, [table[k] for k in evaluated] + list(_DENSITY_MASSES))
-    tol = 1e-6 if pair.dimension <= 2 else 1e-2
+    tol = 1e-6 if pair.method == "quadrature" else 1e-2
     for k, (mass, _) in enumerate((mass0, mass1)):
         if abs(mass - 1.0) > tol:
             raise OracleError(

@@ -174,6 +174,18 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == f"error: {bad}:3: non-finite cell 'inf' in column 'x'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("position", ["mid_file", "trailing"])
+    def test_blank_csv_lines_are_skipped(self, position, labeled_csv, tmp_path, capsys):
+        lines = Path(labeled_csv).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(len(lines) // 2 if position == "mid_file" else len(lines), "\n")
+        padded = tmp_path / "padded.csv"
+        padded.write_text("".join(lines), encoding="utf-8")
+        reports = []
+        for name, source in (("plain", labeled_csv), ("padded", padded)):
+            assert cli.main(["bounds", "--source", str(source), "--out", str(tmp_path / name)]) == 0
+            reports.append(((tmp_path / name / "bounds.json").read_bytes(), capsys.readouterr()))
+        assert reports[0] == reports[1]
+
     def test_single_class_exits_2_naming_missing_class(self, tmp_path, capsys):
         path = tmp_path / "single.csv"
         path.write_text("x,label\n1,1\n2,1\n", encoding="utf-8")
@@ -480,16 +492,19 @@ class TestOracleCommand:
         assert rc == 2
         assert "missing model keys" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload, expected", [
-        ({"mean0": [0.0], "mean1": [1.0], "cov0": [1.0], "cov1": [1.0], "prior_p": None},
-         "bad value for model key 'prior_p'"),
-        ({"mean0": [0.0], "mean1": [1.0], "cov0": [1.0], "cov1": [1.0], "prior_p": "x"},
-         "bad value for model key 'prior_p'"),
-        ("mean0 mean1 cov0 cov1", "expected a JSON object, got str"),
-    ], ids=["null_prior", "string_prior", "top_level_string"])
-    def test_malformed_model_json_exits_2(self, payload, expected, tmp_path, capsys):
+    @pytest.mark.parametrize("text, expected", [
+        (json.dumps({"mean0": [0.0], "mean1": [1.0], "cov0": [1.0], "cov1": [1.0],
+                     "prior_p": None}), "bad value for model key 'prior_p'"),
+        (json.dumps({"mean0": [0.0], "mean1": [1.0], "cov0": [1.0], "cov1": [1.0],
+                     "prior_p": "x"}), "bad value for model key 'prior_p'"),
+        (json.dumps("mean0 mean1 cov0 cov1"), "expected a JSON object, got str"),
+        ('{"mean0": [0.0', "invalid JSON ("),
+        (json.dumps({"mean0": [], "mean1": [], "cov0": [], "cov1": []}),
+         "mean0 and mean1 need at least one entry\n"),
+    ], ids=["null_prior", "string_prior", "top_level_string", "truncated", "empty_means"])
+    def test_malformed_model_json_exits_2(self, text, expected, tmp_path, capsys):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -59,6 +59,33 @@ class TestLoadCsv:
         assert sample.feature_names == ("a", "c")
         assert list(sample.labels) == [0, 1]
 
+    @pytest.mark.parametrize("text", ["x,label\n0,0\n1,1\n\n", "x,label\n0,0\n\n1,1\n"],
+                             ids=["trailing", "mid_file"])
+    def test_blank_lines_are_skipped(self, text, tmp_path):
+        path = write(tmp_path, "blank.csv", text)
+        sample = load_csv(path)
+        np.testing.assert_array_equal(sample.points, [[0.0], [1.0]])
+        np.testing.assert_array_equal(sample.labels, [0, 1])
+        np.testing.assert_array_equal(load_points_csv(path, drop_column="label"), [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("load, text, message", [
+        (load_csv, "", ": empty file"),
+        (load_csv, "x,label\n", ": no data rows"),
+        (load_csv, "x,label\n\n\n", ": no data rows"),
+        (load_csv, "x,label\n0,0\n\n1,oops\n", ":4: non-numeric cell 'oops' in column 'label'"),
+        (lambda path: load_csv(path, label_column=2), "x,label\n0,0\n",
+         ": label column index 2 out of range"),
+        (load_csv, "label\n0\n1\n", ": no feature columns besides the label"),
+        (lambda path: load_points_csv(path, drop_column="x"), "x\n1\n2\n",
+         ": no feature columns left after dropping 'x'"),
+    ], ids=["empty_file", "header_only", "header_then_blank_lines", "bad_cell_after_blank_line",
+            "label_index_out_of_range", "label_is_the_only_column", "dropped_the_only_column"])
+    def test_malformed_file_names_file_and_problem(self, load, text, message, tmp_path):
+        path = write(tmp_path, "bad.csv", text)
+        with pytest.raises(DatasetError) as info:
+            load(path)
+        assert str(info.value) == f"{path}{message}"
+
     def test_missing_label_column(self, tmp_path):
         path = write(tmp_path, "none.csv", "a,b\n1,2\n")
         with pytest.raises(DatasetError, match="no column named"):
@@ -143,6 +170,10 @@ class TestGaussianModel:
         cov = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues 3 and -1
         with pytest.raises(DatasetError, match="eigenvalue -1"):
             GaussianModel([0, 0], [1, 1], cov, np.eye(2))
+
+    def test_rejects_empty_means(self):
+        with pytest.raises(DatasetError, match="^mean0 and mean1 need at least one entry$"):
+            GaussianModel(mean0=[], mean1=[], cov0=np.zeros((0, 0)), cov1=np.zeros((0, 0)))
 
     def test_rejects_prior_boundaries(self):
         for p in (0.0, 1.0, -0.2, 1.5):

@@ -150,6 +150,23 @@ class TestForwardSelect:
         trace = forward_select(x0, x1, k=2, standardize=True)
         assert len(trace.selected) == 2
 
+    def test_standardized_selection_ignores_per_domain_affine_maps(self):
+        # the source's per-column map is shared by both classes, the target's is its own
+        s0, s1, t = shifted_vs_invariant(0, n=150)
+        rng = derive_rng(3310)
+        s0, s1, t = (np.hstack([x, rng.normal(size=(x.shape[0], 2))]) for x in (s0, s1, t))
+        sa, sb = np.array([0.01, 40.0, 3.0, 0.5]), np.array([5.0, -300.0, 0.25, 7.0])
+        ta, tb = np.array([25.0, 0.02, 0.7, 9.0]), np.array([-8.0, 1.5, 60.0, -0.1])
+
+        def select(standardize, s0, s1, t):
+            return forward_select(s0, s1, target=t, k=3, shift_weight=1.0, audit=True,
+                                  standardize=standardize)
+
+        for standardize in (True, False):
+            base = select(standardize, s0, s1, t)
+            mapped = select(standardize, sa * s0 + sb, sa * s1 + sb, ta * t + tb)
+            assert (base == mapped) is standardize
+
     def test_errors(self):
         x0, x1 = informative_plus_noise(0, n=40, noise_features=2)
         with pytest.raises(ValueError, match=r"k must lie"):

@@ -416,6 +416,9 @@ class TestDensityPairValidation:
             pair.dimension = 2
         with pytest.raises(TypeError, match="dimension"):
             dataclasses.replace(pair, dimension=2)
+        assert pair.method == "monte_carlo" and pair_1d(1.0).method == "quadrature"
+        with pytest.raises(TypeError, match="method"):
+            dataclasses.replace(pair, method="quadrature")
 
     @pytest.mark.parametrize("nodes", [0, -5, 15])
     def test_node_count_below_one_panel_rejected(self, nodes):

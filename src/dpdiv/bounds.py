@@ -2,7 +2,8 @@
 forms (Bhattacharyya, Mahalanobis, Chernoff), and the domain-adaptation
 target-error bound.
 
-Bayes-error bounds are clamped into [0, 0.5]; the domain-adaptation total is
+Bayes-error brackets lie in [0, 0.5]. The one clamp holds the Bhattacharyya
+coefficient at 1, which rounding can exceed; the domain-adaptation total is
 deliberately not clamped, because a vacuous bound (> 0.5) still carries
 information and is flagged instead.
 """
@@ -69,10 +70,7 @@ def ber_bounds_from_dp_tilde(dp_tilde: float) -> BerBounds:
     """Same bracket, from a scalar divergence value (e.g. a quadrature reference)."""
     if not (0.0 <= dp_tilde <= 1.0):
         raise ValueError(f"dp_tilde must lie in [0, 1], got {dp_tilde}")
-    return BerBounds(
-        lower=max(0.0, 0.5 - 0.5 * math.sqrt(dp_tilde)),
-        upper=min(0.5, 0.5 - 0.5 * dp_tilde),
-    )
+    return BerBounds(lower=0.5 - 0.5 * math.sqrt(dp_tilde), upper=0.5 - 0.5 * dp_tilde)
 
 
 def shift_penalty(shift_est: DivergenceEstimate) -> float:
@@ -113,19 +111,19 @@ def bhattacharyya_distance_gaussian(model: GaussianModel) -> float:
 
 
 def bhattacharyya_coefficient_gaussian(model: GaussianModel) -> float:
-    """BC = 2 sqrt(pq) exp(-bhattacharyya distance); lies in (0, 1]."""
-    p = model.prior_p
-    return 2.0 * math.sqrt(p * (1.0 - p)) * math.exp(-bhattacharyya_distance_gaussian(model))
+    """BC = 2 sqrt(pq) exp(-bhattacharyya distance), clamped at 1: twice the
+    upper end of bc_bound_gaussian."""
+    return 2.0 * bc_bound_gaussian(model).upper
 
 
 def gaussian_bounds(model: GaussianModel) -> tuple[BerBounds, BerBounds]:
     """bc_bound_gaussian and mahalanobis_bound_gaussian, in that order, from one
-    factorisation of the averaged covariance."""
+    factorisation of the averaged covariance. The one place BC is computed."""
     p = model.prior_p
     q = 1.0 - p
     chol, delta = _blend(model, 0.5)
-    bc = 2.0 * math.sqrt(p * q) * math.exp(-_chernoff_exponent(model, 0.5, chol, delta))
-    return (BerBounds(lower=0.5 - 0.5 * math.sqrt(max(0.0, 1.0 - bc * bc)), upper=0.5 * bc),
+    bc = min(1.0, 2.0 * math.sqrt(p * q) * math.exp(-_chernoff_exponent(model, 0.5, chol, delta)))
+    return (BerBounds(lower=0.5 - 0.5 * math.sqrt(1.0 - bc * bc), upper=0.5 * bc),
             BerBounds(lower=0.0, upper=2.0 * p * q / (1.0 + p * q * delta)))
 
 

@@ -5,9 +5,10 @@ mst-dump. All configuration is explicit flags (no environment variables);
 the default seed is the documented constant 0xD1BE5, so default runs are
 reproducible. Each command returns every format it can write; ``main`` keeps
 the ones --format asks for and writes them atomically into --out, so
-identical invocations produce byte-identical files. Warnings raised during a
-run are printed as ``warning: <message>`` lines on stderr. Exit codes:
-0 success, 2 input or flag validation error, 1 internal error.
+identical invocations produce byte-identical files, and prints the artifact
+of a subcommand whose only format is JSON. Warnings raised during a run are
+printed as ``warning: <message>`` lines on stderr. Exit codes: 0 success,
+2 input or flag validation error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -156,21 +157,41 @@ def load_model_json(path) -> GaussianModel:
         raise DatasetError(f"{path}: {exc}") from None
 
 
+def _same_columns(points: np.ndarray, path, d: int, other) -> np.ndarray:
+    """points, once checked to have the d feature columns of the file `other`."""
+    if points.shape[1] != d:
+        raise DatasetError(f"{path} has {points.shape[1]} feature columns but {other} has {d}")
+    return points
+
+
 def _cmd_estimate(args):
-    est = divergence.estimate(load_points_csv(args.a), load_points_csv(args.b))
-    text = json_dumps(asdict(est))
-    return {"estimate.json": text}, text
+    a = load_points_csv(args.a)
+    b = _same_columns(load_points_csv(args.b), args.b, a.shape[1], args.a)
+    return {"estimate.json": json_dumps(asdict(divergence.estimate(a, b)))}
 
 
-def _load_target(args) -> np.ndarray:
+def _load_source(args):
+    """The --source sample and its (class 0, class 1) rows; a missing class names the file."""
+    source = load_csv(args.source, label_column=args.label_column)
+    try:
+        return source, source.split_classes()
+    except DatasetError as exc:
+        raise DatasetError(f"{args.source}: {exc}") from None
+
+
+def _load_target(args, d: int) -> np.ndarray:
     """The --target points, less the column that --label-column names in the source."""
-    return load_points_csv(args.target, drop_column=label_name(args.source, args.label_column))
+    points = load_points_csv(args.target, drop_column=label_name(args.source, args.label_column))
+    return _same_columns(points, args.target, d, args.source)
 
 
 def _cmd_bounds(args):
     bounds.check_weight("--label-drift", args.label_drift)
-    source = load_csv(args.source, label_column=args.label_column)
-    est = divergence.estimate_from_labeled(source)
+    if args.label_drift and not args.target:
+        warnings.warn("--label-drift is ignored without --target")
+    source, classes = _load_source(args)
+    target = _load_target(args, source.d) if args.target else None
+    est = divergence.estimate(*classes)
     report = {
         "schema": SCHEMA_VERSION,
         "dp_bounds": asdict(bounds.ber_bounds_from_estimate(est)),
@@ -180,18 +201,21 @@ def _cmd_bounds(args):
         model = load_model_json(args.model)
         bc, mahalanobis = bounds.gaussian_bounds(model)
         report["bc"], report["mahalanobis"] = asdict(bc), asdict(mahalanobis)
-    if args.target:
-        shift = divergence.estimate(source.points, _load_target(args))
+    if target is not None:
+        shift = divergence.estimate(source.points, target)
         report["da"] = asdict(bounds.da_bound(est, shift, label_drift=args.label_drift))
-    text = json_dumps(report)
-    return {"bounds.json": text}, text
+    return {"bounds.json": json_dumps(report)}
 
 
 def _cmd_select(args):
-    source = load_csv(args.source, label_column=args.label_column)
-    f, g = source.split_classes()
+    bounds.check_weight("--shift-weight", args.shift_weight)
+    if args.shift_weight and not args.target:
+        raise DatasetError("--shift-weight > 0 needs --target")
+    if args.target and not args.shift_weight:
+        warnings.warn("--target is ignored when --shift-weight is 0")
+    source, (f, g) = _load_source(args)
     trace = featsel.forward_select(
-        f, g, target=_load_target(args) if args.target else None, k=args.k,
+        f, g, target=_load_target(args, source.d) if args.shift_weight else None, k=args.k,
         shift_weight=args.shift_weight, audit=args.audit, standardize=args.standardize,
     )
     names = source.feature_names
@@ -211,7 +235,7 @@ def _cmd_select(args):
         "select.json": json_dumps(payload),
         "select.csv": csv_text(("step", "feature_name", "phi"),
                                zip(steps, payload["selected_names"], trace.criterion_values)),
-    }, None
+    }
 
 
 _SWEEP_CURVES = (
@@ -238,7 +262,7 @@ def _cmd_sweep(args):
             series, title="Error bounds vs mean separation",
             x_label="mean separation", y_label="error rate",
         ),
-    }, None
+    }
 
 
 def _mc_summary_payload(summary: experiments.McSummary, **extra) -> dict:
@@ -257,7 +281,7 @@ def _cmd_fukunaga(args):
             title="Divergence-based upper bound per trial",
             x_label="trial", y_label="bound",
         ),
-    }, None
+    }
 
 
 _CONSISTENCY_MODEL = experiments.diagonal_gaussian_model(
@@ -270,7 +294,10 @@ def _cmd_consistency(args):
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
-        raise DatasetError(f"--sizes must list positive integers, got {args.sizes!r}") from None
+        sizes = []
+    if not sizes or min(sizes) < 1 or sizes != sorted(sizes):
+        raise DatasetError("--sizes must list positive integers in ascending order, "
+                           f"got {args.sizes!r}")
     model = load_model_json(args.model) if args.model else _CONSISTENCY_MODEL
     summaries = experiments.run_consistency(model, sizes, args.trials, args.seed)
     rows = [(n, t, v) for n, s in zip(sizes, summaries) for t, v in enumerate(s.values)]
@@ -287,7 +314,7 @@ def _cmd_consistency(args):
             title="Estimator error vs sample size",
             x_label="samples per class", y_label="absolute error",
         ),
-    }, None
+    }
 
 
 def _cmd_oracle(args):
@@ -298,8 +325,7 @@ def _cmd_oracle(args):
                **{key: value for key, (value, _) in values.items()}}
     if pair.method == "monte_carlo":
         payload["standard_errors"] = {key: se for key, (_, se) in values.items()}
-    text = json_dumps(payload)
-    return {"oracle.json": text}, text
+    return {"oracle.json": json_dumps(payload)}
 
 
 def _cmd_mst_dump(args):
@@ -307,7 +333,7 @@ def _cmd_mst_dump(args):
     if args.jitter:
         points = emst.add_jitter(points, args.seed)
     mst = emst.build_mst(points)
-    return {"mst.csv": csv_text(("i", "j", "length"), zip(mst.i, mst.j, mst.length))}, None
+    return {"mst.csv": csv_text(("i", "j", "length"), zip(mst.i, mst.j, mst.length))}
 
 
 def main(argv=None) -> int:
@@ -320,13 +346,14 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise DatasetError(f"--seed must be non-negative, got {args.seed}")
             formats = _parse_formats(args.format, args.writable_formats, args.subcommand)
-            artifacts, stdout_text = args.run(args)
+            artifacts = args.run(args)
             os.makedirs(args.out, exist_ok=True)
             for name, text in artifacts.items():
                 if name.rsplit(".", 1)[1] in formats:
                     atomic_write_text(os.path.join(args.out, name), text)
-            if stdout_text is not None:
-                sys.stdout.write(stdout_text)
+            if args.writable_formats == ("json",):
+                (text,) = artifacts.values()
+                sys.stdout.write(text)
             code, error = 0, ""
         except (ValueError, OSError) as exc:
             code, error = 2, f"error: {exc}\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpdiv import bounds
-from dpdiv.dataset import derive_rng, diagonal_gaussian_model
+from dpdiv.dataset import GaussianModel, derive_rng, diagonal_gaussian_model
 from dpdiv.divergence import DivergenceEstimate, estimate
 from dpdiv.experiments import fukunaga_d1, fukunaga_d2
 from suites import (da_bound_vs_target_error, equal_prior_suite, bound_ordering_chain_slacks,
@@ -76,6 +76,30 @@ class TestGaussianClosedForms:
             model = random_gaussian_model(rng)
             b = bounds.bc_bound_gaussian(model)
             assert 0.0 <= b.lower <= b.upper <= 0.5
+
+    def test_near_identical_models_keep_a_valid_bracket(self):
+        # equal means, p = 1/2, covariances a few ulps apart: the computed
+        # coefficient can round past 1, and the bracket past 0.5 without the clamp
+        rng = derive_rng(1014)
+        for i in range(500):
+            d = 1 + i % 5
+            m = rng.normal(size=(d, d))
+            cov = m @ m.T + d * np.eye(d)
+            ulps = np.triu(rng.integers(-3, 4, size=(d, d)))
+            nudged = cov * (1.0 + (ulps + np.triu(ulps, 1).T) * np.finfo(float).eps)
+            model = GaussianModel(mean0=np.zeros(d), mean1=np.zeros(d), cov0=cov, cov1=nudged)
+            bc, mahalanobis = bounds.gaussian_bounds(model)
+            assert isinstance(bc, bounds.BerBounds) and isinstance(mahalanobis, bounds.BerBounds)
+            assert bounds.bhattacharyya_coefficient_gaussian(model) <= 1.0
+
+    def test_coefficient_keeps_its_bits_below_the_clamp(self):
+        rng = derive_rng(1015)
+        for _ in range(50):
+            model = random_gaussian_model(rng)
+            p = model.prior_p
+            bc = 2.0 * math.sqrt(p * (1.0 - p)) * math.exp(
+                -bounds.bhattacharyya_distance_gaussian(model))
+            assert bounds.bhattacharyya_coefficient_gaussian(model) == min(1.0, bc)
 
 
 class TestChernoffClosedForm:

@@ -81,6 +81,14 @@ class TestEstimateCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_column_mismatch_exits_2_naming_both_files(self, cluster_csvs, tmp_path, capsys):
+        b3 = write_points_csv(tmp_path / "b3.csv", derive_rng(9012).normal(size=(40, 3)))
+        assert cli.main(["estimate", "--a", cluster_csvs[0], "--b", b3,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {b3} has 3 feature columns but {cluster_csvs[0]} has 2\n")
+        assert not (tmp_path / "out").exists()
+
     def test_artifact_file_mode_follows_the_umask(self, cluster_csvs, tmp_path):
         umask = os.umask(0o022)
         try:
@@ -193,6 +201,48 @@ class TestBoundsCommand:
         assert rc == 2
         assert "label 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["bounds", "select"])
+    def test_single_class_error_names_the_file(self, subcommand, tmp_path, capsys):
+        path = tmp_path / "single.csv"
+        path.write_text("x,label\n1,0\n2,0\n", encoding="utf-8")
+        assert cli.main([subcommand, "--source", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: sample contains no rows with label 1\n")
+
+    def test_model_with_covariances_ulps_apart_exits_0(self, labeled_csv, tmp_path, capsys):
+        # the computed coefficient rounds past 1 here; it is clamped there
+        model = tmp_path / "ulp.json"
+        model.write_text(json.dumps({"mean0": [0.0], "mean1": [0.0], "cov0": [2.0904761904761906],
+                                     "cov1": [2.090476190476192]}), encoding="utf-8")
+        assert cli.main(["bounds", "--source", labeled_csv, "--model", str(model),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["bc"] == {"lower": 0.5, "upper": 0.5}
+
+    def test_target_column_mismatch_exits_2_before_any_tree(self, labeled_csv, tmp_path,
+                                                            monkeypatch, capsys):
+        from dpdiv import divergence
+
+        def no_tree(points):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(divergence, "build_mst", no_tree)
+        target = write_points_csv(tmp_path / "t9.csv", derive_rng(9013).normal(size=(40, 9)))
+        assert cli.main(["bounds", "--source", labeled_csv, "--target", target,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {target} has 9 feature columns but {labeled_csv} has 8\n")
+
+    def test_label_drift_without_target_warns_and_changes_nothing(self, labeled_csv, tmp_path,
+                                                                  capsys):
+        reports = []
+        for drift in ("0", "0.2"):
+            assert cli.main(["bounds", "--source", labeled_csv, "--label-drift", drift,
+                             "--out", str(tmp_path / drift)]) == 0
+            reports.append(((tmp_path / drift / "bounds.json").read_bytes(), capsys.readouterr()))
+        assert reports[0][1].err == ""
+        assert reports[1][1].err == "warning: --label-drift is ignored without --target\n"
+        assert reports[0][0] == reports[1][0] and reports[0][1].out == reports[1][1].out
+
     @pytest.mark.parametrize("drift", ["-1", "nan"])
     @pytest.mark.parametrize("with_target", [False, True])
     def test_bad_label_drift_exits_2_before_loading(self, drift, with_target, tmp_path, capsys):
@@ -295,7 +345,7 @@ class TestSelectCommand:
         rc = cli.main(["select", "--source", str(tmp_path / "src.csv"), "--target", target,
                        "--shift-weight", "nan", "--out", str(out)])
         assert rc == 2
-        assert "shift_weight must be >= 0, got nan" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --shift-weight must be >= 0, got nan\n"
         assert not out.exists()
 
     def test_infinite_shift_weight_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
@@ -312,8 +362,55 @@ class TestSelectCommand:
         rc = cli.main(["select", "--source", str(tmp_path / "src.csv"), "--target", target,
                        "--shift-weight", "inf", "--out", str(out)])
         assert rc == 2
-        assert "shift_weight must be finite, got inf" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --shift-weight must be finite, got inf\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("weight, message, with_target", [
+        ("-1", "--shift-weight must be >= 0, got -1.0", False),
+        ("-1", "--shift-weight must be >= 0, got -1.0", True),
+        ("nan", "--shift-weight must be >= 0, got nan", False),
+        ("nan", "--shift-weight must be >= 0, got nan", True),
+        ("inf", "--shift-weight must be finite, got inf", False),
+        ("inf", "--shift-weight must be finite, got inf", True),
+        ("1", "--shift-weight > 0 needs --target", False),
+    ], ids=["negative", "negative_target", "nan", "nan_target", "inf", "inf_target",
+            "no_target"])
+    def test_bad_shift_weight_exits_2_before_loading(self, weight, message, with_target,
+                                                     tmp_path, capsys):
+        # the CSVs do not exist: the flag is rejected before either is read
+        argv = ["select", "--source", str(tmp_path / "missing.csv"),
+                "--shift-weight", weight, "--out", str(tmp_path / "out")]
+        if with_target:
+            argv += ["--target", str(tmp_path / "missing_target.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_target_column_mismatch_exits_2_before_any_tree(self, labeled_csv, tmp_path,
+                                                            monkeypatch, capsys):
+        from dpdiv import divergence
+
+        def no_tree(points):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(divergence, "build_mst", no_tree)
+        target = write_points_csv(tmp_path / "t9.csv", derive_rng(9014).normal(size=(40, 9)))
+        assert cli.main(["select", "--source", labeled_csv, "--target", target,
+                         "--shift-weight", "1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {target} has 9 feature columns but {labeled_csv} has 8\n")
+
+    def test_target_without_shift_weight_warns_and_is_not_read(self, labeled_csv, tmp_path,
+                                                               capsys):
+        runs = []
+        for name, extra in (("plain", []), ("target", ["--target", str(tmp_path / "no.csv")])):
+            out = tmp_path / name
+            assert cli.main(["select", "--source", labeled_csv, "--k", "2",
+                             "--out", str(out), *extra]) == 0
+            runs.append(({p.name: p.read_bytes() for p in out.iterdir()},
+                         capsys.readouterr().err))
+        assert runs[0] == (runs[1][0], "")
+        assert runs[1][1] == "warning: --target is ignored when --shift-weight is 0\n"
 
     @pytest.mark.parametrize("first", ["label", "x0"])
     def test_utf8_bom_is_not_part_of_the_first_header_cell(self, first, tmp_path):
@@ -422,6 +519,20 @@ class TestExperimentCommands:
         assert cli.main(argv) == 2
         assert "sizes" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sizes", ["0,3", "400,100", "10,abc", ""])
+    def test_bad_sizes_name_the_flag_before_the_oracle_pass(self, sizes, tmp_path,
+                                                            monkeypatch, capsys):
+        from dpdiv import oracle
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("an oracle pass ran")
+
+        monkeypatch.setattr(oracle, "integrals", no_pass)
+        argv = ["consistency", "--sizes", sizes, "--trials", "1", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --sizes must list positive integers in ascending order, got {sizes!r}\n")
 
     def test_consistency_outputs(self, tmp_path):
         out = tmp_path / "cons"
@@ -553,21 +664,25 @@ def model_1d_json(tmp_path):
     return str(path)
 
 
+# one small run of each subcommand: argv, artifact stem, the formats it writes
+SUBCOMMAND_RUNS = pytest.mark.parametrize("argv, stem, writable", [
+    (["estimate", "--a", "{a}", "--b", "{b}"], "estimate", ["json"]),
+    (["bounds", "--source", "{labeled}"], "bounds", ["json"]),
+    (["select", "--source", "{labeled}", "--k", "2"], "select", ["json", "csv"]),
+    (["sweep", "--steps", "3", "--n", "20", "--trials", "1"], "sweep",
+     ["json", "csv", "svg"]),
+    (["fukunaga", "--dataset", "D1", "--n", "20", "--trials", "2"], "fukunaga",
+     ["json", "csv", "svg"]),
+    (["consistency", "--sizes", "20,40", "--trials", "2", "--model", "{model}"],
+     "consistency", ["json", "csv", "svg"]),
+    (["oracle", "--model", "{model}"], "oracle", ["json"]),
+    (["mst-dump", "--input", "{a}"], "mst", ["csv"]),
+], ids=["estimate", "bounds", "select", "sweep", "fukunaga", "consistency", "oracle",
+        "mst-dump"])
+
+
 class TestFormatSelection:
-    @pytest.mark.parametrize("argv, stem, writable", [
-        (["estimate", "--a", "{a}", "--b", "{b}"], "estimate", ["json"]),
-        (["bounds", "--source", "{labeled}"], "bounds", ["json"]),
-        (["select", "--source", "{labeled}", "--k", "2"], "select", ["json", "csv"]),
-        (["sweep", "--steps", "3", "--n", "20", "--trials", "1"], "sweep",
-         ["json", "csv", "svg"]),
-        (["fukunaga", "--dataset", "D1", "--n", "20", "--trials", "2"], "fukunaga",
-         ["json", "csv", "svg"]),
-        (["consistency", "--sizes", "20,40", "--trials", "2", "--model", "{model}"],
-         "consistency", ["json", "csv", "svg"]),
-        (["oracle", "--model", "{model}"], "oracle", ["json"]),
-        (["mst-dump", "--input", "{a}"], "mst", ["csv"]),
-    ], ids=["estimate", "bounds", "select", "sweep", "fukunaga", "consistency", "oracle",
-            "mst-dump"])
+    @SUBCOMMAND_RUNS
     def test_writes_exactly_the_requested_formats(
         self, argv, stem, writable, cluster_csvs, labeled_csv, model_1d_json, tmp_path
     ):
@@ -583,6 +698,19 @@ class TestFormatSelection:
         for fmt in writable:
             name = f"{stem}.{fmt}"
             assert run([fmt], tmp_path / fmt) == {name: full[name]}
+
+    @SUBCOMMAND_RUNS
+    def test_prints_the_artifact_exactly_when_json_is_the_only_format(
+        self, argv, stem, writable, cluster_csvs, labeled_csv, model_1d_json, tmp_path, capsys
+    ):
+        a, b = cluster_csvs
+        argv = [arg.format(a=a, b=b, labeled=labeled_csv, model=model_1d_json) for arg in argv]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        if writable == ["json"]:
+            assert printed == (tmp_path / f"{stem}.json").read_text(encoding="utf-8")
+        else:
+            assert printed == ""
 
 
 class TestArgumentHandling:

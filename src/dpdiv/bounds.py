@@ -95,10 +95,14 @@ def _logdet(chol: np.ndarray) -> float:
 
 def _chernoff_exponent(model: GaussianModel, alpha: float, chol: np.ndarray,
                        quad: float) -> float:
-    """-log int f0^alpha f1^(1-alpha), given (chol, quad) = _blend(model, alpha)."""
+    """-log int f0^alpha f1^(1-alpha), given (chol, quad) = _blend(model, alpha).
+
+    Held at >= 0, its true range: for covariances a few ulps apart the log
+    determinants can round to a difference just below 0.
+    """
     ld0, ld1 = _logdet(model.chol0), _logdet(model.chol1)
-    return 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
-        _logdet(chol) - ((1.0 - alpha) * ld0 + alpha * ld1))
+    return max(0.0, 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
+        _logdet(chol) - ((1.0 - alpha) * ld0 + alpha * ld1)))
 
 
 def bhattacharyya_distance_gaussian(model: GaussianModel) -> float:

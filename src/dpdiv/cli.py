@@ -24,8 +24,7 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import bounds, divergence, emst, experiments, featsel, oracle
-from .dataset import (DatasetError, GaussianModel, label_name, load_csv, load_points_csv,
-                      read_text)
+from .dataset import DatasetError, GaussianModel, load_csv, load_points_csv, read_text
 from .serialize import atomic_write_text, csv_text, json_dumps
 from .svgplot import line_plot_svg
 
@@ -179,10 +178,10 @@ def _load_source(args):
         raise DatasetError(f"{args.source}: {exc}") from None
 
 
-def _load_target(args, d: int) -> np.ndarray:
+def _load_target(args, source) -> np.ndarray:
     """The --target points, less the column that --label-column names in the source."""
-    points = load_points_csv(args.target, drop_column=label_name(args.source, args.label_column))
-    return _same_columns(points, args.target, d, args.source)
+    points = load_points_csv(args.target, drop_column=source.label_name)
+    return _same_columns(points, args.target, source.d, args.source)
 
 
 def _cmd_bounds(args):
@@ -190,7 +189,7 @@ def _cmd_bounds(args):
     if args.label_drift and not args.target:
         warnings.warn("--label-drift is ignored without --target")
     source, classes = _load_source(args)
-    target = _load_target(args, source.d) if args.target else None
+    target = _load_target(args, source) if args.target else None
     est = divergence.estimate(*classes)
     report = {
         "schema": SCHEMA_VERSION,
@@ -215,7 +214,7 @@ def _cmd_select(args):
         warnings.warn("--target is ignored when --shift-weight is 0")
     source, (f, g) = _load_source(args)
     trace = featsel.forward_select(
-        f, g, target=_load_target(args, source.d) if args.shift_weight else None, k=args.k,
+        f, g, target=_load_target(args, source) if args.shift_weight else None, k=args.k,
         shift_weight=args.shift_weight, audit=args.audit, standardize=args.standardize,
     )
     names = source.feature_names

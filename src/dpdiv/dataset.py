@@ -66,11 +66,13 @@ class LabeledSample:
     points: real coordinates, one row per observation, all finite.
     labels: length-n vector with values in {0, 1}.
     feature_names: optional d unique column names (from the CSV header).
+    label_name: optional name of the label column (from the CSV header).
     """
 
     points: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...] | None = None
+    label_name: str | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -317,12 +319,6 @@ def _label_index(path, header, column) -> int:
     return idx
 
 
-def label_name(path, label_column) -> str:
-    """The header name of the column that load_csv(path, label_column) reads as the label."""
-    header, _ = _read_csv(path)
-    return header[_label_index(path, header, label_column)]
-
-
 def load_csv(path, label_column="label") -> LabeledSample:
     """Load a labeled sample from CSV. `label_column` is a header name or index."""
     header, rows = _read_csv(path)
@@ -342,7 +338,7 @@ def load_csv(path, label_column="label") -> LabeledSample:
             stacklevel=2,
         )
     return LabeledSample(points=pts, labels=table[:, label_idx].astype(np.int64),
-                         feature_names=feature_names)
+                         feature_names=feature_names, label_name=header[label_idx])
 
 
 def load_points_csv(path, drop_column=None) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledSample
-from .emst import build_mst
+from .emst import build_mst, build_msts
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,26 @@ class DivergenceEstimate:
     p_hat: float
 
 
-def fr_statistic(sample_f, sample_g) -> int:
-    """Count pooled-MST edges joining a point of sample_f to a point of sample_g."""
+def fr_statistic(sample_f, sample_g=None):
+    """Count pooled-MST edges joining a point of sample_f to a point of sample_g.
+
+    With sample_g omitted, sample_f is a sequence of (f, g, columns) triples,
+    each standing for the pair f[:, columns], g[:, columns] (columns None:
+    all of them). Their trees are built together by emst.build_msts, and the
+    counts come back as an int ndarray, one per triple.
+    """
+    if sample_g is not None:
+        f, g = _pair(sample_f, sample_g)
+        return _cross_count(build_mst(np.vstack([f, g])), f.shape[0])
+    sets = [(_pair(f, g), columns) for f, g, columns in sample_f]
+    n_f = [len(f) for (f, _), _ in sets]
+    counts = np.empty(len(sets), dtype=np.int64)
+    for k, mst in build_msts(sets):
+        counts[k] = _cross_count(mst, n_f[k])
+    return counts
+
+
+def _pair(sample_f, sample_g):
     f = np.asarray(sample_f, dtype=np.float64)
     g = np.asarray(sample_g, dtype=np.float64)
     if f.ndim != 2 or g.ndim != 2:
@@ -46,15 +64,20 @@ def fr_statistic(sample_f, sample_g) -> int:
         raise ValueError("both samples must be non-empty")
     if f.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {f.shape[1]} vs {g.shape[1]}")
-    mst = build_mst(np.vstack([f, g]))
-    n_f = f.shape[0]
+    return f, g
+
+
+def _cross_count(mst, n_f) -> int:
     return int(np.count_nonzero((mst.i < n_f) != (mst.j < n_f)))
 
 
 def estimate(sample_f, sample_g) -> DivergenceEstimate:
     """Divergence point estimates from two point matrices (f rows first in the pool)."""
-    c = fr_statistic(sample_f, sample_g)
-    n_f, n_g = len(sample_f), len(sample_g)
+    return estimate_from_count(fr_statistic(sample_f, sample_g), len(sample_f), len(sample_g))
+
+
+def estimate_from_count(c: int, n_f: int, n_g: int) -> DivergenceEstimate:
+    """The estimates of a pool of n_f + n_g points whose tree has c cross edges."""
     n = n_f + n_g
     p_hat = n_f / n
     dp_tilde_raw = 1.0 - 2.0 * c / n

@@ -65,15 +65,46 @@ and the path is the tree under any tie rule. The certificate can fail only by
 rounding (-1e16, 0.0, 1e-300 sorted: the outer span rounds to the first
 step, and the path would give (0, 2), (1, 2) for rows [-1e16], [1e-300],
 [0.0] where Prim gives (0, 1), (1, 2)); Prim runs then.
+
+build_msts takes many point sets at once, as greedy feature selection scores
+its candidates. Each set is deduplicated, tried on the sorted path and
+finished (duplicates attached, the underflow fallback) on its own, exactly as
+build_mst does it. The sets left for Prim are grown in lockstep: ordered by
+dimension and then by falling size, they share one (d, B, w) column array, so
+each step makes one argmin, one swap-remove and one relax for all B trees, one
+set of numpy calls where one tree at a time makes B. Every set in the array
+has the same number m of outside vertices, and a set of n rows joins, its
+first row in its tree, when m reaches n - 1; the array is then rebuilt at
+width m. Per set, each step does what a step of the one-tree kernel does to
+the same columns in the same order: the d2 come from the same subtractions,
+squares and _sum_rows additions, a tied argmin takes the smallest
+min(p, t)*n + max(p, t) with the set's own n, and a tied relax keeps the
+smaller parent. So every tree has the bits of build_mst on that set alone. The
+edge lengths are recomputed from the rows afterwards by the same formula
+((a - b)^2 and (b - a)^2 are the same bits), so the trees keep only an int32
+neighbour per vertex while they grow. The column array and its work array are
+two flat arrays sized for the largest join; a join or a compaction moves the
+columns into the other one, so a lockstep allocates them once. A lockstep
+holds at most LOCKSTEP_CELLS cells (coordinate x set x column) at any join;
+the sets past that start the next lockstep. A single set, or one wider than
+that on its own, runs the one-tree kernel, which makes fewer numpy calls per
+step than a lockstep of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import check_finite, derive_rng, row_groups
+
+# Most cells (coordinate x set x column) a lockstep's column array holds: with
+# its work array, 384 KiB. Larger groups measured no faster on selection steps
+# of a dozen sets of 600-1200 rows, and every byte adds to a selection's peak
+# memory.
+LOCKSTEP_CELLS = 3 << 13
 
 
 @dataclass(frozen=True)
@@ -109,43 +140,215 @@ def build_mst(points) -> MstResult:
     Duplicate points are allowed; the tie rule resolves their zero-length
     edges deterministically.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
+    return next(build_msts([((points,), None)]))[1]
+
+
+def build_msts(point_sets):
+    """Yield (k, MstResult) for each point set k, in the order the trees are done.
+
+    Set k is a pair (blocks, columns): its points are the vertical stack of
+    the row blocks, restricted to the given columns (None keeps them all),
+    and its tree is the build_mst of that matrix, bit for bit. The sets that
+    need Prim are grown in lockstep groups of one dimension; a group of one
+    runs the one-tree kernel.
+    """
+    waiting = []
+    for k, (blocks, columns) in enumerate(point_sets):
+        pts = _stacked(blocks, columns)
+        own_rep = _own_rep(pts)
+        rows = _distinct(pts, own_rep)
+        path = _sorted_path(rows)
+        if path is None:
+            waiting.append((rows.shape[1], -rows.shape[0], k, blocks, columns, own_rep))
+        else:
+            yield k, _tree(pts, own_rep, *path)
+    waiting.sort(key=lambda w: w[:3])
+    for group in _lockstep_groups(waiting):
+        rows = (_distinct(_stacked(blocks, columns), own_rep)
+                for _, _, _, blocks, columns, own_rep in group)
+        if len(group) == 1:
+            trees = [_prim(next(rows))[:2]]
+        else:
+            trees = _lockstep(group[0][0], [-w[1] for w in group], rows)
+        for (_, _, k, blocks, columns, own_rep), (i, j) in zip(group, trees):
+            pts = _stacked(blocks, columns)
+            yield k, _tree(pts, own_rep, i, j, _edge_d2(_distinct(pts, own_rep), i, j))
+
+
+def _stacked(blocks, columns) -> np.ndarray:
+    """The checked (n, d) float matrix of a point set."""
+    if columns is not None:
+        blocks = [np.asarray(b)[:, columns] for b in blocks]
+    pts = np.ascontiguousarray(
+        blocks[0] if len(blocks) == 1 else np.concatenate(blocks), dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise ValueError(
             f"points must be a 2-D matrix with at least one column, got shape {pts.shape}")
-    n = pts.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
+    if pts.shape[0] < 2:
+        raise ValueError(f"need at least 2 points, got {pts.shape[0]}")
     check_finite(pts)
+    return pts
 
+
+def _own_rep(pts):
+    """Each row's representative (int32), or None when every row is distinct."""
     own_rep = row_groups(pts)
-    rep = np.flatnonzero(own_rep == np.arange(n))
-    i, j, d2 = _unique_tree(pts[rep])
-    i, j = rep[i], rep[j]
-    if rep.size < n and np.all(d2 > 0):
-        dup = np.flatnonzero(own_rep != np.arange(n))
-        i = np.concatenate((i, own_rep[dup]))
-        j = np.concatenate((j, dup))
-        d2 = np.concatenate((d2, np.zeros(dup.size)))
-    elif rep.size < n:  # distinct rows at d2 == 0 tie with the duplicates
-        i, j, d2 = _prim(pts)
+    return None if np.all(_is_rep(own_rep)) else own_rep.astype(np.int32)
+
+
+def _is_rep(own_rep):
+    return own_rep == np.arange(own_rep.size)
+
+
+def _distinct(pts, own_rep):
+    return pts if own_rep is None else pts[_is_rep(own_rep)]
+
+
+def _tree(pts, own_rep, i, j, d2) -> MstResult:
+    """The tree over all rows from the edges (i, j, d2) over the distinct rows."""
+    n = pts.shape[0]
+    if own_rep is not None:
+        rep = np.flatnonzero(_is_rep(own_rep))
+        if np.all(d2 > 0):
+            dup = np.flatnonzero(~_is_rep(own_rep))
+            i = np.concatenate((rep[i], own_rep[dup]))
+            j = np.concatenate((rep[j], dup))
+            d2 = np.concatenate((d2, np.zeros(dup.size)))
+        else:  # distinct rows at d2 == 0 tie with the duplicates
+            i, j, d2 = _prim(pts)
 
     order = np.lexsort((j, i))
     return MstResult(i=i[order], j=j[order], length=np.sqrt(d2[order]), n_points=n)
 
 
-def _unique_tree(pts):
-    """Edges (i, j, d2) of the tree over distinct rows: the sorted path at d = 1
-    when its certificate holds, else Prim."""
-    if pts.shape[1] == 1:
-        s = np.argsort(pts[:, 0], kind="stable")
-        x = pts[s]
-        step = ((x[1:] - x[:-1]) ** 2).sum(axis=1)
-        span = ((x[2:] - x[:-2]) ** 2).sum(axis=1)
-        if np.all(span > step[:-1]) and np.all(span > step[1:]):
-            a, b = s[:-1], s[1:]
-            return np.minimum(a, b), np.maximum(a, b), step
-    return _prim(pts)
+def _edge_d2(pts, i, j):
+    """d2 of the edges (i, j), with the bits the Prim kernels give them."""
+    sq = (pts[j] - pts[i])[:, _sum_order(pts.shape[1])].T.copy()
+    np.square(sq, out=sq)
+    return _sum_rows(sq).copy()
+
+
+def _sorted_path(pts):
+    """Edges (i, j, d2) of the sorted path over distinct rows when d = 1 and
+    its certificate holds, else None."""
+    if pts.shape[1] > 1:
+        return None
+    s = np.argsort(pts[:, 0], kind="stable")
+    x = pts[s]
+    step = ((x[1:] - x[:-1]) ** 2).sum(axis=1)
+    span = ((x[2:] - x[:-2]) ** 2).sum(axis=1)
+    if np.all(span > step[:-1]) and np.all(span > step[1:]):
+        a, b = s[:-1], s[1:]
+        return np.minimum(a, b), np.maximum(a, b), step
+    return None
+
+
+def _lockstep_groups(waiting):
+    """Split sets sorted by (d, -size) into runs of one d whose column array
+    holds at most LOCKSTEP_CELLS cells at every join; a set wider than that
+    on its own makes a run of one."""
+    group = []
+    for w in waiting:
+        d, size = w[0], -w[1]
+        if group and (d != group[0][0] or d * (len(group) + 1) * (size - 1) > LOCKSTEP_CELLS):
+            yield group
+            group = []
+        group.append(w)
+        if d * (size - 1) > LOCKSTEP_CELLS:
+            yield group
+            group = []
+    if group:
+        yield group
+
+
+def _lockstep(d, sizes, rows):
+    """Edges (i, j) of dense Prim over each of several sets of distinct rows
+    in d dimensions, grown together: one entry per set.
+
+    sizes are the sets' row counts, largest first; rows yields their (n, d)
+    matrices in the same order and is read as each set joins.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    off = np.concatenate(([0], np.cumsum(sizes)))
+    tree = np.empty(off[-1], dtype=np.int32)  # each vertex's tree neighbour as it joined
+    # The columns and the work array live in two flat arrays of the most cells
+    # a join holds; a join or a compaction moves the columns to the other one.
+    cells = d * int(np.max(np.arange(1, sizes.size + 1) * (sizes - 1)))
+    store = [np.empty(cells), np.empty(cells)]
+    order = _sum_order(d)
+    width = int(sizes[0]) - 1
+    cols = _shaped(store[0], (d, 0, width))
+    # per outside vertex: d2 to its tree, its id and its parent's (exact as floats),
+    # so one fancy index reads or moves all three
+    meta = np.empty((3, 0, width))
+    b = 0
+    for m in range(width, 0, -1):
+        if b < sizes.size and sizes[b] == m + 1:
+            # the sets of m + 1 rows join; the arrays are rebuilt at width m
+            new = b + int(np.count_nonzero(sizes[b:] == m + 1))
+            moved = _shaped(store[1], (d, new, m))
+            moved[:, :b] = cols[:, :, :m]
+            first = np.empty((d, new - b, 1))
+            for s in range(b, new):
+                x = next(rows)[:, order]
+                moved[:, s] = x[1:].T
+                first[:, s - b, 0] = x[0]
+            store.reverse()
+            cols, buf = moved, _shaped(store[1], moved.shape)
+            grown = np.empty((3, new, m))
+            grown[:, :b] = meta[:, :, :m]
+            grown[0, b:] = _sq_dist(cols[:, b:], first, buf[:, b:])
+            grown[1, b:] = np.arange(1, m + 1)
+            grown[2, b:] = 0
+            meta = grown
+            b = new
+            sets, n_of, at = np.arange(b), sizes[:b], off[:b]
+            better, tied = np.empty((2, b, m), dtype=bool)
+
+        d2 = meta[0, :, :m]
+        k = d2.argmin(axis=1)
+        eq = np.equal(d2, d2[sets, k][:, None], out=better[:, :m])
+        if np.count_nonzero(eq) > b:
+            # per set, the tied candidate with the smallest key, as in _prim
+            ri, ci = np.nonzero(eq)
+            t, p = meta[1:, ri, ci].astype(np.int64)
+            key = (np.minimum(p, t) * n_of[ri] + np.maximum(p, t)) * m + ci
+            k = np.minimum.reduceat(key, np.searchsorted(ri, sets)) % m
+        joined = meta[:, sets, k]
+        tree[at + joined[1].astype(np.int64)] = joined[2]
+
+        # each v joins its tree: swap-remove it, then relax the rest against v
+        last = m - 1
+        x = cols[:, sets, k][:, :, None]
+        meta[:, sets, k] = meta[:, :, last]
+        cols[:, sets, k] = cols[:, :, last]
+        width = cols.shape[2]
+        if width - last > width // 16:
+            moved = _shaped(store[1], (d, b, last))
+            moved[...] = cols[:, :, :last]
+            store.reverse()
+            cols, buf = moved, _shaped(store[1], moved.shape)
+        d2 = meta[0, :, :last]
+        nd2 = _sq_dist(cols, x, buf)[:, :last]
+        closer = np.less(nd2, d2, out=better[:, :last])
+        tie = np.equal(nd2, d2, out=tied[:, :last])
+        parent = meta[2, :, :last]
+        v = joined[1][:, None]
+        np.copyto(parent, v, where=closer)
+        np.minimum(d2, nd2, out=d2)
+        if np.count_nonzero(tie):
+            np.minimum(parent, v, out=parent, where=tie)
+
+    edges = []
+    for a, n in zip(off[:-1].tolist(), sizes.tolist()):
+        u, v = tree[a + 1:a + n], np.arange(1, n)
+        edges.append((np.minimum(u, v), np.maximum(u, v)))
+    return edges
+
+
+def _shaped(flat, shape):
+    """A C-contiguous view of the first cells of a flat array, in the given shape."""
+    return flat[:math.prod(shape)].reshape(shape)
 
 
 def _prim(pts):

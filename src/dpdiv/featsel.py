@@ -4,6 +4,13 @@ The per-subset criterion is the pooled-MST cross-edge ratio between the two
 source classes (an upper-bound surrogate for classification error); with
 shift_weight > 0 it adds a penalty for source/target distribution shift, so
 domain-invariant features win even when they separate the classes less.
+
+Each step scores all its candidates from one fr_statistic call: one class
+pool per candidate and, with a target, one shift pool, given as column
+subsets of the shared source and target rows, so no candidate's columns are
+copied out. emst.build_msts grows those trees in lockstep, and each keeps the
+bits of a tree built alone, so the selection does not depend on the batching.
+criterion_phi is the same computation for a single subset.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import check_weight, shift_penalty
-from .divergence import estimate
+from .divergence import estimate_from_count, fr_statistic
 
 
 @dataclass(frozen=True)
@@ -71,12 +78,24 @@ def criterion_phi(source0, source1, target, features, shift_weight=0.0) -> float
     idx = [int(f) for f in features]
     if not idx:
         raise ValueError("feature set must be non-empty")
-    est = estimate(s0[:, idx], s1[:, idx])
-    value = est.cross_count / (est.n_f + est.n_g)
-    if shift_weight > 0.0:
-        merged = np.vstack([s0[:, idx], s1[:, idx]])
-        value += shift_weight * shift_penalty(estimate(merged, tgt[:, idx]))
-    return value
+    return _criteria(s0, s1, tgt, [idx], shift_weight)[0]
+
+
+def _criteria(s0, s1, tgt, subsets, shift_weight) -> list[float]:
+    """criterion_phi of each feature subset, from one fr_statistic call over
+    every subset's class pool and, with a target, its shift pool."""
+    n01 = s0.shape[0] + s1.shape[0]
+    source = None if tgt is None else np.vstack([s0, s1])
+    pairs = []
+    for features in subsets:
+        pairs.append((s0, s1, features))
+        if tgt is not None:
+            pairs.append((source, tgt, features))
+    counts = fr_statistic(pairs).tolist()
+    if tgt is None:
+        return [c / n01 for c in counts]
+    return [c / n01 + shift_weight * shift_penalty(estimate_from_count(s, n01, tgt.shape[0]))
+            for c, s in zip(counts[::2], counts[1::2])]
 
 
 def forward_select(source0, source1, target=None, k=None, shift_weight=0.0,
@@ -112,9 +131,8 @@ def forward_select(source0, source1, target=None, k=None, shift_weight=0.0,
     audits: list[dict] = []
     remaining = list(range(d))
     for _ in range(k):
-        step_scores = {}
-        for f in remaining:
-            step_scores[f] = criterion_phi(s0, s1, tgt, selected + [f], shift_weight)
+        step_scores = dict(zip(remaining, _criteria(
+            s0, s1, tgt, [selected + [f] for f in remaining], shift_weight)))
         best = min(remaining, key=lambda f: (step_scores[f], f))
         selected.append(best)
         values.append(step_scores[best])

@@ -91,6 +91,14 @@ class TestGaussianClosedForms:
             bc, mahalanobis = bounds.gaussian_bounds(model)
             assert isinstance(bc, bounds.BerBounds) and isinstance(mahalanobis, bounds.BerBounds)
             assert bounds.bhattacharyya_coefficient_gaussian(model) <= 1.0
+            assert bounds.bhattacharyya_distance_gaussian(model) >= 0.0
+            for alpha in (0.3, 0.5):
+                limit = 0.5 ** alpha * 0.5 ** (1 - alpha)
+                assert bounds.chernoff_upper_gaussian(model, alpha) <= limit
+        # unclamped, this model's distance is -1.67e-16 and its Chernoff value 0.5000000000000002
+        model = diagonal_gaussian_model([0.0], [2.0904761904761906], [0.0], [2.090476190476192])
+        assert bounds.bhattacharyya_distance_gaussian(model) >= 0.0
+        assert bounds.chernoff_upper_gaussian(model, 0.5) <= 0.5 ** 0.5 * 0.5 ** 0.5
 
     def test_coefficient_keeps_its_bits_below_the_clamp(self):
         rng = derive_rng(1015)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpdiv import cli, emst
+from dpdiv import cli, dataset, emst
 from dpdiv.dataset import derive_rng, save_csv, sample_gaussian
 from dpdiv.emst import MstResult, build_mst
 from dpdiv.experiments import fukunaga_d1
@@ -302,6 +302,26 @@ class TestBoundsCommand:
                              "--target", str(paths[1]), "--out", str(tmp_path / column)]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1] and json.loads(reports[0])["da"] is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds"], ["select", "--k", "1", "--shift-weight", "1"],
+    ], ids=["bounds", "select"])
+    def test_source_and_target_are_each_read_once(self, argv, labeled_csv, tmp_path,
+                                                  monkeypatch):
+        # the label column's name comes from the one parse of the source
+        target = tmp_path / "target.csv"
+        save_csv(sample_gaussian(fukunaga_d1(), 30, 30, seed=9012), target)
+        reads = []
+        original = dataset.read_text
+
+        def counting(path):
+            reads.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(dataset, "read_text", counting)
+        assert cli.main([*argv, "--source", labeled_csv, "--target", str(target),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert reads == [labeled_csv, str(target)]
 
 
 class TestSelectCommand:

@@ -1,10 +1,15 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bruteforce import kruskal_mst, kruskal_total_length
-from dpdiv.emst import MstResult, _sq_dist, _sum_order, add_jitter, build_mst
+from bruteforce import kruskal_cross_count, kruskal_mst, kruskal_total_length
+from dpdiv import emst
+from dpdiv.divergence import fr_statistic
+from dpdiv.emst import MstResult, _sq_dist, _sum_order, add_jitter, build_mst, build_msts
 
 
 def edge_pairs(mst):
@@ -158,6 +163,79 @@ class TestDistinctRowsAndSortedPath:
         with pytest.raises(RuntimeError, match="expected 3 edges") as caught:
             MstResult(i=[0, 1], j=[1, 2], length=[1.0, 1.0], n_points=4)
         assert not isinstance(caught.value, ValueError)
+
+
+_UNDERFLOW_ROWS = ([-1e16], [1e-300], [0.0])
+
+
+@st.composite
+def lockstep_batches(draw):
+    """2-6 point sets of one d (1-5 or 9) and unequal sizes of 2-60 rows: 0.5-grid
+    rows with duplicates, an integer lattice of exact ties, or grid rows around
+    the rows [-1e16], [1e-300], [0.0] (padded with zeros), whose d2 underflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 9]))
+    kind = draw(st.sampled_from(["grid", "lattice", "underflow"]))
+    low = 3 if kind == "underflow" else 2
+    sizes = draw(st.lists(st.integers(low, 60), min_size=2, max_size=6, unique=True))
+    sets = []
+    for n in sizes:
+        if kind == "lattice":
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+        else:
+            pts = np.round(rng.normal(size=(n, d)) * 2.0) / 2.0
+        if kind == "underflow":
+            at = rng.choice(n, size=3, replace=False)
+            pts[at] = 0.0
+            pts[at, 0] = np.ravel(_UNDERFLOW_ROWS)
+        sets.append(pts)
+    return sets
+
+
+class TestLockstep:
+    """build_msts grows the sets that need Prim together; each tree must keep
+    the bits of build_mst on that set alone and match the brute force."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(lockstep_batches(), st.sampled_from([emst.LOCKSTEP_CELLS, 40]))
+    def test_each_tree_equals_the_one_tree_build(self, sets, cells):
+        # a budget of 40 cells splits batches into many locksteps and single trees
+        with mock.patch.object(emst, "LOCKSTEP_CELLS", cells):
+            trees = dict(build_msts([((pts,), None) for pts in sets]))
+        assert sorted(trees) == list(range(len(sets)))
+        for k, pts in enumerate(sets):
+            alone, batched = build_mst(pts), trees[k]
+            for field in ("i", "j", "length"):
+                assert getattr(batched, field).tobytes() == getattr(alone, field).tobytes()
+            assert edge_pairs(batched) == [(i, j) for i, j, _ in kruskal_mst(pts)]
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(lockstep_batches(), st.data())
+    def test_cross_counts_match_the_brute_force(self, sets, data):
+        splits = [data.draw(st.integers(1, len(pts) - 1)) for pts in sets]
+        counts = fr_statistic([(pts[:s], pts[s:], None) for pts, s in zip(sets, splits)])
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == [kruskal_cross_count(pts[:s], pts[s:])
+                                   for pts, s in zip(sets, splits)]
+
+    def test_columns_pick_the_features_of_both_samples(self):
+        rng = np.random.default_rng(700)
+        f = np.round(rng.normal(size=(40, 6)) * 2.0) / 2.0
+        g = np.round(rng.normal(size=(30, 6)) * 2.0) / 2.0 + 0.5
+        subsets = [[0], [2, 5], [1, 3, 4], [5, 0, 2]]
+        counts = fr_statistic([(f, g, cols) for cols in subsets])
+        assert counts.tolist() == [fr_statistic(f[:, cols], g[:, cols]) for cols in subsets]
+
+    def test_groups_keep_within_the_cell_budget(self, monkeypatch):
+        # sets of (d, size): the groups a budget of 600 cells gives
+        monkeypatch.setattr(emst, "LOCKSTEP_CELLS", 600)
+        waiting = [(d, -n, k) for k, (d, n) in enumerate(
+            [(2, 301), (2, 200), (2, 100), (2, 100), (2, 50), (3, 40), (3, 40), (5, 400)])]
+        groups = [[w[2] for w in g] for g in emst._lockstep_groups(waiting)]
+        # the 200-row set would join the first run at 2 * 2 * 199 = 796 cells, so it
+        # starts the next one, where the smaller sets still fit (2 * 4 * 49 = 392);
+        # a new d starts a run, and 5 * 399 cells are too many for any run
+        assert groups == [[0], [1, 2, 3, 4], [5, 6], [7]]
 
 
 class TestColumnKernel:

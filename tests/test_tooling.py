@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpdiv import bounds, divergence, experiments, oracle
+from dpdiv import bounds, divergence, experiments, featsel, oracle
 from dpdiv.dataset import (GaussianModel, derive_rng, diagonal_gaussian_model, sample_gaussian,
                            save_csv)
 
@@ -64,6 +64,58 @@ def test_one_tree_per_estimate(monkeypatch):
     assert calls == [55]
     divergence.estimate(g, f)
     assert calls == [55, 55]
+
+
+def _selection_inputs():
+    # quantised columns give the candidates duplicate rows and tied distances
+    rng = derive_rng(2030)
+    s0, s1 = rng.normal(size=(40, 5)), rng.normal(size=(35, 5)) + 0.4
+    target = rng.normal(size=(50, 5)) + 0.3
+    for x in (s0, s1, target):
+        x[:, ::2] = np.round(x[:, ::2] * 2.0) / 2.0
+    return s0, s1, target
+
+
+def test_one_fr_statistic_call_per_selection_step(monkeypatch):
+    # every candidate's class pool and shift pool go to one call per step
+    calls = []
+    original = featsel.fr_statistic
+
+    def counting(pairs):
+        calls.append(len(pairs))
+        return original(pairs)
+
+    monkeypatch.setattr(featsel, "fr_statistic", counting)
+    s0, s1, target = _selection_inputs()
+    featsel.forward_select(s0, s1, target, k=3, shift_weight=1.0)
+    assert calls == [10, 8, 6]
+    del calls[:]
+    featsel.forward_select(s0, s1, k=2)
+    assert calls == [5, 4]
+
+
+def test_injected_cross_count_reaches_every_candidate(monkeypatch):
+    # bench/selftest.py adds one to whatever fr_statistic returns
+    s0, s1, _ = _selection_inputs()
+    honest = featsel.forward_select(s0, s1, k=2, audit=True).per_step_candidates
+    original = featsel.fr_statistic
+    monkeypatch.setattr(featsel, "fr_statistic", lambda pairs: original(pairs) + 1)
+    shifted = featsel.forward_select(s0, s1, k=2, audit=True).per_step_candidates
+    assert [sorted(step) for step in shifted] == [sorted(step) for step in honest]
+    for before, after in zip(honest, shifted):
+        for f, value in before.items():
+            assert round(after[f] * 75) == round(value * 75) + 1
+
+
+@pytest.mark.parametrize("shift_weight", [0.0, 0.7])
+def test_criterion_phi_equals_each_audited_value(shift_weight):
+    s0, s1, target = _selection_inputs()
+    trace = featsel.forward_select(s0, s1, target, k=3, shift_weight=shift_weight, audit=True)
+    for step, candidates in enumerate(trace.per_step_candidates):
+        chosen = list(trace.selected[:step])
+        for f, value in candidates.items():
+            alone = featsel.criterion_phi(s0, s1, target, chosen + [f], shift_weight)
+            assert alone.hex() == value.hex()
 
 
 def _count_passes(monkeypatch):

@@ -118,8 +118,10 @@ class GaussianModel:
 
     Construction rejects non-finite entries, asymmetric covariances and
     covariances that are not positive definite, then factors each covariance
-    once: chol0/chol1 are the read-only lower Cholesky factors. sample and
-    log_density read those factors, so no caller factors a class again.
+    once: chol0/chol1 are the read-only lower Cholesky factors, and
+    log_norm0/log_norm1 each class's log normalising constant,
+    -d/2 log 2 pi - sum log diag L. sample and log_density read those, so no
+    caller factors a class again.
     Two models are equal when their five parameters are.
     """
 
@@ -130,6 +132,8 @@ class GaussianModel:
     prior_p: float = 0.5
     chol0: np.ndarray = field(init=False, repr=False, compare=False)
     chol1: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norm0: float = field(init=False, repr=False, compare=False)
+    log_norm1: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m0 = np.asarray(self.mean0, dtype=np.float64).reshape(-1)
@@ -163,6 +167,8 @@ class GaussianModel:
                 )
             object.__setattr__(self, name, c)
             object.__setattr__(self, f"chol{k}", _readonly(chol))
+            object.__setattr__(self, f"log_norm{k}", -0.5 * d * math.log(2.0 * math.pi)
+                               - float(np.log(np.diag(chol)).sum()))
         if not (0.0 < float(self.prior_p) < 1.0):
             raise DatasetError(f"prior_p must lie strictly in (0, 1), got {self.prior_p}")
         object.__setattr__(self, "mean0", _readonly(m0))
@@ -181,12 +187,14 @@ class GaussianModel:
     def d(self) -> int:
         return self.mean0.size
 
-    def _class(self, cls: int) -> tuple[np.ndarray, np.ndarray]:
-        return (self.mean0, self.chol0) if cls == 0 else (self.mean1, self.chol1)
+    def _class(self, cls: int) -> tuple[np.ndarray, np.ndarray, float]:
+        if cls == 0:
+            return self.mean0, self.chol0, self.log_norm0
+        return self.mean1, self.chol1, self.log_norm1
 
     def sample(self, cls: int, rng: np.random.Generator, n: int) -> np.ndarray:
         """n rows drawn from class cls: standard-normal draws times its Cholesky factor."""
-        mean, chol = self._class(cls)
+        mean, chol, _ = self._class(cls)
         return rng.standard_normal((n, self.d)) @ chol.T + mean
 
     def log_density(self, cls: int, x) -> np.ndarray:
@@ -195,11 +203,10 @@ class GaussianModel:
         Forward substitution on the stored factor (see the module docstring).
         Raises DatasetError unless x has d columns.
         """
-        mean, chol = self._class(cls)
+        mean, chol, log_norm = self._class(cls)
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.ndim != 2 or x.shape[1] != self.d:
             raise DatasetError(f"x has shape {x.shape}, expected (n, {self.d})")
-        const = -0.5 * self.d * math.log(2.0 * math.pi) - float(np.log(np.diag(chol)).sum())
         y = np.subtract(x.T, mean[:, None], order="C")
         out = np.empty(x.shape[0])  # scratch for L[i, j] * y[j], then the result
         for i in range(self.d):
@@ -209,7 +216,7 @@ class GaussianModel:
         y *= y
         np.add.reduce(y, axis=0, out=out)
         out *= -0.5
-        out += const
+        out += log_norm
         return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import stat
 
@@ -208,6 +209,23 @@ class TestGaussianModel:
         moved = dataclasses.replace(model, prior_p=0.3)  # the factors are recomputed
         np.testing.assert_array_equal(moved.chol1, model.chol1)
         assert "chol" not in repr(model)
+
+    def test_log_norm_has_the_bits_of_the_per_call_expression(self):
+        # log_density once recomputed this constant on every call; at the mean
+        # the quadratic form is 0, so the density returns the constant itself
+        rng = derive_rng(1702)
+        for d in range(1, 7):
+            a = rng.normal(size=(d, d))
+            model = GaussianModel(rng.normal(size=d), rng.normal(size=d),
+                                  a @ a.T + 0.1 * np.eye(d), np.diag(rng.uniform(0.5, 2.0, d)))
+            for cls, (mean, chol) in enumerate(((model.mean0, model.chol0),
+                                                (model.mean1, model.chol1))):
+                want = (-0.5 * model.d * math.log(2.0 * math.pi)
+                        - float(np.log(np.diag(chol)).sum()))
+                log_norm = getattr(model, f"log_norm{cls}")
+                assert log_norm.hex() == want.hex()
+                assert model.log_density(cls, mean)[0].hex() == want.hex()
+        assert "log_norm" not in repr(model)
 
     def test_log_density_matches_scipy(self):
         from scipy.stats import multivariate_normal

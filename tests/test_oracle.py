@@ -75,6 +75,17 @@ class TestDpTildeIntegral:
     def test_disjoint_supports_one(self):
         assert dp_tilde_integral(far_separated_pair()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_integrand_keeps_the_bits_of_the_masked_quotient(self):
+        # the expression the integrand replaced, on points where both weighted
+        # densities underflow to 0 (|x| > 35) and where they do not
+        pair = far_separated_pair()
+        terms = oracle._Terms(pair, np.linspace(-60.0, 60.0, 4097)[:, None])
+        s = terms.a + terms.b
+        assert np.any(s == 0.0) and np.any(s > 0.0)
+        want = np.where(s > 0.0, (terms.a - terms.b) ** 2 / np.where(s > 0.0, s, 1.0), 0.0)
+        got = oracle._integrand_table(0.5, 0.5, 0.5)["dp_tilde"](terms)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_pinned_bivariate_value(self):
         # frozen from dp_tilde_integral on the bivariate pair at separation 1;
         # 1536 and 3072 nodes per dim agree to < 1e-12
@@ -244,8 +255,8 @@ class TestPassMemory:
 
     @pytest.mark.parametrize("nodes", [None, 3072])
     def test_blocked_pass_peak(self, nodes):
-        # one leaf of at most 2^16 points is alive at a time (under 4 MiB at the
-        # default grid), so 4x the grid points stays under the same bound
+        # one leaf of at most QUAD_BLOCK_POINTS points is alive at a time (about
+        # 1 MiB at the default grid), so 4x the grid points stays under the same bound
         pair = pair_2d(nodes)
         tracemalloc.start()
         try:
@@ -254,6 +265,21 @@ class TestPassMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2 ** 20
+
+    def test_default_2d_pass_fits_in_cache(self):
+        # leaves of at most 2^14 points, 9 216 at the default grid, 72 KiB per
+        # array: 0.92 MiB measured, 3.16 MiB with leaves of at most 2^16 points.
+        # A process's first pass also imports numpy.polynomial (0.7 MiB), which
+        # the coarser pass pays here.
+        integrals(pair_2d(512), SIX)
+        pair = pair_2d(None)
+        tracemalloc.start()
+        try:
+            integrals(pair, SIX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 ** 20
 
     def test_default_2d_values_keep_their_bits(self):
         # recorded from the whole-grid pass, which summed each integrand with one np.sum
@@ -420,6 +446,22 @@ class TestDensityPairValidation:
         with pytest.raises(TypeError, match="method"):
             dataclasses.replace(pair, method="quadrature")
 
+    @pytest.mark.parametrize("points, message", [
+        (19_999, "mc_points must be a multiple of 100 \\(one share per stratum\\), got 19999"),
+        (2e4, "mc_points must be an integer, got 20000.0"),
+        (True, "mc_points must be an integer, got True"),
+        (999, "mc_points too small: 999"),
+    ], ids=["not_whole_strata", "float", "bool", "too_small"])
+    def test_monte_carlo_points_must_fill_whole_strata(self, points, message):
+        model = diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0] * 3, [1.0] * 3)
+        with pytest.raises(OracleError, match=f"^{message}$"):
+            gaussian_pair(model, mc_points=points)
+
+    @pytest.mark.parametrize("points", [20_000, np.int64(20_000)], ids=["int", "np_int64"])
+    def test_monte_carlo_points_of_whole_strata_accepted(self, points):
+        model = diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0] * 3, [1.0] * 3)
+        assert gaussian_pair(model, mc_points=points).mc_points == 20_000
+
     @pytest.mark.parametrize("nodes", [0, -5, 15])
     def test_node_count_below_one_panel_rejected(self, nodes):
         with pytest.raises(OracleError, match="quad_nodes"):
@@ -431,6 +473,30 @@ class TestDensityPairValidation:
 
 
 class TestMonteCarloPath:
+    def test_stratum_means_keep_the_bits_of_np_mean(self):
+        # the pass takes each stratum mean as np.add.reduce(v) over the stratum
+        # size; this is the loop it replaces, with np.mean
+        pair = gaussian_pair(diagonal_gaussian_model(
+            [0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0], [1.5, 1.0, 0.8], prior_p=0.45),
+            mc_points=400_000)
+        names = ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff",
+                 "scaled_chernoff")
+        table = oracle._integrand_table(pair.prior_p, 1.0 - pair.prior_p, 0.3)
+        per_stratum = pair.mc_points // oracle.MC_STRATA
+        means = np.empty((len(names), oracle.MC_STRATA))
+        for s in range(oracle.MC_STRATA):
+            rng = derive_rng(oracle.MC_ROOT_SEED, s)
+            terms = oracle._Terms(pair, np.vstack([
+                pair.sample_0(rng, per_stratum // 2),
+                pair.sample_1(rng, per_stratum - per_stratum // 2)]))
+            inv_q = np.exp(-(np.logaddexp(terms.lf0, terms.lf1) - math.log(2.0)))
+            for k, name in enumerate(names):
+                means[k, s] = np.mean(table[name](terms) * inv_q)
+        want = {name: (float(m.mean()), float(m.std(ddof=1) / math.sqrt(oracle.MC_STRATA)))
+                for name, m in zip(names, means)}
+        assert 0.0 < want["dp_tilde"][0] < 1.0  # the clamp leaves it alone
+        assert integrals(pair, names, alpha=0.3) == want
+
     def test_reports_standard_error_and_determinism(self):
         pair = gaussian_pair(fukunaga_d2(), mc_points=200_000)
         v1, se1 = integrals(pair, ["dp_tilde"])["dp_tilde"]

@@ -20,6 +20,7 @@ import csv
 import io
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,8 +260,9 @@ def row_groups(pts: np.ndarray) -> np.ndarray:
 
 
 # CSV format: UTF-8 (a leading byte-order mark is skipped), header line, comma
-# separator, '.' decimal point, blank lines skipped; save_csv writes floats
-# through serialize.csv_text.
+# separator, RFC 4180 quoting, '.' decimal point, blank lines skipped; save_csv
+# writes through serialize.csv_text, and a labeled file's header names are
+# unique.
 
 def read_text(path) -> str:
     """A file's UTF-8 text, a leading byte-order mark skipped; other bytes raise DatasetError."""
@@ -329,6 +331,9 @@ def _label_index(path, header, column) -> int:
 def load_csv(path, label_column="label") -> LabeledSample:
     """Load a labeled sample from CSV. `label_column` is a header name or index."""
     header, rows = _read_csv(path)
+    for name, count in Counter(header).items():
+        if count > 1:
+            raise DatasetError(f"{path}: column name {name!r} appears {count} times in the header")
     label_idx = _label_index(path, header, label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     if not feature_names:

@@ -9,12 +9,20 @@ Tie rule: whenever two candidate edges (i, j) have equal squared length,
 the one with the smallest key min(i, j)*n + max(i, j) wins, n the row count;
 that is the lexicographic order of the canonical pairs (i < j). Real data can
 contain exact ties, so determinism has to be imposed. Prim applies the rule
-in two places. Choosing the next vertex compares edges that share no
-endpoint, so the tied candidate with the smallest key is taken. Relaxing
-an outside vertex t against the vertex v that just joined compares (v, t)
-with t's current best edge (parent[t], t); both end at t, so the canonical
-order reduces to v < parent[t] in all four placements of v and parent[t]
-around t.
+in two places, each written once and shared by both Prim kernels. Choosing
+the next vertex compares edges that share no endpoint, so the tied candidate
+with the smallest key (_pair_key) is taken. Relaxing an outside vertex t
+against the vertex v that just joined (_relax) compares (v, t) with t's
+current best edge (parent[t], t); both end at t, so the canonical order
+reduces to v < parent[t] in all four placements of v and parent[t] around t.
+
+Every kernel returns bare edges: vertex arrays (u, v) over the distinct
+rows, unoriented and without lengths. _tree finishes each tree in one place:
+it orients the edges, takes their d2 once from the rows (_edge_d2), attaches
+the duplicate rows, sorts the edges and takes square roots. The d2 a kernel
+compared and the d2 _tree reports are the same bits: (a - b)^2 and (b - a)^2
+are the same float, and _edge_d2 adds the terms in _sum_rows order. So the
+kernels keep one neighbour per vertex while they grow, not a length.
 
 The loop keeps only the vertices outside the tree, compacted by swap-remove,
 so step k touches n - k of them. They are the columns of a (d, w) array: each
@@ -77,18 +85,15 @@ has the same number m of outside vertices, and a set of n rows joins, its
 first row in its tree, when m reaches n - 1; the array is then rebuilt at
 width m. Per set, each step does what a step of the one-tree kernel does to
 the same columns in the same order: the d2 come from the same subtractions,
-squares and _sum_rows additions, a tied argmin takes the smallest
-min(p, t)*n + max(p, t) with the set's own n, and a tied relax keeps the
-smaller parent. So every tree has the bits of build_mst on that set alone. The
-edge lengths are recomputed from the rows afterwards by the same formula
-((a - b)^2 and (b - a)^2 are the same bits), so the trees keep only an int32
-neighbour per vertex while they grow. The column array and its work array are
-two flat arrays sized for the largest join; a join or a compaction moves the
-columns into the other one, so a lockstep allocates them once. A lockstep
-holds at most LOCKSTEP_CELLS cells (coordinate x set x column) at any join;
-the sets past that start the next lockstep. A single set, or one wider than
-that on its own, runs the one-tree kernel, which makes fewer numpy calls per
-step than a lockstep of one.
+squares and _sum_rows additions, and the tie rule is the same _pair_key (with
+the set's own n) and the same _relax. So every tree has the bits of build_mst
+on that set alone. The column array and its work array are two flat arrays
+sized for the largest join; a join or a compaction moves the columns into the
+other one, so a lockstep allocates them once. A lockstep holds at most
+LOCKSTEP_CELLS cells (coordinate x set x column) at any join; the sets past
+that start the next lockstep. A single set, or one wider than that on its
+own, runs the one-tree kernel, which makes fewer numpy calls per step than a
+lockstep of one.
 """
 
 from __future__ import annotations
@@ -167,12 +172,11 @@ def build_msts(point_sets):
         rows = (_distinct(_stacked(blocks, columns), own_rep)
                 for _, _, _, blocks, columns, own_rep in group)
         if len(group) == 1:
-            trees = [_prim(next(rows))[:2]]
+            trees = [_prim(next(rows))]
         else:
             trees = _lockstep(group[0][0], [-w[1] for w in group], rows)
-        for (_, _, k, blocks, columns, own_rep), (i, j) in zip(group, trees):
-            pts = _stacked(blocks, columns)
-            yield k, _tree(pts, own_rep, i, j, _edge_d2(_distinct(pts, own_rep), i, j))
+        for (_, _, k, blocks, columns, own_rep), edges in zip(group, trees):
+            yield k, _tree(_stacked(blocks, columns), own_rep, *edges)
 
 
 def _stacked(blocks, columns) -> np.ndarray:
@@ -204,33 +208,34 @@ def _distinct(pts, own_rep):
     return pts if own_rep is None else pts[_is_rep(own_rep)]
 
 
-def _tree(pts, own_rep, i, j, d2) -> MstResult:
-    """The tree over all rows from the edges (i, j, d2) over the distinct rows."""
-    n = pts.shape[0]
+def _tree(pts, own_rep, u, v) -> MstResult:
+    """The tree over all rows from the edges (u, v) over the distinct rows: the
+    one place edges are oriented and their lengths taken."""
+    i, j = np.minimum(u, v), np.maximum(u, v)
+    d2 = _edge_d2(_distinct(pts, own_rep), i, j)
     if own_rep is not None:
+        if not np.all(d2 > 0):  # distinct rows at d2 == 0 tie with the duplicates
+            return _tree(pts, None, *_prim(pts))
         rep = np.flatnonzero(_is_rep(own_rep))
-        if np.all(d2 > 0):
-            dup = np.flatnonzero(~_is_rep(own_rep))
-            i = np.concatenate((rep[i], own_rep[dup]))
-            j = np.concatenate((rep[j], dup))
-            d2 = np.concatenate((d2, np.zeros(dup.size)))
-        else:  # distinct rows at d2 == 0 tie with the duplicates
-            i, j, d2 = _prim(pts)
+        dup = np.flatnonzero(~_is_rep(own_rep))
+        i = np.concatenate((rep[i], own_rep[dup]))
+        j = np.concatenate((rep[j], dup))
+        d2 = np.concatenate((d2, np.zeros(dup.size)))
 
     order = np.lexsort((j, i))
-    return MstResult(i=i[order], j=j[order], length=np.sqrt(d2[order]), n_points=n)
+    return MstResult(i=i[order], j=j[order], length=np.sqrt(d2[order]), n_points=pts.shape[0])
 
 
 def _edge_d2(pts, i, j):
-    """d2 of the edges (i, j), with the bits the Prim kernels give them."""
+    """d2 of the edges (i, j), with the bits the Prim kernels compare."""
     sq = (pts[j] - pts[i])[:, _sum_order(pts.shape[1])].T.copy()
     np.square(sq, out=sq)
     return _sum_rows(sq).copy()
 
 
 def _sorted_path(pts):
-    """Edges (i, j, d2) of the sorted path over distinct rows when d = 1 and
-    its certificate holds, else None."""
+    """Edges (u, v) of the sorted path over distinct rows when d = 1 and its
+    certificate holds, else None."""
     if pts.shape[1] > 1:
         return None
     s = np.argsort(pts[:, 0], kind="stable")
@@ -238,8 +243,7 @@ def _sorted_path(pts):
     step = ((x[1:] - x[:-1]) ** 2).sum(axis=1)
     span = ((x[2:] - x[:-2]) ** 2).sum(axis=1)
     if np.all(span > step[:-1]) and np.all(span > step[1:]):
-        a, b = s[:-1], s[1:]
-        return np.minimum(a, b), np.maximum(a, b), step
+        return s[:-1], s[1:]
     return None
 
 
@@ -262,7 +266,7 @@ def _lockstep_groups(waiting):
 
 
 def _lockstep(d, sizes, rows):
-    """Edges (i, j) of dense Prim over each of several sets of distinct rows
+    """Edges (u, v) of dense Prim over each of several sets of distinct rows
     in d dimensions, grown together: one entry per set.
 
     sizes are the sets' row counts, largest first; rows yields their (n, d)
@@ -312,7 +316,7 @@ def _lockstep(d, sizes, rows):
             # per set, the tied candidate with the smallest key, as in _prim
             ri, ci = np.nonzero(eq)
             t, p = meta[1:, ri, ci].astype(np.int64)
-            key = (np.minimum(p, t) * n_of[ri] + np.maximum(p, t)) * m + ci
+            key = _pair_key(p, t, n_of[ri]) * m + ci
             k = np.minimum.reduceat(key, np.searchsorted(ri, sets)) % m
         joined = meta[:, sets, k]
         tree[at + joined[1].astype(np.int64)] = joined[2]
@@ -328,22 +332,11 @@ def _lockstep(d, sizes, rows):
             moved[...] = cols[:, :, :last]
             store.reverse()
             cols, buf = moved, _shaped(store[1], moved.shape)
-        d2 = meta[0, :, :last]
-        nd2 = _sq_dist(cols, x, buf)[:, :last]
-        closer = np.less(nd2, d2, out=better[:, :last])
-        tie = np.equal(nd2, d2, out=tied[:, :last])
-        parent = meta[2, :, :last]
-        v = joined[1][:, None]
-        np.copyto(parent, v, where=closer)
-        np.minimum(d2, nd2, out=d2)
-        if np.count_nonzero(tie):
-            np.minimum(parent, v, out=parent, where=tie)
+        _relax(meta[0, :, :last], _sq_dist(cols, x, buf)[:, :last], meta[2, :, :last],
+               joined[1][:, None], better[:, :last], tied[:, :last])
 
-    edges = []
-    for a, n in zip(off[:-1].tolist(), sizes.tolist()):
-        u, v = tree[a + 1:a + n], np.arange(1, n)
-        edges.append((np.minimum(u, v), np.maximum(u, v)))
-    return edges
+    return [(tree[a + 1:a + n], np.arange(1, n))
+            for a, n in zip(off[:-1].tolist(), sizes.tolist())]
 
 
 def _shaped(flat, shape):
@@ -352,7 +345,8 @@ def _shaped(flat, shape):
 
 
 def _prim(pts):
-    """Edges (i, j, d2) of dense Prim over all rows, in the order they join."""
+    """Edges (u, v) of dense Prim over all rows: each vertex v > 0 and the
+    tree neighbour u it joined by."""
     n, d = pts.shape
     laid = pts[:, _sum_order(d)]
     at = laid[:, :, None]
@@ -361,38 +355,46 @@ def _prim(pts):
     dist2 = _sq_dist(cols, at[0], buf).copy()
     rest = np.arange(1, n)
     parent = np.zeros(n - 1, dtype=np.int64)
+    tree = np.empty(n, dtype=np.int64)
     sel, upd, tie = (np.empty(n - 1, dtype=bool) for _ in range(3))
 
-    out_i = np.empty(n - 1, dtype=np.int64)
-    out_j = np.empty(n - 1, dtype=np.int64)
-    out_d2 = np.empty(n - 1, dtype=np.float64)
     for m in range(n - 1, 0, -1):
         d2 = dist2[:m]
         k = int(d2.argmin())
         if np.count_nonzero(np.equal(d2, d2[k], out=sel[:m])) > 1:
             cand = np.flatnonzero(sel[:m])
-            t, p = rest[cand], parent[cand]
-            k = cand[(np.minimum(p, t) * n + np.maximum(p, t)).argmin()]
-        v, u = int(rest[k]), int(parent[k])
-        last = m - 1
-        out_i[last], out_j[last], out_d2[last] = min(u, v), max(u, v), d2[k]
+            k = cand[_pair_key(parent[cand], rest[cand], n).argmin()]
+        v = int(rest[k])
+        tree[v] = parent[k]
 
         # v joins the tree: swap-remove it, then relax the rest against v
+        last = m - 1
         rest[k], parent[k], dist2[k] = rest[last], parent[last], dist2[last]
         cols[:, k] = cols[:, last]
         width = cols.shape[1]
         if width - last > width // 16:
             cols = cols[:, :last].copy()
             buf = np.empty_like(cols)
-        d2 = dist2[:last]
-        nd2 = _sq_dist(cols, at[v], buf)[:last]
-        better = np.less(nd2, d2, out=upd[:last])
-        tied = np.equal(nd2, d2, out=tie[:last])
-        np.putmask(parent[:last], better, v)
-        np.minimum(d2, nd2, out=d2)
-        if np.count_nonzero(tied):
-            np.minimum(parent[:last], v, out=parent[:last], where=tied)
-    return out_i, out_j, out_d2
+        _relax(dist2[:last], _sq_dist(cols, at[v], buf)[:last], parent[:last], v,
+               upd[:last], tie[:last])
+    return tree[1:], np.arange(1, n)
+
+
+def _pair_key(p, t, n):
+    """Tie key of the edges (p, t) among n rows: min(p, t)*n + max(p, t)."""
+    return np.minimum(p, t) * n + np.maximum(p, t)
+
+
+def _relax(d2, nd2, parent, v, closer, tie):
+    """Relax the outside vertices against v, which just joined: where nd2, the
+    d2 to v, is smaller, d2 and parent take nd2 and v; on a tie the smaller
+    parent stays. closer and tie are boolean work arrays of d2's shape."""
+    np.less(nd2, d2, out=closer)
+    np.equal(nd2, d2, out=tie)
+    np.copyto(parent, v, where=closer)
+    np.minimum(d2, nd2, out=d2)
+    if np.count_nonzero(tie):
+        np.minimum(parent, v, out=parent, where=tie)
 
 
 _BIT_REVERSED = (0, 4, 2, 6, 1, 5, 3, 7)

@@ -54,8 +54,9 @@ def _encode(obj, depth):
 
 
 def csv_text(header, rows) -> str:
-    """CSV text; floats at 17 significant digits, ints verbatim."""
-    lines = [",".join(str(h) for h in header)]
+    """CSV text; floats at 17 significant digits, ints verbatim, and a text cell
+    quoted as RFC 4180 asks when it holds a comma, a quote or a line break."""
+    lines = [",".join(_text_cell(h) for h in header)]
     for row in rows:
         cells = []
         for v in row:
@@ -66,9 +67,16 @@ def csv_text(header, rows) -> str:
             elif isinstance(v, float):
                 cells.append(format_float(v))
             else:
-                cells.append(str(v))
+                cells.append(_text_cell(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _text_cell(v) -> str:
+    cell = str(v)
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def atomic_write_text(path, text: str) -> None:

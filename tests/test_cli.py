@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import stat
@@ -209,6 +210,14 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == (
             f"error: {path}: sample contains no rows with label 1\n")
 
+    @pytest.mark.parametrize("header, name", [("x,x,label", "x"), ("x,label,label", "label")])
+    def test_repeated_header_name_exits_2_naming_the_file(self, header, name, tmp_path, capsys):
+        path = tmp_path / "repeated.csv"
+        path.write_text(f"{header}\n1,0,0\n3,1,1\n5,0,1\n", encoding="utf-8")
+        assert cli.main(["bounds", "--source", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: column name '{name}' appears 2 times in the header\n")
+
     def test_model_with_covariances_ulps_apart_exits_0(self, labeled_csv, tmp_path, capsys):
         # the computed coefficient rounds past 1 here; it is clamped there
         model = tmp_path / "ulp.json"
@@ -350,6 +359,20 @@ class TestSelectCommand:
         csv_lines = (out / "select.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "step,feature_name,phi"
         assert len(csv_lines) == 3
+
+    def test_csv_quotes_a_feature_name_with_a_comma(self, tmp_path):
+        rng = derive_rng(9011)
+        lines = ['"a,b",c,label']
+        for label in (0, 1) * 20:
+            lines.append(f"{rng.normal() + 2 * label!r},{rng.normal()!r},{label}")
+        src = tmp_path / "src.csv"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["select", "--source", str(src), "--k", "2", "--out", str(out)]) == 0
+        with open(out / "select.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [3, 3, 3]
+        assert sorted(row[1] for row in rows[1:]) == ["a,b", "c"]
 
     def test_nan_shift_weight_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
         from dpdiv import divergence

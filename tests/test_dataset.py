@@ -117,6 +117,14 @@ class TestLoadCsv:
             b"10000000000000000,-1.5,123456789.12345679,0\n"
         )
 
+    def test_save_csv_quotes_names_that_hold_a_comma_or_a_quote(self, tmp_path):
+        sample = LabeledSample(points=[[1.0, 2.0], [3.0, 4.0]], labels=[0, 1],
+                               feature_names=("a,b", 'q"x'))
+        path = tmp_path / "quoted.csv"
+        save_csv(sample, path)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == '"a,b","q""x",label'
+        assert load_csv(path).feature_names == ("a,b", 'q"x')
+
     def test_save_csv_file_mode_follows_the_umask(self, tmp_path):
         umask = os.umask(0o022)
         try:

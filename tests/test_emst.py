@@ -1,4 +1,5 @@
 import itertools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -236,6 +237,48 @@ class TestLockstep:
         # starts the next one, where the smaller sets still fit (2 * 4 * 49 = 392);
         # a new d starts a run, and 5 * 399 cells are too many for any run
         assert groups == [[0], [1, 2, 3, 4], [5, 6], [7]]
+
+
+def _callers(monkeypatch, name):
+    """Wrap emst.<name>; the returned list collects the name of each caller."""
+    calls, original = [], getattr(emst, name)
+
+    def counted(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(emst, name, counted)
+    return calls
+
+
+_GRID = np.round(np.random.default_rng(710).normal(size=(60, 3)) * 2.0) / 2.0
+
+
+class TestOneFinisher:
+    """Every kernel returns bare edges: _tree orients them and takes their
+    lengths once per tree, and both Prim kernels relax through _relax."""
+
+    @pytest.mark.parametrize("sets, relaxed_by", [
+        ([np.random.default_rng(711).normal(size=(50, 1))], set()),
+        ([_GRID], {"_prim"}),
+        ([_GRID[:, :2], _GRID[:45, 1:], _GRID[10:30, ::2] + 0.25], {"_lockstep"}),
+        ([np.array(_UNDERFLOW_ROWS)], {"_prim"}),
+    ], ids=["sorted_path", "prim", "lockstep", "underflow"])
+    def test_each_tree_takes_its_lengths_once(self, sets, relaxed_by, monkeypatch):
+        d2_calls, relax_calls = _callers(monkeypatch, "_edge_d2"), _callers(monkeypatch, "_relax")
+        trees = dict(build_msts([((pts,), None) for pts in sets]))
+        assert d2_calls == ["_tree"] * len(sets)
+        assert set(relax_calls) == relaxed_by
+        for k, pts in enumerate(sets):
+            assert edge_pairs(trees[k]) == [(i, j) for i, j, _ in kruskal_mst(pts)]
+
+    def test_underflow_fallback_finishes_through_tree_again(self, monkeypatch):
+        d2_calls, relax_calls = _callers(monkeypatch, "_edge_d2"), _callers(monkeypatch, "_relax")
+        pts = np.array([[1e-300], [0.0], [0.0]])
+        assert edge_pairs(build_mst(pts)) == [(i, j) for i, j, _ in kruskal_mst(pts)]
+        # the representatives' tree has a zero-length edge, so Prim runs over all rows
+        assert d2_calls == ["_tree", "_tree"]
+        assert set(relax_calls) == {"_prim"}
 
 
 class TestColumnKernel:

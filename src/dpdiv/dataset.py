@@ -363,7 +363,13 @@ def load_points_csv(path, drop_column=None) -> np.ndarray:
 
 
 def save_csv(sample: LabeledSample, path, label_column="label") -> None:
-    """Write a labeled sample as CSV with 17-significant-digit coordinates."""
+    """Write a labeled sample as CSV with 17-significant-digit coordinates.
+
+    A feature named like label_column raises DatasetError before anything is
+    written: load_csv rejects a header that repeats a name.
+    """
     names = sample.feature_names or tuple(f"x{i}" for i in range(sample.d))
+    if label_column in names:
+        raise DatasetError(f"{path}: feature column {label_column!r} has the label column's name")
     rows = ((*row, label) for row, label in zip(sample.points, sample.labels))
     atomic_write_text(path, csv_text((*names, label_column), rows))

@@ -22,8 +22,8 @@ sets no error target of its own: each caller judges the error it needs.
 One pass evaluates both log-densities once per set of points (a grid leaf,
 or one Monte Carlo stratum) and checks that each returns one value per
 point. Terms several integrands share are computed once per set: p f0 and
-q f1 (bayes_error, dp_tilde, tv). The density masses recompute exp(lf0) and
-exp(lf1) rather than keep them.
+q f1 (bayes_error, dp_tilde, tv). The density masses integrate the same p f0
+and q f1 and divide by the priors, so they add no exponential of their own.
 
 The grid is never built whole (the default 2-D grid is 1536^2 points). np.sum
 over a contiguous float64 array adds pairwise: it halves the range, rounding
@@ -202,10 +202,10 @@ def _quad_blocks(pair: DensityPair):
 class _Terms:
     """One pass's log-densities at points x and the terms several integrands share.
 
-    a = p f0 and b = q f1 (bayes_error, dp_tilde, tv) are computed on first
-    use and kept while the pass integrates over x. Each is the expression those
-    integrands evaluated on their own, so sharing it leaves every value's bits
-    unchanged.
+    a = p f0 and b = q f1 (bayes_error, dp_tilde, tv and the two density
+    masses) are computed once and kept while the pass integrates over x. Each
+    is the expression those integrands evaluated on their own, so sharing it
+    leaves every value's bits unchanged.
     """
 
     def __init__(self, pair, x):
@@ -220,15 +220,8 @@ class _Terms:
                 )
             lf.append(values)
         self.lf0, self.lf1 = lf
-        self.p, self.q = pair.prior_p, 1.0 - pair.prior_p
-
-    @functools.cached_property
-    def a(self):
-        return self.p * np.exp(self.lf0)
-
-    @functools.cached_property
-    def b(self):
-        return self.q * np.exp(self.lf1)
+        self.a = pair.prior_p * np.exp(self.lf0)
+        self.b = (1.0 - pair.prior_p) * np.exp(self.lf1)
 
 
 def _integrate_multi(pair, integrands):
@@ -278,7 +271,7 @@ def _integrand_table(p, q, alpha):
     return {
         "bayes_error": lambda t: np.minimum(t.a, t.b),
         "dp_tilde": dp_tilde,
-        "affinity": lambda t: np.exp(t.lf0 + t.lf1 - np.logaddexp(lp + t.lf0, lq + t.lf1)),
+        "affinity": lambda t: np.exp((t.lf0 + t.lf1) - np.logaddexp(lp + t.lf0, lq + t.lf1)),
         "bc": lambda t: coef * np.exp(0.5 * (t.lf0 + t.lf1)),
         "tv": lambda t: np.abs(t.a - t.b),
         "chernoff": lambda t: np.exp(lead + alpha * t.lf0 + (1.0 - alpha) * t.lf1),
@@ -286,8 +279,8 @@ def _integrand_table(p, q, alpha):
     }
 
 
-# f0 and f1 themselves: every pass checks that each density integrates to 1.
-_DENSITY_MASSES = (lambda t: np.exp(t.lf0), lambda t: np.exp(t.lf1))
+# p f0 and q f1: every pass checks that each density, divided by its prior, integrates to 1.
+_DENSITY_MASSES = (lambda t: t.a, lambda t: t.b)
 
 
 def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
@@ -298,14 +291,14 @@ def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
     the per-integral functions below return one at a time. The standard error
     is 0 for quadrature and the spread of the stratum means for Monte Carlo;
     each caller judges it against its own tolerance.
-    alpha is the Chernoff exponent. The same pass integrates f0 and f1, and a
-    density whose mass is off 1 by more than 1e-6 (quadrature, d <= 2) or
-    1e-2 (Monte Carlo) raises. dp_tilde is clamped into [0, 1] after checking
-    it lies within numerical noise of that range; the affinity is checked
-    against (divergence) = (total mass) - 4pq (affinity) on the same points,
-    the total mass read from the two density masses as p mass0 + q mass1, and
-    disagreement beyond 1e-6, a broken integrator rather than bad input,
-    raises RuntimeError.
+    alpha is the Chernoff exponent. The same pass integrates p f0 and q f1,
+    and a density whose mass (that integral over its prior) is off 1 by more
+    than 1e-6 (quadrature, d <= 2) or 1e-2 (Monte Carlo) raises. dp_tilde is
+    clamped into [0, 1] after checking it lies within numerical noise of that
+    range; the affinity is checked against (divergence) = (total mass) - 4pq
+    (affinity) on the same points, the total mass read as the sum of those two
+    integrals, and disagreement beyond 1e-6, a broken integrator rather than
+    bad input, raises RuntimeError.
     """
     names = tuple(names)
     p, q = pair.prior_p, 1.0 - pair.prior_p
@@ -317,10 +310,10 @@ def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
     evaluated = list(dict.fromkeys(names + (("dp_tilde",) if "affinity" in names else ())))
     if "chernoff" in evaluated and not (0.0 < alpha < 1.0):
         raise OracleError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    *values, mass0, mass1 = _integrate_multi(
+    *values, (mass_a, _), (mass_b, _) = _integrate_multi(
         pair, [table[k] for k in evaluated] + list(_DENSITY_MASSES))
     tol = 1e-6 if pair.method == "quadrature" else 1e-2
-    for k, (mass, _) in enumerate((mass0, mass1)):
+    for k, mass in enumerate((mass_a / p, mass_b / q)):
         if abs(mass - 1.0) > tol:
             raise OracleError(
                 f"density {k} integrates to {mass:.8f} over the box (|mass-1| > {tol:g}); "
@@ -328,7 +321,7 @@ def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
             )
     out = dict(zip(evaluated, values))
     if "affinity" in out:
-        a, dpt, m = out["affinity"][0], out["dp_tilde"][0], p * mass0[0] + q * mass1[0]
+        a, dpt, m = out["affinity"][0], out["dp_tilde"][0], mass_a + mass_b
         if abs(dpt - (m - 4.0 * p * q * a)) > 1e-6:
             raise RuntimeError(
                 f"affinity/divergence identity violated: {dpt:.10f} vs {m - 4 * p * q * a:.10f}"

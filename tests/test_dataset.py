@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -133,6 +134,19 @@ class TestLoadCsv:
         finally:
             os.umask(umask)
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    @pytest.mark.parametrize("names, label_column", [(("label",), "label"), (None, "x1")],
+                             ids=["named_feature", "default_names"])
+    def test_save_csv_rejects_a_feature_named_like_the_label(self, tmp_path, names,
+                                                            label_column):
+        # the header would repeat the name, which load_csv rejects
+        sample = LabeledSample(points=np.zeros((2, 1 if names else 3)), labels=[0, 1],
+                               feature_names=names)
+        path = tmp_path / "clash.csv"
+        message = f"{path}: feature column '{label_column}' has the label column's name"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            save_csv(sample, path, label_column=label_column)
+        assert not path.exists()
 
     def test_roundtrip_is_exact(self, tmp_path):
         sample = sample_gaussian(fukunaga_d1(), 40, 40, seed=3)

@@ -294,6 +294,48 @@ class TestPassMemory:
         }
 
 
+class _CountingNumpy:
+    """numpy, counting its exp calls."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestExponentialsPerPass:
+    # a = p f0 and b = q f1 take one exp each per set of points and serve
+    # bayes_error, dp_tilde, tv and both density masses
+    @pytest.fixture
+    def counting_np(self, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(oracle, "np", counting)
+        return counting
+
+    def test_one_leaf_1d_pass(self, counting_np):
+        integrals(pair_1d_rule(512), ("bayes_error", "dp_tilde", "bc"))
+        assert counting_np.exp_calls == 3  # a, b and bc
+
+    def test_default_2d_pass_per_leaf(self, counting_np):
+        integrals(pair_2d(None), SIX)
+        leaves = len(list(oracle._leaves(0, oracle.DEFAULT_QUAD_NODES[2] ** 2)))
+        assert leaves == 256
+        assert counting_np.exp_calls == 5 * leaves  # a, b, affinity, bc and chernoff
+
+    def test_4d_pass_per_stratum(self, counting_np):
+        pair = gaussian_pair(diagonal_gaussian_model(
+            [0.0] * 4, [1.0] * 4, [1.0, 0.5, 0.0, 0.2], [1.5, 1.0, 0.8, 1.2], prior_p=0.45),
+            mc_points=20_000)
+        integrals(pair, SIX)
+        # a, b, the mixture proposal's inverse, affinity, bc and chernoff
+        assert counting_np.exp_calls == 6 * oracle.MC_STRATA
+
+
 def full_product(pair, nodes):
     """The whole quadrature grid and its weights, built directly as a row-major tensor product."""
     rules = [oracle._composite_leggauss(lo, hi, nodes) for lo, hi in pair.integration_box]
@@ -379,6 +421,32 @@ class TestDensityPairValidation:
             base, log_density_0=lambda x: base.log_density_0(x) + math.log(1.05))
         with pytest.raises(OracleError, match=r"density 0 integrates to 1\.02"):
             integrals(pair, ["bc"])
+
+    @pytest.mark.parametrize("k, scale, message", [
+        (1, 1.05, r"density 1 integrates to 1\.05000000 over the box"),
+        (0, 1.0 + 5e-7, None),
+        (0, 1.0 + 2e-6, r"density 0 integrates to 1\.00000200 over the box"),
+    ], ids=["f1_scaled_by_1.05", "off_by_5e-7", "off_by_2e-6"])
+    def test_mass_is_each_weighted_density_over_its_prior(self, k, scale, message):
+        # the pass integrates p f0 and q f1 (p = 0.3) and divides each by its prior
+        def unit(x):
+            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
+
+        log_densities = [unit, unit]
+        log_densities[k] = lambda x: unit(x) + math.log(scale)
+        pair = DensityPair(*log_densities, prior_p=0.3, integration_box=[[-9.0, 9.0]])
+        if message is None:
+            integrals(pair, ["bc"])
+        else:
+            with pytest.raises(OracleError, match=message):
+                integrals(pair, ["bc"])
+
+    def test_tiny_prior_passes_the_mass_check(self):
+        # p f0 is 1e-300 times f0, subnormal in the tails; dividing its
+        # integral by p still gives a mass within 1e-6 of 1
+        values = integrals(pair_1d(1.0, p=1e-300), SIX)
+        assert 0.0 < values["bayes_error"][0] <= 1e-300
+        assert values["dp_tilde"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_log_density_must_return_one_value_per_point(self):
         # an (n, 1) column would broadcast against the (n,) weights to (n, n)

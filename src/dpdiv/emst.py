@@ -87,9 +87,8 @@ width m. Per set, each step does what a step of the one-tree kernel does to
 the same columns in the same order: the d2 come from the same subtractions,
 squares and _sum_rows additions, and the tie rule is the same _pair_key (with
 the set's own n) and the same _relax. So every tree has the bits of build_mst
-on that set alone. The column array and its work array are two flat arrays
-sized for the largest join; a join or a compaction moves the columns into the
-other one, so a lockstep allocates them once. A lockstep holds at most
+on that set alone. A join or a compaction allocates the column and work
+arrays afresh, as the one-tree kernel does. A lockstep holds at most
 LOCKSTEP_CELLS cells (coordinate x set x column) at any join; the sets past
 that start the next lockstep. A single set, or one wider than that on its
 own, runs the one-tree kernel, which makes fewer numpy calls per step than a
@@ -98,7 +97,6 @@ lockstep of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,13 +273,9 @@ def _lockstep(d, sizes, rows):
     sizes = np.asarray(sizes, dtype=np.int64)
     off = np.concatenate(([0], np.cumsum(sizes)))
     tree = np.empty(off[-1], dtype=np.int32)  # each vertex's tree neighbour as it joined
-    # The columns and the work array live in two flat arrays of the most cells
-    # a join holds; a join or a compaction moves the columns to the other one.
-    cells = d * int(np.max(np.arange(1, sizes.size + 1) * (sizes - 1)))
-    store = [np.empty(cells), np.empty(cells)]
     order = _sum_order(d)
     width = int(sizes[0]) - 1
-    cols = _shaped(store[0], (d, 0, width))
+    cols = np.empty((d, 0, width))
     # per outside vertex: d2 to its tree, its id and its parent's (exact as floats),
     # so one fancy index reads or moves all three
     meta = np.empty((3, 0, width))
@@ -290,21 +284,13 @@ def _lockstep(d, sizes, rows):
         if b < sizes.size and sizes[b] == m + 1:
             # the sets of m + 1 rows join; the arrays are rebuilt at width m
             new = b + int(np.count_nonzero(sizes[b:] == m + 1))
-            moved = _shaped(store[1], (d, new, m))
-            moved[:, :b] = cols[:, :, :m]
-            first = np.empty((d, new - b, 1))
-            for s in range(b, new):
-                x = next(rows)[:, order]
-                moved[:, s] = x[1:].T
-                first[:, s - b, 0] = x[0]
-            store.reverse()
-            cols, buf = moved, _shaped(store[1], moved.shape)
-            grown = np.empty((3, new, m))
-            grown[:, :b] = meta[:, :, :m]
-            grown[0, b:] = _sq_dist(cols[:, b:], first, buf[:, b:])
-            grown[1, b:] = np.arange(1, m + 1)
-            grown[2, b:] = 0
-            meta = grown
+            fresh = np.stack([next(rows)[:, order].T for _ in range(b, new)], axis=1)
+            cols = np.concatenate((cols[:, :, :m], fresh[:, :, 1:]), axis=1)
+            buf = np.empty_like(cols)
+            joining = np.zeros((3, new - b, m))
+            joining[0] = _sq_dist(fresh[:, :, 1:], fresh[:, :, :1], buf[:, b:])
+            joining[1] = np.arange(1, m + 1)
+            meta = np.concatenate((meta[:, :, :m], joining), axis=1)
             b = new
             sets, n_of, at = np.arange(b), sizes[:b], off[:b]
             better, tied = np.empty((2, b, m), dtype=bool)
@@ -328,20 +314,13 @@ def _lockstep(d, sizes, rows):
         cols[:, sets, k] = cols[:, :, last]
         width = cols.shape[2]
         if width - last > width // 16:
-            moved = _shaped(store[1], (d, b, last))
-            moved[...] = cols[:, :, :last]
-            store.reverse()
-            cols, buf = moved, _shaped(store[1], moved.shape)
+            cols = cols[:, :, :last].copy()
+            buf = np.empty_like(cols)
         _relax(meta[0, :, :last], _sq_dist(cols, x, buf)[:, :last], meta[2, :, :last],
                joined[1][:, None], better[:, :last], tied[:, :last])
 
     return [(tree[a + 1:a + n], np.arange(1, n))
             for a, n in zip(off[:-1].tolist(), sizes.tolist())]
-
-
-def _shaped(flat, shape):
-    """A C-contiguous view of the first cells of a flat array, in the given shape."""
-    return flat[:math.prod(shape)].reshape(shape)
 
 
 def _prim(pts):

@@ -7,8 +7,10 @@ domain-invariant features win even when they separate the classes less.
 
 Each step scores all its candidates from one fr_statistic call: one class
 pool per candidate and, with a target, one shift pool, given as column
-subsets of the shared source and target rows, so no candidate's columns are
-copied out. emst.build_msts grows those trees in lockstep, and each keeps the
+subsets of the shared source and target rows rather than as matrices built up
+front. emst.build_msts copies a set's columns each time it reads them: once
+to deduplicate, and for a set that waits for Prim twice more, to grow its tree
+and to finish it. It grows those trees in lockstep, and each keeps the
 bits of a tree built alone, so the selection does not depend on the batching.
 criterion_phi is the same computation for a single subset.
 """

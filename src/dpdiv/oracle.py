@@ -220,8 +220,11 @@ class _Terms:
                 )
             lf.append(values)
         self.lf0, self.lf1 = lf
-        self.a = pair.prior_p * np.exp(self.lf0)
-        self.b = (1.0 - pair.prior_p) * np.exp(self.lf1)
+        # in place, so no temporary: x * y and y * x are the same float
+        self.a = np.exp(self.lf0)
+        self.a *= pair.prior_p
+        self.b = np.exp(self.lf1)
+        self.b *= 1.0 - pair.prior_p
 
 
 def _integrate_multi(pair, integrands):
@@ -312,12 +315,13 @@ def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
         raise OracleError(f"alpha must lie strictly in (0, 1), got {alpha}")
     *values, (mass_a, _), (mass_b, _) = _integrate_multi(
         pair, [table[k] for k in evaluated] + list(_DENSITY_MASSES))
-    tol = 1e-6 if pair.method == "quadrature" else 1e-2
+    tol, points = ((1e-6, "quadrature grid") if pair.method == "quadrature"
+                   else (1e-2, "Monte Carlo sample"))
     for k, mass in enumerate((mass_a / p, mass_b / q)):
         if abs(mass - 1.0) > tol:
             raise OracleError(
                 f"density {k} integrates to {mass:.8f} over the box (|mass-1| > {tol:g}); "
-                "check normalization or widen the box"
+                f"check normalization or widen the box, or the {points} does not resolve it"
             )
     out = dict(zip(evaluated, values))
     if "affinity" in out:

@@ -698,6 +698,22 @@ class TestOracleCommand:
         assert str(path) in err
         assert not out.exists()
 
+    def test_unresolved_ridge_exits_2_naming_the_grid(self, tmp_path, capsys):
+        # normalized densities whose box holds their mass, on a ridge the default
+        # grid is too coarse for: the advice must not blame only the box
+        rho = 0.999999
+        cov = [[1.0, rho], [rho, 1.0]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"mean0": [0.0, 0.0], "mean1": [0.05, -0.05],
+                                    "cov0": cov, "cov1": cov}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: density 0 integrates to ")
+        assert "over the box (|mass-1| > 1e-06)" in err and "quadrature grid" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 @pytest.fixture()
 def model_1d_json(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -237,6 +238,23 @@ class TestLockstep:
         # starts the next one, where the smaller sets still fit (2 * 4 * 49 = 392);
         # a new d starts a run, and 5 * 399 cells are too many for any run
         assert groups == [[0], [1, 2, 3, 4], [5, 6], [7]]
+
+    def test_full_group_memory_is_bounded_by_the_cell_budget(self, monkeypatch):
+        # ten 1200-row sets at d = 2 make one lockstep of 2 * 10 * 1199 = 23 980
+        # cells, inside LOCKSTEP_CELLS; with its column, work and meta arrays and
+        # a join's copies of them, the build peaks at about 1.25 MiB
+        rng = np.random.default_rng(720)
+        sets = [rng.normal(size=(1200, 2)) for _ in range(10)]
+        assert 2 * len(sets) * 1199 <= emst.LOCKSTEP_CELLS
+        calls = _callers(monkeypatch, "_lockstep")
+        tracemalloc.start()
+        try:
+            trees = dict(build_msts([((pts,), None) for pts in sets]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == ["build_msts"] and sorted(trees) == list(range(10))
+        assert peak <= 8 * emst.LOCKSTEP_CELLS * 8
 
 
 def _callers(monkeypatch, name):

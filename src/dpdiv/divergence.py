@@ -40,18 +40,20 @@ def fr_statistic(sample_f, sample_g=None):
     """Count pooled-MST edges joining a point of sample_f to a point of sample_g.
 
     With sample_g omitted, sample_f is a sequence of (f, g, columns) triples,
-    each standing for the pair f[:, columns], g[:, columns] (columns None:
-    all of them). Their trees are built together by emst.build_msts, and the
-    counts come back as an int ndarray, one per triple.
+    each standing for the pool of f[:, columns] over g[:, columns] (columns
+    None: all of them). Each pool is gathered once, when emst.build_msts
+    reaches it, and their trees are built together; the counts come back as
+    an int ndarray, one per triple.
     """
     if sample_g is not None:
         f, g = _pair(sample_f, sample_g)
         return _cross_count(build_mst(np.vstack([f, g])), f.shape[0])
-    sets = [(_pair(f, g), columns) for f, g, columns in sample_f]
-    n_f = [len(f) for (f, _), _ in sets]
-    counts = np.empty(len(sets), dtype=np.int64)
-    for k, mst in build_msts(sets):
-        counts[k] = _cross_count(mst, n_f[k])
+    pairs = [(*_pair(f, g), columns) for f, g, columns in sample_f]
+    pools = (np.concatenate((f, g) if cols is None else (f[:, cols], g[:, cols]))
+             for f, g, cols in pairs)
+    counts = np.empty(len(pairs), dtype=np.int64)
+    for k, mst in build_msts(pools):
+        counts[k] = _cross_count(mst, len(pairs[k][0]))
     return counts
 
 

@@ -24,6 +24,14 @@ compared and the d2 _tree reports are the same bits: (a - b)^2 and (b - a)^2
 are the same float, and _edge_d2 adds the terms in _sum_rows order. So the
 kernels keep one neighbour per vertex while they grow, not a length.
 
+Rows about 1.3e154 or more apart overflow their d2 to inf, and all such pairs
+tie, so the tie rule rather than the geometry would pick among them. _tree
+raises DatasetError when a tree edge has d2 == inf, and asks for rescaled
+input; scaling by a power of two keeps every tree's edges, and so every
+cross count, while no d2 overflows or underflows. The check is exact: every
+overflowed pair is longer than every finite one, so a tree whose edges are
+all finite is the true tree, whatever pairs off it overflow.
+
 The loop keeps only the vertices outside the tree, compacted by swap-remove,
 so step k touches n - k of them. They are the columns of a (d, w) array: each
 step subtracts the vertex that joined as a (d, 1) column into a reused
@@ -74,10 +82,13 @@ rounding (-1e16, 0.0, 1e-300 sorted: the outer span rounds to the first
 step, and the path would give (0, 2), (1, 2) for rows [-1e16], [1e-300],
 [0.0] where Prim gives (0, 1), (1, 2)); Prim runs then.
 
-build_msts takes many point sets at once, as greedy feature selection scores
-its candidates. Each set is deduplicated, tried on the sorted path and
+build_msts takes many point matrices at once, as greedy feature selection
+scores its candidates, and reads each one once, in order, so point_sets may
+be a generator that builds each matrix only when it is reached. Each matrix is
+converted and checked (_checked), deduplicated, tried on the sorted path and
 finished (duplicates attached, the underflow fallback) on its own, exactly as
-build_mst does it. The sets left for Prim are grown in lockstep: ordered by
+build_mst does it; a set left for Prim keeps its matrix and its distinct rows
+until its lockstep runs. Those sets are grown in lockstep: ordered by
 dimension and then by falling size, they share one (d, B, w) column array, so
 each step makes one argmin, one swap-remove and one relax for all B trees, one
 set of numpy calls where one tree at a time makes B. Every set in the array
@@ -101,7 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_finite, derive_rng, row_groups
+from .dataset import DatasetError, check_finite, derive_rng, row_groups
 
 # Most cells (coordinate x set x column) a lockstep's column array holds: with
 # its work array, 384 KiB. Larger groups measured no faster on selection steps
@@ -141,48 +152,43 @@ def build_mst(points) -> MstResult:
 
     Output edges are canonically oriented (i < j) and sorted by (i, j).
     Duplicate points are allowed; the tie rule resolves their zero-length
-    edges deterministically.
+    edges deterministically. Raises DatasetError when the squared length of
+    a tree edge overflows to inf; scaling by a power of two keeps the edges.
     """
-    return next(build_msts([((points,), None)]))[1]
+    return next(build_msts([points]))[1]
 
 
 def build_msts(point_sets):
-    """Yield (k, MstResult) for each point set k, in the order the trees are done.
+    """Yield (k, MstResult) for each (n, d) point matrix k of point_sets, in
+    the order the trees are done; each tree is the build_mst of its matrix,
+    bit for bit.
 
-    Set k is a pair (blocks, columns): its points are the vertical stack of
-    the row blocks, restricted to the given columns (None keeps them all),
-    and its tree is the build_mst of that matrix, bit for bit. The sets that
-    need Prim are grown in lockstep groups of one dimension; a group of one
-    runs the one-tree kernel.
+    point_sets is read once, in order, and each matrix is converted, checked
+    and deduplicated once; the matrices that need Prim are kept, with their
+    distinct rows, until their lockstep group runs. A group of one runs the
+    one-tree kernel.
     """
     waiting = []
-    for k, (blocks, columns) in enumerate(point_sets):
-        pts = _stacked(blocks, columns)
+    for k, points in enumerate(point_sets):
+        pts = _checked(points)
         own_rep = _own_rep(pts)
         rows = _distinct(pts, own_rep)
         path = _sorted_path(rows)
         if path is None:
-            waiting.append((rows.shape[1], -rows.shape[0], k, blocks, columns, own_rep))
+            waiting.append((rows.shape[1], -rows.shape[0], k, pts, own_rep, rows))
         else:
-            yield k, _tree(pts, own_rep, *path)
+            yield k, _tree(pts, own_rep, rows, *path)
     waiting.sort(key=lambda w: w[:3])
     for group in _lockstep_groups(waiting):
-        rows = (_distinct(_stacked(blocks, columns), own_rep)
-                for _, _, _, blocks, columns, own_rep in group)
-        if len(group) == 1:
-            trees = [_prim(next(rows))]
-        else:
-            trees = _lockstep(group[0][0], [-w[1] for w in group], rows)
-        for (_, _, k, blocks, columns, own_rep), edges in zip(group, trees):
-            yield k, _tree(_stacked(blocks, columns), own_rep, *edges)
+        rows = [w[5] for w in group]
+        trees = [_prim(rows[0])] if len(group) == 1 else _lockstep(rows)
+        for (_, _, k, pts, own_rep, distinct), edges in zip(group, trees):
+            yield k, _tree(pts, own_rep, distinct, *edges)
 
 
-def _stacked(blocks, columns) -> np.ndarray:
+def _checked(points) -> np.ndarray:
     """The checked (n, d) float matrix of a point set."""
-    if columns is not None:
-        blocks = [np.asarray(b)[:, columns] for b in blocks]
-    pts = np.ascontiguousarray(
-        blocks[0] if len(blocks) == 1 else np.concatenate(blocks), dtype=np.float64)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise ValueError(
             f"points must be a 2-D matrix with at least one column, got shape {pts.shape}")
@@ -206,14 +212,17 @@ def _distinct(pts, own_rep):
     return pts if own_rep is None else pts[_is_rep(own_rep)]
 
 
-def _tree(pts, own_rep, u, v) -> MstResult:
-    """The tree over all rows from the edges (u, v) over the distinct rows: the
-    one place edges are oriented and their lengths taken."""
+def _tree(pts, own_rep, rows, u, v) -> MstResult:
+    """The tree over all rows of pts from the edges (u, v) over its distinct
+    rows: the one place edges are oriented and their lengths taken."""
     i, j = np.minimum(u, v), np.maximum(u, v)
-    d2 = _edge_d2(_distinct(pts, own_rep), i, j)
+    d2 = _edge_d2(rows, i, j)
+    if np.isinf(d2).any():  # overflowed pairs all tie at inf, so the tree may be wrong
+        raise DatasetError("squared distances overflow to inf; rescale the input "
+                           "(cross counts do not depend on scale)")
     if own_rep is not None:
         if not np.all(d2 > 0):  # distinct rows at d2 == 0 tie with the duplicates
-            return _tree(pts, None, *_prim(pts))
+            return _tree(pts, None, pts, *_prim(pts))
         rep = np.flatnonzero(_is_rep(own_rep))
         dup = np.flatnonzero(~_is_rep(own_rep))
         i = np.concatenate((rep[i], own_rep[dup]))
@@ -263,14 +272,12 @@ def _lockstep_groups(waiting):
         yield group
 
 
-def _lockstep(d, sizes, rows):
-    """Edges (u, v) of dense Prim over each of several sets of distinct rows
-    in d dimensions, grown together: one entry per set.
-
-    sizes are the sets' row counts, largest first; rows yields their (n, d)
-    matrices in the same order and is read as each set joins.
+def _lockstep(rows):
+    """Edges (u, v) of dense Prim over each of several (n, d) matrices of
+    distinct rows, one d, largest first, grown together: one entry per matrix.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
+    d = rows[0].shape[1]
+    sizes = np.array([r.shape[0] for r in rows], dtype=np.int64)
     off = np.concatenate(([0], np.cumsum(sizes)))
     tree = np.empty(off[-1], dtype=np.int32)  # each vertex's tree neighbour as it joined
     order = _sum_order(d)
@@ -284,7 +291,7 @@ def _lockstep(d, sizes, rows):
         if b < sizes.size and sizes[b] == m + 1:
             # the sets of m + 1 rows join; the arrays are rebuilt at width m
             new = b + int(np.count_nonzero(sizes[b:] == m + 1))
-            fresh = np.stack([next(rows)[:, order].T for _ in range(b, new)], axis=1)
+            fresh = np.stack([r[:, order].T for r in rows[b:new]], axis=1)
             cols = np.concatenate((cols[:, :, :m], fresh[:, :, 1:]), axis=1)
             buf = np.empty_like(cols)
             joining = np.zeros((3, new - b, m))

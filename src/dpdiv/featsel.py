@@ -8,10 +8,9 @@ domain-invariant features win even when they separate the classes less.
 Each step scores all its candidates from one fr_statistic call: one class
 pool per candidate and, with a target, one shift pool, given as column
 subsets of the shared source and target rows rather than as matrices built up
-front. emst.build_msts copies a set's columns each time it reads them: once
-to deduplicate, and for a set that waits for Prim twice more, to grow its tree
-and to finish it. It grows those trees in lockstep, and each keeps the
-bits of a tree built alone, so the selection does not depend on the batching.
+front. fr_statistic gathers each pool's columns once, when emst.build_msts
+reaches it; build_msts grows the trees in lockstep, and each keeps the bits
+of a tree built alone, so the selection does not depend on the batching.
 criterion_phi is the same computation for a single subset.
 """
 
@@ -74,13 +73,20 @@ def criterion_phi(source0, source1, target, features, shift_weight=0.0) -> float
 
     Value = C(source0[F], source1[F]) / (n0 + n1); with shift_weight > 0 it
     adds shift_weight times the shift penalty 2 sqrt(dp_tilde) between the
-    merged source and the target. Lower is better.
+    merged source and the target. Lower is better. features is a non-empty
+    set of distinct integer column indices in [0, d) (bools are rejected).
     """
     s0, s1, tgt = _check_inputs(source0, source1, target, shift_weight)
-    idx = [int(f) for f in features]
+    idx = list(features)
     if not idx:
         raise ValueError("feature set must be non-empty")
-    return _criteria(s0, s1, tgt, [idx], shift_weight)[0]
+    d = s0.shape[1]
+    for pos, f in enumerate(idx):
+        if isinstance(f, bool) or not isinstance(f, (int, np.integer)) or not 0 <= f < d:
+            raise ValueError(f"feature {f!r} is not a column index in [0, {d})")
+        if f in idx[:pos]:
+            raise ValueError(f"feature {f!r} is repeated")
+    return _criteria(s0, s1, tgt, [[int(f) for f in idx]], shift_weight)[0]
 
 
 def _criteria(s0, s1, tgt, subsets, shift_weight) -> list[float]:

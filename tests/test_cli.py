@@ -90,6 +90,16 @@ class TestEstimateCommand:
             f"error: {b3} has 3 feature columns but {cluster_csvs[0]} has 2\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_squared_distances_exit_2(self, tmp_path, capsys):
+        # the true tree has 4 cross edges; with every d2 at inf it would be a star with 2
+        a = write_points_csv(tmp_path / "a.csv", np.array([[0.0], [1e200], [3e200]]))
+        b = write_points_csv(tmp_path / "b.csv", np.array([[1.0], [2e200]]))
+        assert cli.main(["estimate", "--a", a, "--b", b, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: squared distances overflow to inf; rescale the input" in err
+        assert not (tmp_path / "out").exists()
+
     def test_artifact_file_mode_follows_the_umask(self, cluster_csvs, tmp_path):
         umask = os.umask(0o022)
         try:
@@ -504,6 +514,15 @@ class TestMstDumpCommand:
                              "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "index" / "mst.csv").read_bytes() == \
             (tmp_path / "plain" / "mst.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_squared_distances_exit_2(self, tmp_path, capsys):
+        src = write_points_csv(tmp_path / "pts.csv", np.array([[0.0], [1e200], [3e200], [-1e200]]))
+        assert cli.main(["mst-dump", "--input", src, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: squared distances overflow to inf; rescale the input" in err
+        assert "non-finite" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_broken_tree_exits_1_with_traceback(self, tmp_path, monkeypatch, capsys):
         src = write_points_csv(tmp_path / "pts.csv", derive_rng(9006).normal(size=(5, 2)))

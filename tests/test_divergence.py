@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,22 @@ class TestFrStatistic:
         f = rng.normal(size=(100, 2))
         g = rng.normal(size=(100, 2))
         assert fr_statistic(f, g) == kruskal_cross_count(f, g)
+
+    def test_pools_are_gathered_as_the_trees_reach_them(self):
+        # 40 one-column pools of 2400 rows: a list of them built up front holds
+        # 40 pools' bytes at once, while one tree's work needs about 14
+        rng = derive_rng(2719)
+        f, g = rng.normal(size=(1200, 40)), rng.normal(size=(1200, 40)) + 0.3
+        triples = [(f, g, [c]) for c in range(40)]
+        pool_bytes = 2400 * 8
+        tracemalloc.start()
+        try:
+            counts = fr_statistic(triples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * pool_bytes
+        assert counts.tolist() == [fr_statistic(f[:, [c]], g[:, [c]]) for c in range(40)]
 
     def test_errors(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bruteforce import kruskal_cross_count, kruskal_mst, kruskal_total_length
 from dpdiv import emst
+from dpdiv.dataset import DatasetError
 from dpdiv.divergence import fr_statistic
 from dpdiv.emst import MstResult, _sq_dist, _sum_order, add_jitter, build_mst, build_msts
 
@@ -203,7 +204,7 @@ class TestLockstep:
     def test_each_tree_equals_the_one_tree_build(self, sets, cells):
         # a budget of 40 cells splits batches into many locksteps and single trees
         with mock.patch.object(emst, "LOCKSTEP_CELLS", cells):
-            trees = dict(build_msts([((pts,), None) for pts in sets]))
+            trees = dict(build_msts(sets))
         assert sorted(trees) == list(range(len(sets)))
         for k, pts in enumerate(sets):
             alone, batched = build_mst(pts), trees[k]
@@ -249,7 +250,7 @@ class TestLockstep:
         calls = _callers(monkeypatch, "_lockstep")
         tracemalloc.start()
         try:
-            trees = dict(build_msts([((pts,), None) for pts in sets]))
+            trees = dict(build_msts(sets))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,7 +285,7 @@ class TestOneFinisher:
     ], ids=["sorted_path", "prim", "lockstep", "underflow"])
     def test_each_tree_takes_its_lengths_once(self, sets, relaxed_by, monkeypatch):
         d2_calls, relax_calls = _callers(monkeypatch, "_edge_d2"), _callers(monkeypatch, "_relax")
-        trees = dict(build_msts([((pts,), None) for pts in sets]))
+        trees = dict(build_msts(sets))
         assert d2_calls == ["_tree"] * len(sets)
         assert set(relax_calls) == relaxed_by
         for k, pts in enumerate(sets):
@@ -297,6 +298,54 @@ class TestOneFinisher:
         # the representatives' tree has a zero-length edge, so Prim runs over all rows
         assert d2_calls == ["_tree", "_tree"]
         assert set(relax_calls) == {"_prim"}
+
+
+class TestEachSetReadOnce:
+    def test_one_check_and_one_deduplication_per_set(self, monkeypatch):
+        # a sorted-path set, a set for _prim, a 3-set lockstep and a set of
+        # duplicate rows that waits for Prim on its own
+        dup = np.repeat(np.random.default_rng(712).normal(size=(20, 4)), 2, axis=0)
+        sets = [np.random.default_rng(711).normal(size=(50, 1)), _GRID,
+                _GRID[:, :2], _GRID[:45, 1:], _GRID[10:30, ::2] + 0.25, dup]
+        checks = _callers(monkeypatch, "check_finite")
+        groupings = _callers(monkeypatch, "row_groups")
+        prims, locksteps = _callers(monkeypatch, "_prim"), _callers(monkeypatch, "_lockstep")
+        trees = dict(build_msts(iter(sets)))
+        assert checks == ["_checked"] * len(sets)
+        assert groupings == ["_own_rep"] * len(sets)
+        assert (prims, locksteps) == (["build_msts"] * 2, ["build_msts"])
+        for k, pts in enumerate(sets):
+            assert edge_pairs(trees[k]) == [(i, j) for i, j, _ in kruskal_mst(pts)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestOverflow:
+    """d2 of rows about 1.3e154 apart overflows to inf, where every such pair
+    ties; a tree edge at inf is refused, a non-tree pair at inf is harmless."""
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0], [1e200], [3e200], [-1e200]],
+        [[0.0], [0.0], [1e200]],
+        [[0.0, 0.0], [1e200, 0.0], [0.0, 3e200]],
+    ], ids=["sorted_path_fails", "duplicates", "prim"])
+    def test_an_overflowing_tree_edge_raises(self, pts):
+        with pytest.raises(DatasetError, match="overflow.*rescale"):
+            build_mst(np.array(pts))
+
+    def test_an_overflowing_set_in_a_lockstep_raises(self):
+        sets = [_GRID[:, :2], np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 3e200]]), _GRID[:, 1:]]
+        with pytest.raises(DatasetError, match="overflow"):
+            dict(build_msts(sets))
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0], [1e154], [2e154]],
+        [[0.0, 0.0], [1e154, 0.0], [2e154, 0.0]],
+    ], ids=["sorted_path", "prim"])
+    def test_an_overflowing_pair_off_the_tree_is_harmless(self, pts):
+        pts = np.array(pts)
+        mst, scaled = build_mst(pts), build_mst(pts * 2.0 ** -600)
+        assert edge_pairs(mst) == edge_pairs(scaled) == [(0, 1), (1, 2)]
+        assert (mst.length * 2.0 ** -600).tolist() == scaled.length.tolist()
 
 
 class TestColumnKernel:

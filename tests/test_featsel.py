@@ -71,6 +71,26 @@ class TestCriterionPhi:
         with pytest.raises(ValueError, match="shift_weight"):
             criterion_phi(x, y, None, (0,), shift_weight=-0.5)
 
+    @pytest.mark.parametrize("features, message", [
+        ([-1], r"feature -1 is not a column index in \[0, 3\)"),
+        ([3], r"feature 3 is not a column index in \[0, 3\)"),
+        ([1.7], r"feature 1.7 is not a column index"),
+        ([1.0], r"feature 1.0 is not a column index"),
+        ([True], r"feature True is not a column index"),
+        (np.array([True]), r"feature (np\.)?True_? is not a column index"),
+        (["1"], r"feature '1' is not a column index"),
+        ([0, 2, 0], r"feature 0 is repeated"),
+    ], ids=["negative", "past_the_end", "fraction", "float", "bool", "numpy_bool", "str",
+            "repeated"])
+    def test_bad_feature_index_rejected(self, features, message):
+        x = np.zeros((10, 3))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            criterion_phi(x, x + 1.0, None, features)
+
+    def test_numpy_integer_features_accepted(self):
+        x0, x1 = informative_plus_noise(4, n=30, noise_features=2)
+        assert criterion_phi(x0, x1, None, np.array([2, 0])) == criterion_phi(x0, x1, None, [2, 0])
+
     def test_nan_shift_weight_rejected(self):
         x = np.zeros((10, 2))
         y = np.ones((10, 2))

@@ -1,14 +1,19 @@
 """Command-line interface.
 
 Subcommands: estimate, bounds, select, sweep, fukunaga, consistency, oracle,
-mst-dump. All configuration is explicit flags (no environment variables);
-the default seed is the documented constant 0xD1BE5, so default runs are
-reproducible. Each command returns every format it can write; ``main`` keeps
-the ones --format asks for and writes them atomically into --out, so
-identical invocations produce byte-identical files, and prints the artifact
-of a subcommand whose only format is JSON. Warnings raised during a run are
-printed as ``warning: <message>`` lines on stderr. Exit codes: 0 success,
-2 input or flag validation error, 1 internal error.
+mst-dump. All configuration is explicit flags (no environment variables),
+and each subcommand takes only the flags that can change its result. --seed
+is on the four that draw random numbers (sweep, fukunaga, consistency, and
+mst-dump for --jitter); its default is the documented constant 0xD1BE5, so
+default runs are reproducible. --format is on the four that write more than
+one format (select, sweep, fukunaga, consistency). Each command returns every
+format it can write; ``main`` keeps the ones --format asks for (the one
+format of a subcommand without the flag) and writes them atomically into
+--out, so identical invocations produce byte-identical files, and prints the
+artifact of a subcommand whose only format is JSON. Warnings raised during a
+run are printed as ``warning: <message>`` lines on stderr. Exit codes: 0
+success, 2 input or flag validation error (an unrecognized flag included),
+1 internal error.
 """
 
 from __future__ import annotations
@@ -52,15 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    def common(sub, run, writable=("json",), default=None):
-        default = default or ",".join(writable)
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                         help=f"master random seed (default {DEFAULT_SEED} = 0xD1BE5)")
+    def common(sub, run, writable=("json",), default=None, seeded=False):
+        """--seed for a subcommand that draws random numbers, --out, and
+        --format for one that writes more than one format."""
+        if seeded:
+            sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                             help=f"master random seed (default {DEFAULT_SEED} = 0xD1BE5)")
         sub.add_argument("--out", default=".",
                          help="output directory for artifacts (default: current dir)")
-        sub.add_argument("--format", default=default,
-                         help=f"comma-separated output formats out of {','.join(writable)} "
-                              f"(default: {default})")
+        if len(writable) > 1:
+            default = default or ",".join(writable)
+            sub.add_argument("--format", default=default,
+                             help=f"comma-separated output formats out of {','.join(writable)} "
+                                  f"(default: {default})")
         sub.set_defaults(run=run, writable_formats=writable)
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -94,20 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--n", type=int, default=300, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=10)
-    common(p, _cmd_sweep, ("json", "csv", "svg"), default="json,csv")
+    common(p, _cmd_sweep, ("json", "csv", "svg"), default="json,csv", seeded=True)
 
     p = subs.add_parser("fukunaga", help="bound distribution on an 8-D Gaussian benchmark")
     p.add_argument("--dataset", choices=sorted(experiments.FUKUNAGA_SAMPLING_MODELS),
                    required=True)
     p.add_argument("--n", type=int, default=1000, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=50)
-    common(p, _cmd_fukunaga, ("json", "csv", "svg"), default="json,csv")
+    common(p, _cmd_fukunaga, ("json", "csv", "svg"), default="json,csv", seeded=True)
 
     p = subs.add_parser("consistency", help="estimator error vs sample size")
     p.add_argument("--sizes", default="100,400,1600", help="comma-separated ascending sizes")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--model", help="Gaussian model JSON (default: built-in bivariate pair)")
-    common(p, _cmd_consistency, ("json", "csv", "svg"), default="json,csv")
+    common(p, _cmd_consistency, ("json", "csv", "svg"), default="json,csv", seeded=True)
 
     p = subs.add_parser("oracle", help="integration-oracle values for a Gaussian model")
     p.add_argument("--model", required=True, help="Gaussian model JSON")
@@ -120,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add seeded jitter (1e-9 x coordinate scale) to break distance ties")
     p.add_argument("--label-column", default="label",
                    help="column to drop if present (default 'label')")
-    common(p, _cmd_mst_dump, ("csv",))
+    common(p, _cmd_mst_dump, ("csv",), seeded=True)
 
     return parser
 
@@ -190,14 +199,17 @@ def _cmd_bounds(args):
         warnings.warn("--label-drift is ignored without --target")
     source, classes = _load_source(args)
     target = _load_target(args, source) if args.target else None
+    model = load_model_json(args.model) if args.model else None
+    if model is not None and model.d != source.d:
+        raise DatasetError(f"{args.model} is a {model.d}-D model but {args.source} has "
+                           f"{source.d} feature columns")
     est = divergence.estimate(*classes)
     report = {
         "schema": SCHEMA_VERSION,
         "dp_bounds": asdict(bounds.ber_bounds_from_estimate(est)),
         "bc": None, "mahalanobis": None, "da": None,
     }
-    if args.model:
-        model = load_model_json(args.model)
+    if model is not None:
         bc, mahalanobis = bounds.gaussian_bounds(model)
         report["bc"], report["mahalanobis"] = asdict(bc), asdict(mahalanobis)
     if target is not None:
@@ -342,9 +354,10 @@ def main(argv=None) -> int:
         # "always": report every warning, also one repeated from the same line
         warnings.simplefilter("always")
         try:
-            if args.seed < 0:
+            if "seed" in args and args.seed < 0:
                 raise DatasetError(f"--seed must be non-negative, got {args.seed}")
-            formats = _parse_formats(args.format, args.writable_formats, args.subcommand)
+            formats = (_parse_formats(args.format, args.writable_formats, args.subcommand)
+                       if "format" in args else args.writable_formats)
             artifacts = args.run(args)
             os.makedirs(args.out, exist_ok=True)
             for name, text in artifacts.items():

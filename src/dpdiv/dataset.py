@@ -80,12 +80,16 @@ class LabeledSample:
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise DatasetError(f"points must be a non-empty 2-D matrix, got shape {pts.shape}")
         check_finite(pts)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.shape != (pts.shape[0],):
-            raise DatasetError(f"labels shape {labels.shape} does not match {pts.shape[0]} rows")
-        if not np.all((labels == 0) | (labels == 1)):
-            bad = int(np.argwhere((labels != 0) & (labels != 1))[0][0])
-            raise DatasetError(f"label at row {bad} is {labels[bad]}, expected 0 or 1")
+        raw = np.asarray(self.labels)
+        if raw.shape != (pts.shape[0],):
+            raise DatasetError(f"labels shape {raw.shape} does not match {pts.shape[0]} rows")
+        # checked before the int64 cast, which would truncate 0.5 to 0 (NaN is bad too)
+        values = raw.astype(np.float64)
+        ok = (values == 0) | (values == 1)
+        if not np.all(ok):
+            bad = int(np.argmin(ok))
+            raise DatasetError(f"label at row {bad} is {raw[bad]}, expected 0 or 1")
+        labels = values.astype(np.int64)
         if self.feature_names is not None:
             names = tuple(str(s) for s in self.feature_names)
             if len(names) != pts.shape[1]:

@@ -30,7 +30,11 @@ raises DatasetError when a tree edge has d2 == inf, and asks for rescaled
 input; scaling by a power of two keeps every tree's edges, and so every
 cross count, while no d2 overflows or underflows. The check is exact: every
 overflowed pair is longer than every finite one, so a tree whose edges are
-all finite is the true tree, whatever pairs off it overflow.
+all finite is the true tree, whatever pairs off it overflow. So that error is
+the only report of an overflow: d2 are computed under np.errstate(over=
+"ignore"), entered once per kernel call and once per set in _edge_d2 and
+_sorted_path, never per Prim step, and never across a yield of build_msts,
+where it would leak into the caller.
 
 The loop keeps only the vertices outside the tree, compacted by swap-remove,
 so step k touches n - k of them. They are the columns of a (d, w) array: each
@@ -235,9 +239,10 @@ def _tree(pts, own_rep, rows, u, v) -> MstResult:
 
 def _edge_d2(pts, i, j):
     """d2 of the edges (i, j), with the bits the Prim kernels compare."""
-    sq = (pts[j] - pts[i])[:, _sum_order(pts.shape[1])].T.copy()
-    np.square(sq, out=sq)
-    return _sum_rows(sq).copy()
+    with np.errstate(over="ignore"):
+        sq = (pts[j] - pts[i])[:, _sum_order(pts.shape[1])].T.copy()
+        np.square(sq, out=sq)
+        return _sum_rows(sq).copy()
 
 
 def _sorted_path(pts):
@@ -247,8 +252,9 @@ def _sorted_path(pts):
         return None
     s = np.argsort(pts[:, 0], kind="stable")
     x = pts[s]
-    step = ((x[1:] - x[:-1]) ** 2).sum(axis=1)
-    span = ((x[2:] - x[:-2]) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        step = ((x[1:] - x[:-1]) ** 2).sum(axis=1)
+        span = ((x[2:] - x[:-2]) ** 2).sum(axis=1)
     if np.all(span > step[:-1]) and np.all(span > step[1:]):
         return s[:-1], s[1:]
     return None
@@ -287,44 +293,45 @@ def _lockstep(rows):
     # so one fancy index reads or moves all three
     meta = np.empty((3, 0, width))
     b = 0
-    for m in range(width, 0, -1):
-        if b < sizes.size and sizes[b] == m + 1:
-            # the sets of m + 1 rows join; the arrays are rebuilt at width m
-            new = b + int(np.count_nonzero(sizes[b:] == m + 1))
-            fresh = np.stack([r[:, order].T for r in rows[b:new]], axis=1)
-            cols = np.concatenate((cols[:, :, :m], fresh[:, :, 1:]), axis=1)
-            buf = np.empty_like(cols)
-            joining = np.zeros((3, new - b, m))
-            joining[0] = _sq_dist(fresh[:, :, 1:], fresh[:, :, :1], buf[:, b:])
-            joining[1] = np.arange(1, m + 1)
-            meta = np.concatenate((meta[:, :, :m], joining), axis=1)
-            b = new
-            sets, n_of, at = np.arange(b), sizes[:b], off[:b]
-            better, tied = np.empty((2, b, m), dtype=bool)
+    with np.errstate(over="ignore"):  # as in _prim
+        for m in range(width, 0, -1):
+            if b < sizes.size and sizes[b] == m + 1:
+                # the sets of m + 1 rows join; the arrays are rebuilt at width m
+                new = b + int(np.count_nonzero(sizes[b:] == m + 1))
+                fresh = np.stack([r[:, order].T for r in rows[b:new]], axis=1)
+                cols = np.concatenate((cols[:, :, :m], fresh[:, :, 1:]), axis=1)
+                buf = np.empty_like(cols)
+                joining = np.zeros((3, new - b, m))
+                joining[0] = _sq_dist(fresh[:, :, 1:], fresh[:, :, :1], buf[:, b:])
+                joining[1] = np.arange(1, m + 1)
+                meta = np.concatenate((meta[:, :, :m], joining), axis=1)
+                b = new
+                sets, n_of, at = np.arange(b), sizes[:b], off[:b]
+                better, tied = np.empty((2, b, m), dtype=bool)
 
-        d2 = meta[0, :, :m]
-        k = d2.argmin(axis=1)
-        eq = np.equal(d2, d2[sets, k][:, None], out=better[:, :m])
-        if np.count_nonzero(eq) > b:
-            # per set, the tied candidate with the smallest key, as in _prim
-            ri, ci = np.nonzero(eq)
-            t, p = meta[1:, ri, ci].astype(np.int64)
-            key = _pair_key(p, t, n_of[ri]) * m + ci
-            k = np.minimum.reduceat(key, np.searchsorted(ri, sets)) % m
-        joined = meta[:, sets, k]
-        tree[at + joined[1].astype(np.int64)] = joined[2]
+            d2 = meta[0, :, :m]
+            k = d2.argmin(axis=1)
+            eq = np.equal(d2, d2[sets, k][:, None], out=better[:, :m])
+            if np.count_nonzero(eq) > b:
+                # per set, the tied candidate with the smallest key, as in _prim
+                ri, ci = np.nonzero(eq)
+                t, p = meta[1:, ri, ci].astype(np.int64)
+                key = _pair_key(p, t, n_of[ri]) * m + ci
+                k = np.minimum.reduceat(key, np.searchsorted(ri, sets)) % m
+            joined = meta[:, sets, k]
+            tree[at + joined[1].astype(np.int64)] = joined[2]
 
-        # each v joins its tree: swap-remove it, then relax the rest against v
-        last = m - 1
-        x = cols[:, sets, k][:, :, None]
-        meta[:, sets, k] = meta[:, :, last]
-        cols[:, sets, k] = cols[:, :, last]
-        width = cols.shape[2]
-        if width - last > width // 16:
-            cols = cols[:, :, :last].copy()
-            buf = np.empty_like(cols)
-        _relax(meta[0, :, :last], _sq_dist(cols, x, buf)[:, :last], meta[2, :, :last],
-               joined[1][:, None], better[:, :last], tied[:, :last])
+            # each v joins its tree: swap-remove it, then relax the rest against v
+            last = m - 1
+            x = cols[:, sets, k][:, :, None]
+            meta[:, sets, k] = meta[:, :, last]
+            cols[:, sets, k] = cols[:, :, last]
+            width = cols.shape[2]
+            if width - last > width // 16:
+                cols = cols[:, :, :last].copy()
+                buf = np.empty_like(cols)
+            _relax(meta[0, :, :last], _sq_dist(cols, x, buf)[:, :last], meta[2, :, :last],
+                   joined[1][:, None], better[:, :last], tied[:, :last])
 
     return [(tree[a + 1:a + n], np.arange(1, n))
             for a, n in zip(off[:-1].tolist(), sizes.tolist())]
@@ -338,31 +345,32 @@ def _prim(pts):
     at = laid[:, :, None]
     cols = laid[1:].T.copy()
     buf = np.empty_like(cols)
-    dist2 = _sq_dist(cols, at[0], buf).copy()
     rest = np.arange(1, n)
     parent = np.zeros(n - 1, dtype=np.int64)
     tree = np.empty(n, dtype=np.int64)
     sel, upd, tie = (np.empty(n - 1, dtype=bool) for _ in range(3))
+    # one errstate per call, not per step: _tree reports an overflowed tree edge
+    with np.errstate(over="ignore"):
+        dist2 = _sq_dist(cols, at[0], buf).copy()
+        for m in range(n - 1, 0, -1):
+            d2 = dist2[:m]
+            k = int(d2.argmin())
+            if np.count_nonzero(np.equal(d2, d2[k], out=sel[:m])) > 1:
+                cand = np.flatnonzero(sel[:m])
+                k = cand[_pair_key(parent[cand], rest[cand], n).argmin()]
+            v = int(rest[k])
+            tree[v] = parent[k]
 
-    for m in range(n - 1, 0, -1):
-        d2 = dist2[:m]
-        k = int(d2.argmin())
-        if np.count_nonzero(np.equal(d2, d2[k], out=sel[:m])) > 1:
-            cand = np.flatnonzero(sel[:m])
-            k = cand[_pair_key(parent[cand], rest[cand], n).argmin()]
-        v = int(rest[k])
-        tree[v] = parent[k]
-
-        # v joins the tree: swap-remove it, then relax the rest against v
-        last = m - 1
-        rest[k], parent[k], dist2[k] = rest[last], parent[last], dist2[last]
-        cols[:, k] = cols[:, last]
-        width = cols.shape[1]
-        if width - last > width // 16:
-            cols = cols[:, :last].copy()
-            buf = np.empty_like(cols)
-        _relax(dist2[:last], _sq_dist(cols, at[v], buf)[:last], parent[:last], v,
-               upd[:last], tie[:last])
+            # v joins the tree: swap-remove it, then relax the rest against v
+            last = m - 1
+            rest[k], parent[k], dist2[k] = rest[last], parent[last], dist2[last]
+            cols[:, k] = cols[:, last]
+            width = cols.shape[1]
+            if width - last > width // 16:
+                cols = cols[:, :last].copy()
+                buf = np.empty_like(cols)
+            _relax(dist2[:last], _sq_dist(cols, at[v], buf)[:last], parent[:last], v,
+                   upd[:last], tie[:last])
     return tree[1:], np.arange(1, n)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -90,15 +91,16 @@ class TestEstimateCommand:
             f"error: {b3} has 3 feature columns but {cluster_csvs[0]} has 2\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_squared_distances_exit_2(self, tmp_path, capsys):
         # the true tree has 4 cross edges; with every d2 at inf it would be a star with 2
         a = write_points_csv(tmp_path / "a.csv", np.array([[0.0], [1e200], [3e200]]))
         b = write_points_csv(tmp_path / "b.csv", np.array([[1.0], [2e200]]))
         assert cli.main(["estimate", "--a", a, "--b", b, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "error: squared distances overflow to inf; rescale the input" in err
         assert not (tmp_path / "out").exists()
+        # the error is the only report: no numpy overflow warning before it
+        assert out == "" and len(err.splitlines()) == 1
 
     def test_artifact_file_mode_follows_the_umask(self, cluster_csvs, tmp_path):
         umask = os.umask(0o022)
@@ -137,15 +139,24 @@ class TestBoundsCommand:
             da["source_term"] + da["shift_term"] + da["label_drift_term"], abs=1e-12
         )
 
+    def test_model_of_another_dimension_exits_2(self, labeled_csv, model_1d_json, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        argv = ["bounds", "--source", labeled_csv, "--model", model_1d_json, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {model_1d_json} is a 1-D model but {labeled_csv} has 8 feature columns\n")
+        assert not out.exists()
+
     def test_model_factors_the_averaged_covariance_once(self, labeled_csv, tmp_path,
                                                         monkeypatch):
         # two class covariances when the model loads, then one averaged
         # covariance shared by the Bhattacharyya and Mahalanobis brackets
-        a = derive_rng(9004).normal(size=(6, 6))
-        path = tmp_path / "model6.json"
-        path.write_text(json.dumps({"mean0": [0.0] * 6, "mean1": [0.5] * 6,
-                                    "cov0": (a @ a.T + 6 * np.eye(6)).tolist(),
-                                    "cov1": np.diag(np.arange(1.0, 7.0)).tolist()}))
+        a = derive_rng(9004).normal(size=(8, 8))  # 8-D, as the source is
+        path = tmp_path / "model8.json"
+        path.write_text(json.dumps({"mean0": [0.0] * 8, "mean1": [0.5] * 8,
+                                    "cov0": (a @ a.T + 8 * np.eye(8)).tolist(),
+                                    "cov1": np.diag(np.arange(1.0, 9.0)).tolist()}))
         calls = []
         original = np.linalg.cholesky
 
@@ -156,7 +167,7 @@ class TestBoundsCommand:
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         argv = ["bounds", "--source", labeled_csv, "--model", str(path), "--out", str(tmp_path)]
         assert cli.main(argv) == 0
-        assert calls == [(6, 6)] * 3
+        assert calls == [(8, 8)] * 3
 
     def test_warnings_are_one_line_each(self, tmp_path, capsys):
         # integer lattice rows repeat; a 60-row target against 200 source rows
@@ -228,12 +239,17 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == (
             f"error: {path}: column name '{name}' appears 2 times in the header\n")
 
-    def test_model_with_covariances_ulps_apart_exits_0(self, labeled_csv, tmp_path, capsys):
+    def test_model_with_covariances_ulps_apart_exits_0(self, tmp_path, capsys):
         # the computed coefficient rounds past 1 here; it is clamped there
         model = tmp_path / "ulp.json"
         model.write_text(json.dumps({"mean0": [0.0], "mean1": [0.0], "cov0": [2.0904761904761906],
                                      "cov1": [2.090476190476192]}), encoding="utf-8")
-        assert cli.main(["bounds", "--source", labeled_csv, "--model", str(model),
+        # a 1-D source, as the model is
+        source = tmp_path / "labeled1.csv"
+        rows = derive_rng(9015).normal(size=40).tolist()
+        source.write_text("x,label\n" + "".join(f"{x!r},{i % 2}\n" for i, x in enumerate(rows)),
+                          encoding="utf-8")
+        assert cli.main(["bounds", "--source", str(source), "--model", str(model),
                          "--out", str(tmp_path / "out")]) == 0
         assert json.loads(capsys.readouterr().out)["bc"] == {"lower": 0.5, "upper": 0.5}
 
@@ -515,7 +531,6 @@ class TestMstDumpCommand:
         assert (tmp_path / "index" / "mst.csv").read_bytes() == \
             (tmp_path / "plain" / "mst.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_squared_distances_exit_2(self, tmp_path, capsys):
         src = write_points_csv(tmp_path / "pts.csv", np.array([[0.0], [1e200], [3e200], [-1e200]]))
         assert cli.main(["mst-dump", "--input", src, "--out", str(tmp_path / "out")]) == 2
@@ -523,6 +538,15 @@ class TestMstDumpCommand:
         assert "error: squared distances overflow to inf; rescale the input" in err
         assert "non-finite" not in err
         assert not (tmp_path / "out").exists()
+        assert len(err.splitlines()) == 1
+
+    def test_an_overflowing_pair_off_the_tree_warns_nothing(self, tmp_path, capsys):
+        # d2 of rows 0 and 2 overflows, but the tree's two edges are exact
+        src = write_points_csv(tmp_path / "pts.csv", np.array([[0.0], [1e154], [2e154]]))
+        assert cli.main(["mst-dump", "--input", src, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "mst.csv").read_text() == \
+            "i,j,length\n0,1,1e+154\n1,2,1e+154\n"
+        assert capsys.readouterr() == ("", "")
 
     def test_broken_tree_exits_1_with_traceback(self, tmp_path, monkeypatch, capsys):
         src = write_points_csv(tmp_path / "pts.csv", derive_rng(9006).normal(size=(5, 2)))
@@ -768,7 +792,9 @@ class TestFormatSelection:
         argv = [arg.format(a=a, b=b, labeled=labeled_csv, model=model_1d_json) for arg in argv]
 
         def run(formats, out):
-            assert cli.main(argv + ["--format", ",".join(formats), "--out", str(out)]) == 0
+            # a subcommand that writes one format has no --format and writes it
+            flags = ["--format", ",".join(formats)] if len(writable) > 1 else []
+            assert cli.main(argv + flags + ["--out", str(out)]) == 0
             return {p.name: p.read_bytes() for p in out.iterdir()}
 
         full = run(writable, tmp_path / "all")
@@ -797,16 +823,15 @@ class TestArgumentHandling:
             cli.main(["estimate", "--nope", "x"])
         assert info.value.code == 2
 
-    def test_unknown_format_exits_2(self, cluster_csvs, capsys):
-        a, b = cluster_csvs
-        rc = cli.main(["estimate", "--a", a, "--b", b, "--format", "pdf"])
+    def test_unknown_format_exits_2(self, labeled_csv, capsys):
+        rc = cli.main(["select", "--source", labeled_csv, "--format", "pdf"])
         assert rc == 2
         assert "unknown format" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, writable", [
         (["select", "--source", "{labeled}", "--format", "svg"], "json, csv"),
-        (["estimate", "--a", "{a}", "--b", "{b}", "--format", "csv"], "json"),
-        (["mst-dump", "--input", "{a}", "--format", "json"], "csv"),
+        (["estimate", "--a", "{a}", "--b", "{b}", "--format", "csv"], None),
+        (["mst-dump", "--input", "{a}", "--format", "json"], None),
         (["fukunaga", "--dataset", "D1", "--n", "30", "--trials", "1", "--format", ""],
          "json, csv, svg"),
     ], ids=["select_svg", "estimate_csv", "mst_dump_json", "fukunaga_empty"])
@@ -816,13 +841,63 @@ class TestArgumentHandling:
         a, b = cluster_csvs
         out = tmp_path / "out"
         argv = [arg.format(a=a, b=b, labeled=labeled_csv) for arg in argv]
-        assert cli.main(argv + ["--out", str(out)]) == 2
+        if writable is None:
+            # a subcommand that writes one format has no --format at all
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv + ["--out", str(out)])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --format" in capsys.readouterr().err
+        else:
+            assert cli.main(argv + ["--out", str(out)]) == 2
+            assert writable in capsys.readouterr().err
         assert not out.exists()
-        assert writable in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--a", "{a}", "--b", "{b}", "--seed", "1"],
+        ["bounds", "--source", "{labeled}", "--seed", "1"],
+        ["select", "--source", "{labeled}", "--seed", "1"],
+        ["oracle", "--model", "{model}", "--seed", "1"],
+        ["estimate", "--a", "{a}", "--b", "{b}", "--format", "json"],
+        ["bounds", "--source", "{labeled}", "--format", "json"],
+        ["oracle", "--model", "{model}", "--format", "json"],
+        ["mst-dump", "--input", "{a}", "--format", "csv"],
+    ], ids=["estimate_seed", "bounds_seed", "select_seed", "oracle_seed", "estimate_format",
+            "bounds_format", "oracle_format", "mst_dump_format"])
+    def test_flag_that_cannot_change_the_result_is_unrecognized(
+        self, argv, cluster_csvs, labeled_csv, model_1d_json, tmp_path, capsys
+    ):
+        a, b = cluster_csvs
+        out = tmp_path / "out"
+        argv = [arg.format(a=a, b=b, labeled=labeled_csv, model=model_1d_json) for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--out", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_subcommand_takes_only_the_flags_that_can_change_its_result(self):
+        parser = cli.build_parser()
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: [opt for action in sub._actions for opt in action.option_strings
+                        if opt not in ("-h", "--help")]
+                 for name, sub in subs.choices.items()}
+        assert flags == {
+            "estimate": ["--a", "--b", "--out"],
+            "bounds": ["--source", "--target", "--model", "--label-column", "--label-drift",
+                       "--out"],
+            "select": ["--source", "--target", "--k", "--shift-weight", "--audit",
+                       "--standardize", "--label-column", "--out", "--format"],
+            "sweep": ["--steps", "--n", "--trials", "--seed", "--out", "--format"],
+            "fukunaga": ["--dataset", "--n", "--trials", "--seed", "--out", "--format"],
+            "consistency": ["--sizes", "--trials", "--model", "--seed", "--out", "--format"],
+            "oracle": ["--model", "--alpha", "--out"],
+            "mst-dump": ["--input", "--jitter", "--label-column", "--seed", "--out"],
+        }
+        assert sum(map(len, flags.values())) == 44
 
     def test_negative_seed_exits_2(self, cluster_csvs, capsys):
-        a, b = cluster_csvs
-        rc = cli.main(["estimate", "--a", a, "--b", b, "--seed", "-4"])
+        a, _ = cluster_csvs
+        rc = cli.main(["mst-dump", "--input", a, "--jitter", "--seed", "-4"])
         assert rc == 2
 
     def test_help_lists_subcommands(self, capsys):

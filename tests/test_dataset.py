@@ -174,6 +174,25 @@ class TestLabeledSample:
         with pytest.raises(DatasetError, match="expected 0 or 1"):
             LabeledSample(points=[[1.0], [2.0]], labels=[0, 3])
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.5, 1.9, 0, 1], "label at row 0 is 0.5, expected 0 or 1"),
+        ([0, 1.9, 0, 1], "label at row 1 is 1.9, expected 0 or 1"),
+        ([0, 1, np.nan, 1], "label at row 2 is nan, expected 0 or 1"),
+        ([0, 1, 0, -1e-300], "label at row 3 is -1e-300, expected 0 or 1"),
+    ], ids=["first", "truncates_to_1", "nan", "tiny"])
+    def test_rejects_non_integral_label_before_the_cast(self, labels, message):
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            LabeledSample(points=[[0.0], [1.0], [2.0], [3.0]], labels=labels)
+
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 0, 1], [0.0, 1.0, 0.0, 1.0], [False, True, False, True],
+        np.array([0, 1, 0, 1], dtype=np.uint8), np.array([0.0, 1.0, -0.0, 1.0]),
+    ], ids=["int", "float", "bool", "uint8", "negative_zero"])
+    def test_accepts_labels_equal_to_0_or_1(self, labels):
+        sample = LabeledSample(points=[[0.0], [1.0], [2.0], [3.0]], labels=labels)
+        assert sample.labels.dtype == np.int64
+        assert sample.labels.tolist() == [0, 1, 0, 1]
+
     def test_rejects_duplicate_names(self):
         with pytest.raises(DatasetError, match="unique"):
             LabeledSample(points=[[1.0, 2.0]], labels=[0], feature_names=("a", "a"))

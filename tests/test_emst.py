@@ -318,7 +318,7 @@ class TestEachSetReadOnce:
             assert edge_pairs(trees[k]) == [(i, j) for i, j, _ in kruskal_mst(pts)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")  # the DatasetError is the only report of an overflow
 class TestOverflow:
     """d2 of rows about 1.3e154 apart overflows to inf, where every such pair
     ties; a tree edge at inf is refused, a non-tree pair at inf is harmless."""
@@ -346,6 +346,25 @@ class TestOverflow:
         mst, scaled = build_mst(pts), build_mst(pts * 2.0 ** -600)
         assert edge_pairs(mst) == edge_pairs(scaled) == [(0, 1), (1, 2)]
         assert (mst.length * 2.0 ** -600).tolist() == scaled.length.tolist()
+
+    def test_an_overflowing_pair_in_a_lockstep_is_harmless(self):
+        sets = [_GRID[:, :2], np.array([[0.0, 0.0], [1e154, 0.0], [2e154, 0.0]]), _GRID[:, 1:]]
+        assert edge_pairs(dict(build_msts(sets))[1]) == [(0, 1), (1, 2)]
+
+    def test_an_overflowing_pair_in_the_underflow_fallback_is_harmless(self):
+        # rows 0 and 1 underflow to d2 == 0, so Prim runs again over all rows
+        mst = build_mst(np.array([[1e-300], [0.0], [0.0], [1e154], [2e154]]))
+        assert edge_pairs(mst) == [(0, 1), (0, 2), (0, 3), (3, 4)]
+
+    def test_the_error_state_does_not_leak_into_the_caller(self):
+        # a sorted-path set, a set for _prim, and a lockstep of two
+        sets = [np.array([[0.0], [1e154], [2e154]]), np.array([[0.0] * 3, [1e154, 0.0, 0.0]]),
+                _GRID[:, :2], _GRID[:, 1:]]
+        before = np.geterr()
+        trees = build_msts(sets)
+        for _ in sets:
+            next(trees)
+            assert np.geterr() == before
 
 
 class TestColumnKernel:

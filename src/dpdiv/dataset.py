@@ -278,14 +278,19 @@ def read_text(path) -> str:
 
 
 def _read_csv(path):
-    """Header (stripped cell names) and data rows of a CSV file."""
-    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
-    if not rows:
+    """Header (stripped cell names) and (line, cells) data records of a CSV file.
+
+    Each record's line is the physical line it ends on, so a quoted line
+    break inside a cell moves every later number along with the file.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    records = [(reader.line_num, row) for row in reader]
+    if not records:
         raise DatasetError(f"{path}: empty file")
-    return [h.strip() for h in rows[0]], rows[1:]
+    return [h.strip() for h in records[0][1]], records[1:]
 
 
-def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
+def _parse_columns(path, header, records, columns, label_idx=None) -> np.ndarray:
     """Parse the given columns of every data row as floats; other cells are never read.
 
     Rows with no cells (blank lines) are skipped. Every parsed cell must be
@@ -293,7 +298,7 @@ def _parse_columns(path, header, rows, columns, label_idx=None) -> np.ndarray:
     reports its first bad cell in column order, by its line in the file.
     """
     values = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in records:
         if not row:
             continue
         if len(row) != len(header):
@@ -334,7 +339,7 @@ def _label_index(path, header, column) -> int:
 
 def load_csv(path, label_column="label") -> LabeledSample:
     """Load a labeled sample from CSV. `label_column` is a header name or index."""
-    header, rows = _read_csv(path)
+    header, records = _read_csv(path)
     for name, count in Counter(header).items():
         if count > 1:
             raise DatasetError(f"{path}: column name {name!r} appears {count} times in the header")
@@ -343,7 +348,7 @@ def load_csv(path, label_column="label") -> LabeledSample:
     if not feature_names:
         raise DatasetError(f"{path}: no feature columns besides the label")
 
-    table = _parse_columns(path, header, rows, range(len(header)), label_idx)
+    table = _parse_columns(path, header, records, range(len(header)), label_idx)
     pts = np.delete(table, label_idx, axis=1)
     n_dup = np.count_nonzero(row_groups(pts) != np.arange(pts.shape[0]))
     if n_dup:
@@ -359,11 +364,11 @@ def load_csv(path, label_column="label") -> LabeledSample:
 
 def load_points_csv(path, drop_column=None) -> np.ndarray:
     """Load an unlabeled point matrix from CSV, optionally dropping one named column."""
-    header, rows = _read_csv(path)
+    header, records = _read_csv(path)
     keep = [i for i, h in enumerate(header) if h != drop_column]
     if not keep:
         raise DatasetError(f"{path}: no feature columns left after dropping {drop_column!r}")
-    return _parse_columns(path, header, rows, keep)
+    return _parse_columns(path, header, records, keep)
 
 
 def save_csv(sample: LabeledSample, path, label_column="label") -> None:

@@ -439,7 +439,8 @@ def add_jitter(points, seed) -> np.ndarray:
     at the cost of no longer being a function of the input points alone.
     """
     pts = np.asarray(points, dtype=np.float64)
-    span = float(pts.max() - pts.min()) if pts.size else 0.0
-    scale = span if span > 0 else 1.0
+    # half the span, from halves: max - min overflows for finite rows over 1.8e308 apart
+    half = float(pts.max() / 2 - pts.min() / 2) if pts.size else 0.0
+    scale = half if half > 0 else 0.5
     rng = derive_rng(seed)
-    return pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (1e-9 * scale)
+    return pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (2e-9 * scale)

@@ -9,13 +9,15 @@ densities and samplers from the model itself (GaussianModel.log_density and
 .sample), so it reuses the Cholesky factors the model computed once.
 
 Integration strategy:
-  d <= 2  composite tensor Gauss-Legendre over the integration box. Panels
-          (16 nodes each) keep the kinked integrands (min, abs) converging;
-          smooth integrands converge to machine precision.
+  d <= 2  composite tensor Gauss-Legendre over the integration box,
+          QUAD_NODES[d] nodes per dimension. Panels (16 nodes each) keep
+          the kinked integrands (min, abs) converging; smooth integrands
+          converge to machine precision.
   d > 2   stratified importance-sampled Monte Carlo with the mixture
           proposal (f0 + f1) / 2, which keeps every integrand ratio in
-          scope bounded. Strata use derived seeds, so results are
-          deterministic and independent of evaluation order.
+          scope bounded: MC_POINTS samples in MC_STRATA equal shares.
+          Strata use derived seeds, so results are deterministic and
+          independent of evaluation order.
 integrals returns each value with its standard error (0 for quadrature) and
 sets no error target of its own: each caller judges the error it needs.
 
@@ -25,7 +27,7 @@ point. Terms several integrands share are computed once per set: p f0 and
 q f1 (bayes_error, dp_tilde, tv). The density masses integrate the same p f0
 and q f1 and divide by the priors, so they add no exponential of their own.
 
-The grid is never built whole (the default 2-D grid is 1536^2 points). np.sum
+The grid is never built whole (the 2-D grid is 1536^2 points). np.sum
 over a contiguous float64 array adds pairwise: it halves the range, rounding
 the half down to a multiple of 8, until a part holds at most 128 terms. The
 pass cuts the grid's row-major order by the same rule into leaves of at most
@@ -37,10 +39,10 @@ the blocks, where freeing lets it return the heap to the system and fault it
 back in, leaf after leaf. A pass's memory is a few leaves' worth, whatever the
 number of nodes.
 
-QUAD_BLOCK_POINTS is 2^14: a leaf of the default grid holds 9 216 points (six
+QUAD_BLOCK_POINTS is 2^14: a leaf of the 2-D grid holds 9 216 points (six
 grid rows) and each per-point array 72 KiB, under glibc's 128 KiB threshold
 for a mapping of its own; one leaf's work (under 1 MiB) fits in a core's L2
-cache. Once numpy.polynomial is imported, the default 2-D pass over the six
+cache. Once numpy.polynomial is imported, a 2-D pass over the six
 integrals `dpdiv oracle` reports peaks at 0.92 MiB under tracemalloc (1.63 at
 2^15, 3.16 at 2^16). Its minor page faults depend on the heap's history, as
 glibc trims the top of the heap when enough of it is free: 65 to 320 per warm
@@ -60,10 +62,10 @@ import numpy as np
 from .dataset import GaussianModel, derive_rng
 
 PANEL_NODES = 16
-DEFAULT_QUAD_NODES = {1: 4096, 2: 1536}  # per dimension
+QUAD_NODES = {1: 4096, 2: 1536}  # per dimension, each a whole number of panels
 # most points per quadrature leaf; at least 128, the most numpy's pairwise sum adds unsplit
 QUAD_BLOCK_POINTS = 1 << 14
-DEFAULT_MC_POINTS = 1_000_000
+MC_POINTS = 1_000_000  # a whole number of MC_STRATA shares
 MC_STRATA = 100
 MC_ROOT_SEED = 0x0D1BE5
 
@@ -82,11 +84,9 @@ class DensityPair:
     that must capture essentially all mass of both densities; the pair's
     dimension d is read from it, d >= 1. For d > 2,
     sample_0/sample_1 must draw from the respective densities: they feed the
-    mixture importance sampler. The evaluation points depend on the pair
-    alone: quad_nodes per dimension for d <= 2 (None for the default, else
-    at least one 16-node panel), mc_points seeded samples above (an integer
-    multiple of MC_STRATA, at least 10 MC_STRATA, so every stratum draws an
-    equal share).
+    mixture importance sampler. The pass, not the pair, sets the evaluation
+    points: QUAD_NODES[d] per dimension for d <= 2, MC_POINTS seeded samples
+    above.
     Construction checks only the structure; every integrals pass also checks
     that each density integrates to 1 over the box.
     """
@@ -97,8 +97,6 @@ class DensityPair:
     integration_box: np.ndarray
     sample_0: Callable[[np.random.Generator, int], np.ndarray] | None = None
     sample_1: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    quad_nodes: int | None = None
-    mc_points: int = DEFAULT_MC_POINTS
 
     def __post_init__(self):
         if not (0.0 < self.prior_p < 1.0):
@@ -111,24 +109,8 @@ class DensityPair:
             raise OracleError("integration box must satisfy low < high in every dimension")
         box.flags.writeable = False
         object.__setattr__(self, "integration_box", box)
-        if self.quad_nodes is not None and not (
-            isinstance(self.quad_nodes, (int, np.integer)) and self.quad_nodes >= PANEL_NODES
-        ):
-            raise OracleError(
-                f"quad_nodes must be None or an integer >= {PANEL_NODES} (one panel), "
-                f"got {self.quad_nodes!r}"
-            )
-        if self.method == "monte_carlo":
-            if self.sample_0 is None or self.sample_1 is None:
-                raise OracleError("d > 2 integration needs sample_0 and sample_1 callables")
-            m = self.mc_points
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-                raise OracleError(f"mc_points must be an integer, got {m!r}")
-            if m < 10 * MC_STRATA:
-                raise OracleError(f"mc_points too small: {m}")
-            if m % MC_STRATA:
-                raise OracleError(
-                    f"mc_points must be a multiple of {MC_STRATA} (one share per stratum), got {m}")
+        if self.method == "monte_carlo" and (self.sample_0 is None or self.sample_1 is None):
+            raise OracleError("d > 2 integration needs sample_0 and sample_1 callables")
 
     @property
     def dimension(self) -> int:
@@ -187,7 +169,7 @@ def _quad_blocks(pair: DensityPair):
     bits of the whole product's. A leaf is cut from the grid rows (values of
     x0) it touches, so it is never more than two rows wider than its points.
     """
-    n = pair.quad_nodes or DEFAULT_QUAD_NODES[pair.dimension]
+    n = QUAD_NODES[pair.dimension]
     (x0, w0), *rest = (_composite_leggauss(lo, hi, n) for lo, hi in pair.integration_box)
     row = math.prod(x.size for x, _ in rest)  # points per grid row; 1 in 1-D
     for start, stop in _leaves(0, x0.size * row):
@@ -244,7 +226,7 @@ def _integrate_multi(pair, integrands):
             size += w.size
         return [(float(v), 0.0) for v in _tree_sum(iter(leaf_sums), size)]
 
-    per_stratum = pair.mc_points // MC_STRATA
+    per_stratum = MC_POINTS // MC_STRATA
     half = per_stratum // 2
     means = np.empty((len(integrands), MC_STRATA))
     for s in range(MC_STRATA):
@@ -386,13 +368,11 @@ def scaled_chernoff_integral(pair: DensityPair) -> float:
     return integrals(pair, ["scaled_chernoff"])["scaled_chernoff"][0]
 
 
-def gaussian_pair(model: GaussianModel, quad_nodes: int | None = None,
-                  mc_points: int = DEFAULT_MC_POINTS) -> DensityPair:
+def gaussian_pair(model: GaussianModel) -> DensityPair:
     """DensityPair for a two-class Gaussian model.
 
     The box spans mean +- 8 marginal standard deviations of each component
-    (Gaussian mass outside 8 sigma is below 1e-15). quad_nodes (per
-    dimension, d <= 2) and mc_points (d > 2) set the pair's evaluation points.
+    (Gaussian mass outside 8 sigma is below 1e-15).
     """
     s0 = 8.0 * np.sqrt(np.diag(model.cov0))
     s1 = 8.0 * np.sqrt(np.diag(model.cov1))
@@ -405,6 +385,4 @@ def gaussian_pair(model: GaussianModel, quad_nodes: int | None = None,
         integration_box=np.stack([lo, hi], axis=1),
         sample_0=functools.partial(model.sample, 0),
         sample_1=functools.partial(model.sample, 1),
-        quad_nodes=quad_nodes,
-        mc_points=mc_points,
     )

@@ -5,13 +5,16 @@ pass over shared evaluation points; the inequality checks then compare
 those numbers. Every suite is seeded, so results are reproducible.
 """
 
+from unittest import mock
+
 import numpy as np
 
 from dpdiv import bounds, divergence, oracle
 from dpdiv.dataset import GaussianModel, derive_rng
 
-SUITE_QUAD_NODES = 512     # ample for inequality slacks, far above their 1e-7 epsilon
-SUITE_MC_POINTS = 400_000
+# the suites' oracle pass size: 512 nodes per dimension are ample for
+# inequality slacks, far above their 1e-7 epsilon
+SUITE_PASS_SIZE = {"QUAD_NODES": {1: 512, 2: 512}, "MC_POINTS": 400_000}
 
 
 def random_gaussian_model(rng: np.random.Generator, dimension=None,
@@ -44,12 +47,11 @@ def random_gaussian_model(rng: np.random.Generator, dimension=None,
 
 def oracle_quantities(model):
     """All oracle integrals for one Gaussian model, from one integration pass."""
-    pair = oracle.gaussian_pair(
-        model, quad_nodes=SUITE_QUAD_NODES, mc_points=SUITE_MC_POINTS
-    )
-    values = oracle.integrals(
-        pair, ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "scaled_chernoff")
-    )
+    pair = oracle.gaussian_pair(model)
+    with mock.patch.multiple(oracle, **SUITE_PASS_SIZE):
+        values = oracle.integrals(
+            pair, ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "scaled_chernoff")
+        )
     return {
         "model": model,
         "pair": pair,

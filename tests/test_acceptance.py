@@ -87,7 +87,7 @@ class TestCriterion2TrueBayesError:
         assert abs(ber1 - 0.100) <= 0.0005
 
         d2_pair = oracle.gaussian_pair(fukunaga_d2())  # 8-D: Monte Carlo path
-        assert d2_pair.mc_points >= 1_000_000
+        assert oracle.MC_POINTS >= 1_000_000
         ber2, se = oracle.integrals(d2_pair, ["bayes_error"])["bayes_error"]
         assert se < 5e-4
         assert abs(ber2 - 0.0190) <= 0.0015

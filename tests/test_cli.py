@@ -540,6 +540,18 @@ class TestMstDumpCommand:
         assert not (tmp_path / "out").exists()
         assert len(err.splitlines()) == 1
 
+    def test_jitter_on_a_span_beyond_the_float_range_exits_2_on_the_overflow(self, tmp_path,
+                                                                              capsys):
+        # max - min of these finite rows overflows to inf; the jitter's scale must not,
+        # so the tree's own overflow check reports the input
+        src = write_points_csv(tmp_path / "pts.csv", np.array([[-1e308], [1e308], [0.0]]))
+        assert cli.main(["mst-dump", "--input", src, "--jitter", "--seed", "5",
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: squared distances overflow to inf; rescale the input "
+                       "(cross counts do not depend on scale)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_an_overflowing_pair_off_the_tree_warns_nothing(self, tmp_path, capsys):
         # d2 of rows 0 and 2 overflows, but the tree's two edges are exact
         src = write_points_csv(tmp_path / "pts.csv", np.array([[0.0], [1e154], [2e154]]))

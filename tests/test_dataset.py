@@ -88,6 +88,13 @@ class TestLoadCsv:
             load(path)
         assert str(info.value) == f"{path}{message}"
 
+    def test_quoted_line_break_keeps_later_line_numbers(self, tmp_path):
+        # the header's first name spans lines 1 and 2, so the bad cell is on line 4
+        path = write(tmp_path, "nl.csv", '"a\nb",c,label\n1,2,0\n3,x,1\n')
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:4: non-numeric cell 'x' in column 'c'"
+
     def test_missing_label_column(self, tmp_path):
         path = write(tmp_path, "none.csv", "a,b\n1,2\n")
         with pytest.raises(DatasetError, match="no column named"):

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -451,3 +452,21 @@ class TestJitter:
             for b in range(a + 1, 4):
                 d2.append(((jittered[a] - jittered[b]) ** 2).sum())
         assert len(set(d2)) == len(d2)
+
+    def test_jittered_bits(self):
+        # recorded when the span was taken as max - min
+        pts = np.array([[0.5, -2.0], [3.25, 1.0], [-1.5, 7.0]])
+        assert [v.hex() for v in add_jitter(pts, 5).ravel()] == [
+            "0x1.0000002f28c0ep-1", "-0x1.ffffffe8317acp+0", "0x1.a000000097a7ep+1",
+            "0x1.ffffffdee1802p-1", "-0x1.800000227c403p+0", "0x1.bffffffdbeeebp+2"]
+        # a zero span scales the noise by 1e-9
+        assert [v.hex() for v in add_jitter(np.array([[2.0], [2.0]]), 7).ravel()] == [
+            "0x1.00000000898b4p+1", "0x1.00000001b4bdcp+1"]
+
+    def test_span_beyond_the_float_range_stays_finite(self):
+        pts = np.array([[-1e308], [1e308], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jittered = add_jitter(pts, 5)
+        assert np.all(np.isfinite(jittered))
+        assert np.max(np.abs(jittered - pts)) <= 1e-9 * 2e308

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -26,23 +27,31 @@ from dpdiv.oracle import (
 from suites import random_gaussian_model
 
 
-def pair_1d(sep, p=0.5, **kw):
+def pair_1d(sep, p=0.5):
     return gaussian_pair(
-        diagonal_gaussian_model([0.0], [1.0], [sep], [1.0], prior_p=p), **kw
+        diagonal_gaussian_model([0.0], [1.0], [sep], [1.0], prior_p=p)
     )
 
 
-def identical_pair(**kw):
+def identical_pair():
     return gaussian_pair(
-        diagonal_gaussian_model([0.0], [1.0], [0.0], [1.0]), **kw
+        diagonal_gaussian_model([0.0], [1.0], [0.0], [1.0])
     )
 
 
-def far_separated_pair(**kw):
+def far_separated_pair():
     # effectively disjoint supports: overlap mass below 1e-190
     return gaussian_pair(
-        diagonal_gaussian_model([-15.0], [0.25], [15.0], [0.25]), **kw
+        diagonal_gaussian_model([-15.0], [0.25], [15.0], [0.25])
     )
+
+
+def set_pass_size(monkeypatch, nodes=None, points=None):
+    """Run this test's passes on nodes per dimension (d <= 2) or points samples (d > 2)."""
+    if nodes is not None:
+        monkeypatch.setattr(oracle, "QUAD_NODES", {1: nodes, 2: nodes})
+    if points is not None:
+        monkeypatch.setattr(oracle, "MC_POINTS", points)
 
 
 class TestBayesError:
@@ -55,14 +64,14 @@ class TestBayesError:
     def test_identical_densities(self):
         assert bayes_error(identical_pair()) == pytest.approx(0.5, abs=1e-9)
 
-    def test_monte_carlo_matches_product_structure(self):
+    def test_monte_carlo_matches_product_structure(self, monkeypatch):
         # means differ only in coordinate 0, identity covariances: the other
         # coordinates factor out, so the 3-D error equals the 1-D error
         model = diagonal_gaussian_model(
             [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.7, 0.0, 0.0], [1.0, 1.0, 1.0]
         )
-        value, se = integrals(gaussian_pair(model, mc_points=400_000), ["bayes_error"])[
-            "bayes_error"]
+        set_pass_size(monkeypatch, points=400_000)
+        value, se = integrals(gaussian_pair(model), ["bayes_error"])["bayes_error"]
         reference = bayes_error(pair_1d(1.7))
         assert se < 2e-3
         assert value == pytest.approx(reference, abs=5 * se + 1e-6)
@@ -86,13 +95,14 @@ class TestDpTildeIntegral:
         got = oracle._integrand_table(0.5, 0.5, 0.5)["dp_tilde"](terms)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_pinned_bivariate_value(self):
+    def test_pinned_bivariate_value(self, monkeypatch):
         # frozen from dp_tilde_integral on the bivariate pair at separation 1;
         # 1536 and 3072 nodes per dim agree to < 1e-12
         model = diagonal_gaussian_model([0.0, 0.0], [1, 1], [1.0, 0.0], [1, 1])
         value = dp_tilde_integral(gaussian_pair(model))
         assert value == pytest.approx(0.204054265633, abs=1e-9)
-        doubled = dp_tilde_integral(gaussian_pair(model, quad_nodes=3072))
+        set_pass_size(monkeypatch, nodes=3072)
+        doubled = dp_tilde_integral(gaussian_pair(model))
         assert abs(value - doubled) < 1e-6
 
 
@@ -103,11 +113,12 @@ class TestAffinityIntegral:
     def test_disjoint_supports_zero(self):
         assert affinity_integral(far_separated_pair()) == pytest.approx(0.0, abs=1e-12)
 
-    def test_identity_with_divergence(self):
+    def test_identity_with_divergence(self, monkeypatch):
+        set_pass_size(monkeypatch, nodes=512)
         rng = derive_rng(7001)
         for _ in range(5):
             model = random_gaussian_model(rng, dimension=int(rng.integers(1, 3)))
-            pair = gaussian_pair(model, quad_nodes=512)
+            pair = gaussian_pair(model)
             p, q = model.prior_p, 1 - model.prior_p
             a = affinity_integral(pair)
             d = dp_tilde_integral(pair)
@@ -127,11 +138,12 @@ class TestBcIntegral:
         assert value == pytest.approx(math.exp(-(2.56 ** 2) / 8), abs=1e-5)
         assert value == pytest.approx(0.4408, abs=1e-4)
 
-    def test_matches_closed_form_random_models(self):
+    def test_matches_closed_form_random_models(self, monkeypatch):
+        set_pass_size(monkeypatch, nodes=512)
         rng = derive_rng(7002)
         for _ in range(5):
             model = random_gaussian_model(rng, dimension=2)
-            quad = bc_integral(gaussian_pair(model, quad_nodes=512))
+            quad = bc_integral(gaussian_pair(model))
             assert quad == pytest.approx(
                 bhattacharyya_coefficient_gaussian(model), abs=1e-5
             )
@@ -144,11 +156,12 @@ class TestTvIntegral:
     def test_disjoint_supports(self):
         assert tv_integral(far_separated_pair()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_bayes_error_identity(self):
+    def test_bayes_error_identity(self, monkeypatch):
+        set_pass_size(monkeypatch, nodes=512)
         rng = derive_rng(7003)
         for _ in range(5):
             model = random_gaussian_model(rng, dimension=int(rng.integers(1, 3)))
-            pair = gaussian_pair(model, quad_nodes=512)
+            pair = gaussian_pair(model)
             assert bayes_error(pair) == pytest.approx(
                 0.5 - 0.5 * tv_integral(pair), abs=1e-5
             )
@@ -162,12 +175,13 @@ class TestChernoffIntegral:
                 (0.5 ** alpha) * (0.5 ** (1 - alpha)), abs=1e-9
             )
 
-    def test_matches_closed_form(self):
+    def test_matches_closed_form(self, monkeypatch):
+        set_pass_size(monkeypatch, nodes=512)
         rng = derive_rng(7004)
         for _ in range(5):
             model = random_gaussian_model(rng, dimension=2)
             alpha = float(rng.uniform(0.15, 0.85))
-            quad = chernoff_integral(gaussian_pair(model, quad_nodes=512), alpha)
+            quad = chernoff_integral(gaussian_pair(model), alpha)
             assert quad == pytest.approx(chernoff_upper_gaussian(model, alpha), abs=1e-5)
 
     def test_scaled_variant_consistency(self):
@@ -196,15 +210,17 @@ WRAPPERS = {
 
 
 class TestIntegrals:
-    @pytest.mark.parametrize("make_pair", [
-        lambda: pair_1d(1.3, p=0.3),
-        lambda: gaussian_pair(diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6],
-                                                      [0.9, 1.4], prior_p=0.6), quad_nodes=256),
-        lambda: gaussian_pair(diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0],
-                                                      [1.5, 1.0, 0.8], prior_p=0.45),
-                              mc_points=20_000),
+    @pytest.mark.parametrize("make_pair, pass_size", [
+        (lambda: pair_1d(1.3, p=0.3), {}),
+        (lambda: gaussian_pair(diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6],
+                                                       [0.9, 1.4], prior_p=0.6)),
+         {"nodes": 256}),
+        (lambda: gaussian_pair(diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0],
+                                                       [1.5, 1.0, 0.8], prior_p=0.45)),
+         {"points": 20_000}),
     ], ids=["1d", "2d_quadrature", "3d_monte_carlo"])
-    def test_equals_each_wrapper_exactly(self, make_pair):
+    def test_equals_each_wrapper_exactly(self, make_pair, pass_size, monkeypatch):
+        set_pass_size(monkeypatch, **pass_size)
         pair = make_pair()
         together = integrals(pair, tuple(WRAPPERS), alpha=0.3)
         assert list(together) == list(WRAPPERS)
@@ -231,12 +247,12 @@ PASS_MEMORY_MODEL = ([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4])
 SIX = ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff")
 
 
-def pair_2d(nodes):
-    return gaussian_pair(diagonal_gaussian_model(*PASS_MEMORY_MODEL), quad_nodes=nodes)
+def pair_2d():
+    return gaussian_pair(diagonal_gaussian_model(*PASS_MEMORY_MODEL))
 
 
-def pair_1d_rule(nodes):
-    return pair_1d(1.3, p=0.4, quad_nodes=nodes)
+def pair_1d_rule():
+    return pair_1d(1.3, p=0.4)
 
 
 class TestPassMemory:
@@ -254,10 +270,11 @@ class TestPassMemory:
         assert peak <= 175 * 2 ** 20
 
     @pytest.mark.parametrize("nodes", [None, 3072])
-    def test_blocked_pass_peak(self, nodes):
+    def test_blocked_pass_peak(self, nodes, monkeypatch):
         # one leaf of at most QUAD_BLOCK_POINTS points is alive at a time (about
         # 1 MiB at the default grid), so 4x the grid points stays under the same bound
-        pair = pair_2d(nodes)
+        set_pass_size(monkeypatch, nodes=nodes)
+        pair = pair_2d()
         tracemalloc.start()
         try:
             integrals(pair, SIX)
@@ -266,13 +283,15 @@ class TestPassMemory:
             tracemalloc.stop()
         assert peak <= 16 * 2 ** 20
 
-    def test_default_2d_pass_fits_in_cache(self):
+    def test_default_2d_pass_fits_in_cache(self, monkeypatch):
         # leaves of at most 2^14 points, 9 216 at the default grid, 72 KiB per
         # array: 0.92 MiB measured, 3.16 MiB with leaves of at most 2^16 points.
         # A process's first pass also imports numpy.polynomial (0.7 MiB), which
         # the coarser pass pays here.
-        integrals(pair_2d(512), SIX)
-        pair = pair_2d(None)
+        with monkeypatch.context() as coarse:
+            set_pass_size(coarse, nodes=512)
+            integrals(pair_2d(), SIX)
+        pair = pair_2d()
         tracemalloc.start()
         try:
             integrals(pair, SIX)
@@ -283,7 +302,7 @@ class TestPassMemory:
 
     def test_default_2d_values_keep_their_bits(self):
         # recorded from the whole-grid pass, which summed each integrand with one np.sum
-        values = {name: v.hex() for name, (v, _) in integrals(pair_2d(None), SIX).items()}
+        values = {name: v.hex() for name, (v, _) in integrals(pair_2d(), SIX).items()}
         assert values == {
             "bayes_error": "0x1.010370aeb3871p-2",  # 0.25098968569080343
             "dp_tilde": "0x1.53d91df5cb952p-2",  # 0.3318829232474815
@@ -317,20 +336,21 @@ class TestExponentialsPerPass:
         monkeypatch.setattr(oracle, "np", counting)
         return counting
 
-    def test_one_leaf_1d_pass(self, counting_np):
-        integrals(pair_1d_rule(512), ("bayes_error", "dp_tilde", "bc"))
+    def test_one_leaf_1d_pass(self, counting_np, monkeypatch):
+        set_pass_size(monkeypatch, nodes=512)
+        integrals(pair_1d_rule(), ("bayes_error", "dp_tilde", "bc"))
         assert counting_np.exp_calls == 3  # a, b and bc
 
     def test_default_2d_pass_per_leaf(self, counting_np):
-        integrals(pair_2d(None), SIX)
-        leaves = len(list(oracle._leaves(0, oracle.DEFAULT_QUAD_NODES[2] ** 2)))
+        integrals(pair_2d(), SIX)
+        leaves = len(list(oracle._leaves(0, oracle.QUAD_NODES[2] ** 2)))
         assert leaves == 256
         assert counting_np.exp_calls == 5 * leaves  # a, b, affinity, bc and chernoff
 
-    def test_4d_pass_per_stratum(self, counting_np):
+    def test_4d_pass_per_stratum(self, counting_np, monkeypatch):
+        set_pass_size(monkeypatch, points=20_000)
         pair = gaussian_pair(diagonal_gaussian_model(
-            [0.0] * 4, [1.0] * 4, [1.0, 0.5, 0.0, 0.2], [1.5, 1.0, 0.8, 1.2], prior_p=0.45),
-            mc_points=20_000)
+            [0.0] * 4, [1.0] * 4, [1.0, 0.5, 0.0, 0.2], [1.5, 1.0, 0.8, 1.2], prior_p=0.45))
         integrals(pair, SIX)
         # a, b, the mixture proposal's inverse, affinity, bc and chernoff
         assert counting_np.exp_calls == 6 * oracle.MC_STRATA
@@ -355,7 +375,8 @@ class TestQuadBlocks:
     def test_blocks_concatenate_to_the_tensor_product(self, monkeypatch, nodes, make_pair,
                                                       block_points):
         monkeypatch.setattr(oracle, "QUAD_BLOCK_POINTS", block_points)
-        pair = make_pair(nodes)
+        set_pass_size(monkeypatch, nodes=nodes)
+        pair = make_pair()
         points, weights = zip(*oracle._quad_blocks(pair))
         assert max(w.size for w in weights) <= block_points
         grid, w = full_product(pair, nodes)
@@ -371,7 +392,8 @@ class TestQuadBlocks:
         # np.sum over the whole product; at 1040 and 8400 nodes a split rounds
         # its half down to a multiple of 8, and at 1040 the leaves end mid-row
         monkeypatch.setattr(oracle, "QUAD_BLOCK_POINTS", 1000)
-        pair = make_pair(nodes)
+        set_pass_size(monkeypatch, nodes=nodes)
+        pair = make_pair()
         assert sum(1 for _ in oracle._quad_blocks(pair)) > 8
         table = oracle._integrand_table(pair.prior_p, 1.0 - pair.prior_p, 0.3)
         fns = list(table.values()) + list(oracle._DENSITY_MASSES)
@@ -382,19 +404,23 @@ class TestQuadBlocks:
 
 
 class TestQuadratureConvergence:
-    def test_doubling_changes_below_1e6(self):
-        model = diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4])
-        base = gaussian_pair(model)
-        fine = gaussian_pair(model, quad_nodes=3072)
-        for fn in (bayes_error, dp_tilde_integral, affinity_integral,
-                   bc_integral, tv_integral):
-            assert abs(fn(base) - fn(fine)) < 1e-6, fn.__name__
-        assert abs(chernoff_integral(base, 0.5) - chernoff_integral(fine, 0.5)) < 1e-6
+    def test_doubling_changes_below_1e6(self, monkeypatch):
+        pair = gaussian_pair(
+            diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4]))
+        fns = (bayes_error, dp_tilde_integral, affinity_integral, bc_integral, tv_integral,
+               functools.partial(chernoff_integral, alpha=0.5))
+        base = [fn(pair) for fn in fns]
+        set_pass_size(monkeypatch, nodes=3072)
+        for fn, value in zip(fns, base):
+            assert abs(value - fn(pair)) < 1e-6, fn
 
-    def test_doubling_1d(self):
-        base, fine = pair_1d(2.56), pair_1d(2.56, quad_nodes=8192)
-        for fn in (bayes_error, tv_integral):
-            assert abs(fn(base) - fn(fine)) < 1e-6, fn.__name__
+    def test_doubling_1d(self, monkeypatch):
+        pair = pair_1d(2.56)
+        fns = (bayes_error, tv_integral)
+        base = [fn(pair) for fn in fns]
+        set_pass_size(monkeypatch, nodes=8192)
+        for fn, value in zip(fns, base):
+            assert abs(value - fn(pair)) < 1e-6, fn.__name__
 
 
 class TestDensityPairValidation:
@@ -412,11 +438,11 @@ class TestDensityPairValidation:
         with pytest.raises(OracleError, match="integrates to"):
             integrals(pair, ["bc"])
 
-    def test_unnormalized_density_fails_the_monte_carlo_pass(self):
+    def test_unnormalized_density_fails_the_monte_carlo_pass(self, monkeypatch):
         # construction checks only the structure; the pass integrates f0 and f1
+        set_pass_size(monkeypatch, points=20_000)
         base = gaussian_pair(diagonal_gaussian_model(
-            [0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0], [1.5, 1.0, 0.8], prior_p=0.45),
-            mc_points=20_000)
+            [0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0], [1.5, 1.0, 0.8], prior_p=0.45))
         pair = dataclasses.replace(
             base, log_density_0=lambda x: base.log_density_0(x) + math.log(1.05))
         with pytest.raises(OracleError, match=r"density 0 integrates to 1\.02"):
@@ -514,43 +540,46 @@ class TestDensityPairValidation:
         with pytest.raises(TypeError, match="method"):
             dataclasses.replace(pair, method="quadrature")
 
-    @pytest.mark.parametrize("points, message", [
-        (19_999, "mc_points must be a multiple of 100 \\(one share per stratum\\), got 19999"),
-        (2e4, "mc_points must be an integer, got 20000.0"),
-        (True, "mc_points must be an integer, got True"),
-        (999, "mc_points too small: 999"),
-    ], ids=["not_whole_strata", "float", "bool", "too_small"])
-    def test_monte_carlo_points_must_fill_whole_strata(self, points, message):
-        model = diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0] * 3, [1.0] * 3)
-        with pytest.raises(OracleError, match=f"^{message}$"):
-            gaussian_pair(model, mc_points=points)
 
-    @pytest.mark.parametrize("points", [20_000, np.int64(20_000)], ids=["int", "np_int64"])
-    def test_monte_carlo_points_of_whole_strata_accepted(self, points):
-        model = diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0] * 3, [1.0] * 3)
-        assert gaussian_pair(model, mc_points=points).mc_points == 20_000
+class TestPassSize:
+    def test_shipped_sizes(self):
+        assert oracle.QUAD_NODES == {1: 4096, 2: 1536}
+        assert oracle.MC_POINTS == 1_000_000
+        # every stratum draws an equal share
+        assert oracle.MC_POINTS % oracle.MC_STRATA == 0
 
-    @pytest.mark.parametrize("nodes", [0, -5, 15])
-    def test_node_count_below_one_panel_rejected(self, nodes):
-        with pytest.raises(OracleError, match="quad_nodes"):
-            pair_1d(1.0, quad_nodes=nodes)
+    @pytest.mark.parametrize("d, pass_size, rows", [
+        (1, {"nodes": 512}, 512),
+        (2, {"nodes": 160}, 160 ** 2),
+        (3, {"points": 20_000}, 20_000),
+    ], ids=["1d", "2d", "3d"])
+    def test_patched_size_reaches_the_pass(self, d, pass_size, rows, monkeypatch):
+        set_pass_size(monkeypatch, **pass_size)
+        base = gaussian_pair(diagonal_gaussian_model([0.0] * d, [1.0] * d, [1.0] * d, [1.0] * d))
+        seen = [0, 0]
 
-    @pytest.mark.parametrize("nodes", [16, None])
-    def test_node_count_of_one_panel_or_default_accepted(self, nodes):
-        assert pair_1d(1.0, quad_nodes=nodes).quad_nodes == nodes
+        def counted(k):
+            def log_density(x):
+                seen[k] += x.shape[0]
+                return (base.log_density_0, base.log_density_1)[k](x)
+            return log_density
+
+        pair = dataclasses.replace(base, log_density_0=counted(0), log_density_1=counted(1))
+        integrals(pair, SIX)
+        assert seen == [rows, rows]
 
 
 class TestMonteCarloPath:
-    def test_stratum_means_keep_the_bits_of_np_mean(self):
+    def test_stratum_means_keep_the_bits_of_np_mean(self, monkeypatch):
         # the pass takes each stratum mean as np.add.reduce(v) over the stratum
         # size; this is the loop it replaces, with np.mean
+        set_pass_size(monkeypatch, points=400_000)
         pair = gaussian_pair(diagonal_gaussian_model(
-            [0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0], [1.5, 1.0, 0.8], prior_p=0.45),
-            mc_points=400_000)
+            [0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0], [1.5, 1.0, 0.8], prior_p=0.45))
         names = ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff",
                  "scaled_chernoff")
         table = oracle._integrand_table(pair.prior_p, 1.0 - pair.prior_p, 0.3)
-        per_stratum = pair.mc_points // oracle.MC_STRATA
+        per_stratum = oracle.MC_POINTS // oracle.MC_STRATA
         means = np.empty((len(names), oracle.MC_STRATA))
         for s in range(oracle.MC_STRATA):
             rng = derive_rng(oracle.MC_ROOT_SEED, s)
@@ -565,16 +594,18 @@ class TestMonteCarloPath:
         assert 0.0 < want["dp_tilde"][0] < 1.0  # the clamp leaves it alone
         assert integrals(pair, names, alpha=0.3) == want
 
-    def test_reports_standard_error_and_determinism(self):
-        pair = gaussian_pair(fukunaga_d2(), mc_points=200_000)
+    def test_reports_standard_error_and_determinism(self, monkeypatch):
+        set_pass_size(monkeypatch, points=200_000)
+        pair = gaussian_pair(fukunaga_d2())
         v1, se1 = integrals(pair, ["dp_tilde"])["dp_tilde"]
         v2, se2 = integrals(pair, ["dp_tilde"])["dp_tilde"]
         assert (v1, se1) == (v2, se2)
         assert 0.0 < se1 < 0.01
         assert 0.0 <= v1 <= 1.0
 
-    def test_mc_identity_cross_check_shared_points(self):
-        pair = gaussian_pair(fukunaga_d2(), mc_points=200_000)
+    def test_mc_identity_cross_check_shared_points(self, monkeypatch):
+        set_pass_size(monkeypatch, points=200_000)
+        pair = gaussian_pair(fukunaga_d2())
         # raises internally if the estimator breaks the affinity identity
         affinity_integral(pair)
 

@@ -144,6 +144,8 @@ def test_suite_model_makes_one_oracle_pass(monkeypatch):
     # six integrals and the two density masses, which serve the
     # normalization check and the affinity's identity check
     assert calls == [8]
+    for name, value in suites.SUITE_PASS_SIZE.items():
+        monkeypatch.setattr(oracle, name, value)
     assert quantities["ap"] == oracle.affinity_integral(quantities["pair"])
 
 
@@ -167,7 +169,8 @@ def test_one_factorization_per_class_covariance(monkeypatch):
     for seed in range(3):
         sample_gaussian(model3, 10, 12, seed)
     oracle.integrals(oracle.gaussian_pair(model1), ("bayes_error", "bc"))
-    oracle.integrals(oracle.gaussian_pair(model3, mc_points=100_000), ("bayes_error", "bc"))
+    monkeypatch.setattr(oracle, "MC_POINTS", 100_000)
+    oracle.integrals(oracle.gaussian_pair(model3), ("bayes_error", "bc"))
     assert calls == []
     # the one model run_fukunaga builds is factored once, each trial reuses it
     experiments.run_fukunaga("D2", 20, 2, seed=0)

@@ -13,7 +13,10 @@ format of a subcommand without the flag) and writes them atomically into
 artifact of a subcommand whose only format is JSON. Warnings raised during a
 run are printed as ``warning: <message>`` lines on stderr. Exit codes: 0
 success, 2 input or flag validation error (an unrecognized flag included),
-1 internal error.
+1 internal error. Every unlabeled point file (estimate --a and --b, the
+--target of bounds and select, mst-dump --input) is read by one reader,
+which drops a label column by name and checks the column count against
+another file where there is one.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_model_json(path) -> GaussianModel:
-    """Model JSON: mean0, mean1, cov0, cov1 (matrix or diagonal vector), prior_p.
+    """Model JSON: mean0, mean1 (flat lists), cov0, cov1 (matrix or diagonal vector), prior_p.
 
     Every error, the model's own checks included, names the file.
     """
@@ -153,6 +156,8 @@ def load_model_json(path) -> GaussianModel:
                 value = convert(raw[key])
             except (TypeError, ValueError) as exc:
                 raise DatasetError(f"bad value for model key {key!r} ({exc})") from None
+            if key.startswith("mean") and value.ndim != 1:
+                raise DatasetError(f"model key {key!r} must be a flat list of numbers")
             return np.diag(value) if key.startswith("cov") and value.ndim == 1 else value
 
         return GaussianModel(
@@ -165,16 +170,20 @@ def load_model_json(path) -> GaussianModel:
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def _same_columns(points: np.ndarray, path, d: int, other) -> np.ndarray:
-    """points, once checked to have the d feature columns of the file `other`."""
-    if points.shape[1] != d:
-        raise DatasetError(f"{path} has {points.shape[1]} feature columns but {other} has {d}")
-    return points
+def _load_points(path, drop_column="label", like=None) -> np.ndarray:
+    """The points of a CSV less the column named drop_column, if it has one.
+
+    like=(other, d): the points must have the d feature columns of the file other.
+    """
+    pts = load_points_csv(path, drop_column=drop_column)
+    if like is not None and pts.shape[1] != like[1]:
+        raise DatasetError(f"{path} has {pts.shape[1]} feature columns but {like[0]} has {like[1]}")
+    return pts
 
 
 def _cmd_estimate(args):
-    a = load_points_csv(args.a)
-    b = _same_columns(load_points_csv(args.b), args.b, a.shape[1], args.a)
+    a = _load_points(args.a)
+    b = _load_points(args.b, like=(args.a, a.shape[1]))
     return {"estimate.json": json_dumps(asdict(divergence.estimate(a, b)))}
 
 
@@ -187,18 +196,13 @@ def _load_source(args):
         raise DatasetError(f"{args.source}: {exc}") from None
 
 
-def _load_target(args, source) -> np.ndarray:
-    """The --target points, less the column that --label-column names in the source."""
-    points = load_points_csv(args.target, drop_column=source.label_name)
-    return _same_columns(points, args.target, source.d, args.source)
-
-
 def _cmd_bounds(args):
     bounds.check_weight("--label-drift", args.label_drift)
     if args.label_drift and not args.target:
         warnings.warn("--label-drift is ignored without --target")
     source, classes = _load_source(args)
-    target = _load_target(args, source) if args.target else None
+    target = (_load_points(args.target, source.label_name, (args.source, source.d))
+              if args.target else None)
     model = load_model_json(args.model) if args.model else None
     if model is not None and model.d != source.d:
         raise DatasetError(f"{args.model} is a {model.d}-D model but {args.source} has "
@@ -226,8 +230,9 @@ def _cmd_select(args):
         warnings.warn("--target is ignored when --shift-weight is 0")
     source, (f, g) = _load_source(args)
     trace = featsel.forward_select(
-        f, g, target=_load_target(args, source) if args.shift_weight else None, k=args.k,
-        shift_weight=args.shift_weight, audit=args.audit, standardize=args.standardize,
+        f, g, target=(_load_points(args.target, source.label_name, (args.source, source.d))
+                      if args.shift_weight else None),
+        k=args.k, shift_weight=args.shift_weight, audit=args.audit, standardize=args.standardize,
     )
     names = source.feature_names
     payload = {
@@ -340,7 +345,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_mst_dump(args):
-    points = load_points_csv(args.input, drop_column=args.label_column)
+    points = _load_points(args.input, args.label_column)
     if args.jitter:
         points = emst.add_jitter(points, args.seed)
     mst = emst.build_mst(points)

@@ -266,7 +266,7 @@ def row_groups(pts: np.ndarray) -> np.ndarray:
 # CSV format: UTF-8 (a leading byte-order mark is skipped), header line, comma
 # separator, RFC 4180 quoting, '.' decimal point, blank lines skipped; save_csv
 # writes through serialize.csv_text, and a labeled file's header names are
-# unique.
+# unique once stripped (_check_header, for reading and for writing).
 
 def read_text(path) -> str:
     """A file's UTF-8 text, a leading byte-order mark skipped; other bytes raise DatasetError."""
@@ -326,6 +326,13 @@ def _parse_columns(path, header, records, columns, label_idx=None) -> np.ndarray
     return np.asarray(values, dtype=np.float64)
 
 
+def _check_header(path, names) -> None:
+    """Raise DatasetError, naming path, if a name repeats as load_csv reads it (stripped)."""
+    for name, count in Counter(str(h).strip() for h in names).items():
+        if count > 1:
+            raise DatasetError(f"{path}: column name {name!r} appears {count} times in the header")
+
+
 def _label_index(path, header, column) -> int:
     """The label column's index: an int or digit string is an index, anything else a name."""
     is_index = isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit())
@@ -340,9 +347,7 @@ def _label_index(path, header, column) -> int:
 def load_csv(path, label_column="label") -> LabeledSample:
     """Load a labeled sample from CSV. `label_column` is a header name or index."""
     header, records = _read_csv(path)
-    for name, count in Counter(header).items():
-        if count > 1:
-            raise DatasetError(f"{path}: column name {name!r} appears {count} times in the header")
+    _check_header(path, header)
     label_idx = _label_index(path, header, label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     if not feature_names:
@@ -374,11 +379,11 @@ def load_points_csv(path, drop_column=None) -> np.ndarray:
 def save_csv(sample: LabeledSample, path, label_column="label") -> None:
     """Write a labeled sample as CSV with 17-significant-digit coordinates.
 
-    A feature named like label_column raises DatasetError before anything is
-    written: load_csv rejects a header that repeats a name.
+    A header that load_csv would refuse, one whose names (label_column
+    included) repeat once stripped as load_csv reads them back, raises
+    DatasetError before anything is written.
     """
-    names = sample.feature_names or tuple(f"x{i}" for i in range(sample.d))
-    if label_column in names:
-        raise DatasetError(f"{path}: feature column {label_column!r} has the label column's name")
+    header = (*(sample.feature_names or (f"x{i}" for i in range(sample.d))), label_column)
+    _check_header(path, header)
     rows = ((*row, label) for row, label in zip(sample.points, sample.labels))
-    atomic_write_text(path, csv_text((*names, label_column), rows))
+    atomic_write_text(path, csv_text(header, rows))

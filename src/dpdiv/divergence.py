@@ -3,7 +3,8 @@
 The statistic C counts edges of the Euclidean MST over the pooled sample
 whose endpoints come from different groups. Heavily mixed samples give a
 large C (similar distributions); a single bridge edge between two far-apart
-clusters gives C = 1.
+clusters gives C = 1. The batched form takes (f, g, columns) triples, and
+one rule checks their columns for every caller, feature selection included.
 """
 
 from __future__ import annotations
@@ -40,15 +41,17 @@ def fr_statistic(sample_f, sample_g=None):
     """Count pooled-MST edges joining a point of sample_f to a point of sample_g.
 
     With sample_g omitted, sample_f is a sequence of (f, g, columns) triples,
-    each standing for the pool of f[:, columns] over g[:, columns] (columns
-    None: all of them). Each pool is gathered once, when emst.build_msts
-    reaches it, and their trees are built together; the counts come back as
-    an int ndarray, one per triple.
+    each standing for the pool of f[:, columns] over g[:, columns]. columns
+    is None (all of them) or a non-empty set of distinct integer column
+    indices in [0, d), bools rejected; every triple is checked before any
+    tree is built. Each pool is gathered once, when emst.build_msts reaches
+    it, and their trees are built together; the counts come back as an int
+    ndarray, one per triple.
     """
     if sample_g is not None:
-        f, g = _pair(sample_f, sample_g)
+        f, g, _ = _pair(sample_f, sample_g)
         return _cross_count(build_mst(np.vstack([f, g])), f.shape[0])
-    pairs = [(*_pair(f, g), columns) for f, g, columns in sample_f]
+    pairs = [_pair(*triple) for triple in sample_f]
     pools = (np.concatenate((f, g) if cols is None else (f[:, cols], g[:, cols]))
              for f, g, cols in pairs)
     counts = np.empty(len(pairs), dtype=np.int64)
@@ -57,7 +60,8 @@ def fr_statistic(sample_f, sample_g=None):
     return counts
 
 
-def _pair(sample_f, sample_g):
+def _pair(sample_f, sample_g, columns=None):
+    """The two samples as float matrices, and the columns of their pool as a list (or None)."""
     f = np.asarray(sample_f, dtype=np.float64)
     g = np.asarray(sample_g, dtype=np.float64)
     if f.ndim != 2 or g.ndim != 2:
@@ -66,7 +70,16 @@ def _pair(sample_f, sample_g):
         raise ValueError("both samples must be non-empty")
     if f.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {f.shape[1]} vs {g.shape[1]}")
-    return f, g
+    if columns is not None:
+        columns, d = list(columns), f.shape[1]
+        if not columns:
+            raise ValueError("feature set must be non-empty")
+        for pos, c in enumerate(columns):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < d:
+                raise ValueError(f"feature {c!r} is not a column index in [0, {d})")
+            if c in columns[:pos]:
+                raise ValueError(f"feature {c!r} is repeated")
+    return f, g, columns
 
 
 def _cross_count(mst, n_f) -> int:

@@ -169,7 +169,10 @@ def run_consistency(model: GaussianModel, sizes, n_trials: int, seed) -> list[Mc
 
     The reference is the integration oracle's divergence for the model (one
     pass at the default grid or Monte Carlo budget), so the curves measure
-    pure estimator error. sizes must be positive and ascending.
+    pure estimator error. sizes must be positive and ascending. Each trial
+    draws n rows of each class, so its estimate targets the divergence at
+    prior 1/2: a model whose prior_p is not 0.5 raises ValueError before the
+    oracle pass.
     """
     sizes = [int(s) for s in sizes]
     if not sizes or min(sizes) < 1:
@@ -177,6 +180,9 @@ def run_consistency(model: GaussianModel, sizes, n_trials: int, seed) -> list[Mc
     if sizes != sorted(sizes):
         raise ValueError(f"sizes must be ascending, got {sizes}")
     _check_trials(n_trials)
+    if model.prior_p != 0.5:
+        raise ValueError(f"prior_p must be 0.5, got {model.prior_p}: each trial draws n rows "
+                         "of each class, so its estimate targets the divergence at prior 0.5")
     reference = oracle.dp_tilde_integral(oracle.gaussian_pair(model))
     return [
         McSummary.from_values(abs(est.dp_tilde - reference)

@@ -11,7 +11,8 @@ subsets of the shared source and target rows rather than as matrices built up
 front. fr_statistic gathers each pool's columns once, when emst.build_msts
 reaches it; build_msts grows the trees in lockstep, and each keeps the bits
 of a tree built alone, so the selection does not depend on the batching.
-criterion_phi is the same computation for a single subset.
+criterion_phi is the same computation for a single subset, and
+fr_statistic checks each subset's columns for both.
 """
 
 from __future__ import annotations
@@ -74,19 +75,11 @@ def criterion_phi(source0, source1, target, features, shift_weight=0.0) -> float
     Value = C(source0[F], source1[F]) / (n0 + n1); with shift_weight > 0 it
     adds shift_weight times the shift penalty 2 sqrt(dp_tilde) between the
     merged source and the target. Lower is better. features is a non-empty
-    set of distinct integer column indices in [0, d) (bools are rejected).
+    set of distinct integer column indices in [0, d) (bools are rejected);
+    fr_statistic checks it, as it checks the columns of every triple.
     """
     s0, s1, tgt = _check_inputs(source0, source1, target, shift_weight)
-    idx = list(features)
-    if not idx:
-        raise ValueError("feature set must be non-empty")
-    d = s0.shape[1]
-    for pos, f in enumerate(idx):
-        if isinstance(f, bool) or not isinstance(f, (int, np.integer)) or not 0 <= f < d:
-            raise ValueError(f"feature {f!r} is not a column index in [0, {d})")
-        if f in idx[:pos]:
-            raise ValueError(f"feature {f!r} is repeated")
-    return _criteria(s0, s1, tgt, [[int(f) for f in idx]], shift_weight)[0]
+    return _criteria(s0, s1, tgt, [list(features)], shift_weight)[0]
 
 
 def _criteria(s0, s1, tgt, subsets, shift_weight) -> list[float]:

@@ -91,6 +91,20 @@ class TestEstimateCommand:
             f"error: {b3} has 3 feature columns but {cluster_csvs[0]} has 2\n")
         assert not (tmp_path / "out").exists()
 
+    def test_label_column_is_dropped_as_mst_dump_drops_it(self, tmp_path, capsys):
+        # read as a coordinate, the label would split the pool in two: 1 cross edge, not 5
+        files = {"a.csv": "x,label\n0,0\n1,0\n2,0\n", "b.csv": "x,label\n0.5,1\n1.5,1\n2.5,1\n",
+                 "a_x.csv": "x\n0\n1\n2\n", "b_x.csv": "x\n0.5\n1.5\n2.5\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        reports = []
+        for a, b in (("a.csv", "b.csv"), ("a_x.csv", "b_x.csv")):
+            assert cli.main(["estimate", "--a", str(tmp_path / a), "--b", str(tmp_path / b),
+                             "--out", str(tmp_path / "out")]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["cross_count"] == 5
+        assert reports[0] == reports[1]
+
     def test_overflowing_squared_distances_exit_2(self, tmp_path, capsys):
         # the true tree has 4 cross edges; with every d2 at inf it would be a star with 2
         a = write_points_csv(tmp_path / "a.csv", np.array([[0.0], [1e200], [3e200]]))
@@ -632,6 +646,16 @@ class TestExperimentCommands:
         assert capsys.readouterr().err == (
             f"error: --sizes must list positive integers in ascending order, got {sizes!r}\n")
 
+    def test_consistency_model_prior_other_than_one_half_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"mean0": [0.0, 0.0], "mean1": [1.5, 0.0], "cov0": [1.0, 1.0],
+                                    "cov1": [1.0, 1.0], "prior_p": 0.2}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["consistency", "--sizes", "10,40", "--trials", "3", "--model", str(path)]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: prior_p must be 0.5, got 0.2: ")
+        assert not out.exists()
+
     def test_consistency_outputs(self, tmp_path):
         out = tmp_path / "cons"
         rc = cli.main(["consistency", "--sizes", "30,60", "--trials", "2",
@@ -710,7 +734,12 @@ class TestOracleCommand:
         ('{"mean0": [0.0', "invalid JSON ("),
         (json.dumps({"mean0": [], "mean1": [], "cov0": [], "cov1": []}),
          "mean0 and mean1 need at least one entry\n"),
-    ], ids=["null_prior", "string_prior", "top_level_string", "truncated", "empty_means"])
+        (json.dumps({"mean0": [[0, 0], [0, 0]], "mean1": [1, 0, 0, 0], "cov0": [1, 1, 1, 1],
+                     "cov1": [1, 1, 1, 1]}), "model key 'mean0' must be a flat list of numbers\n"),
+        (json.dumps({"mean0": [0.0], "mean1": 1.5, "cov0": [1.0], "cov1": [1.0]}),
+         "model key 'mean1' must be a flat list of numbers\n"),
+    ], ids=["null_prior", "string_prior", "top_level_string", "truncated", "empty_means",
+            "nested_mean", "scalar_mean"])
     def test_malformed_model_json_exits_2(self, text, expected, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text(text, encoding="utf-8")

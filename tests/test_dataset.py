@@ -3,9 +3,12 @@ import math
 import os
 import re
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpdiv.dataset import (
     DatasetError,
@@ -25,6 +28,20 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@st.composite
+def named_samples(draw):
+    """A LabeledSample with 1-4 distinct feature names drawn from letters, digits,
+    spaces, commas, double quotes and line breaks, and 2-5 rows with both labels."""
+    names = draw(st.lists(st.text(alphabet='aZ09 ,"\n\r', max_size=4), min_size=1, max_size=4,
+                          unique=True))
+    n = draw(st.integers(2, 5))
+    cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=n * len(names), max_size=n * len(names)))
+    labels = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    return LabeledSample(points=np.reshape(cells, (n, len(names))), labels=labels,
+                         feature_names=names)
 
 
 class TestLoadCsv:
@@ -142,18 +159,42 @@ class TestLoadCsv:
             os.umask(umask)
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
-    @pytest.mark.parametrize("names, label_column", [(("label",), "label"), (None, "x1")],
-                             ids=["named_feature", "default_names"])
+    @pytest.mark.parametrize("names, label_column, repeated", [
+        (("label",), "label", "label"), (None, "x1", "x1"), (("a", "a "), "label", "a"),
+        ((" label",), "label", "label"),
+    ], ids=["named_feature", "default_names", "stripped_feature", "stripped_label"])
     def test_save_csv_rejects_a_feature_named_like_the_label(self, tmp_path, names,
-                                                            label_column):
-        # the header would repeat the name, which load_csv rejects
-        sample = LabeledSample(points=np.zeros((2, 1 if names else 3)), labels=[0, 1],
+                                                            label_column, repeated):
+        # the header would repeat a name as load_csv reads it back (stripped), which it rejects
+        sample = LabeledSample(points=np.zeros((2, len(names) if names else 3)), labels=[0, 1],
                                feature_names=names)
         path = tmp_path / "clash.csv"
-        message = f"{path}: feature column '{label_column}' has the label column's name"
+        message = f"{path}: column name '{repeated}' appears 2 times in the header"
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             save_csv(sample, path, label_column=label_column)
         assert not path.exists()
+
+    @pytest.mark.filterwarnings("ignore:.*duplicate feature rows detected")
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(named_samples())
+    @example(LabeledSample(points=[[0.0, 1.0], [2.0, 3.0]], labels=[0, 1],
+                           feature_names=("a", "a ")))
+    @example(LabeledSample(points=[[0.0], [1.0]], labels=[0, 1], feature_names=(" label",)))
+    def test_save_csv_refuses_or_round_trips(self, sample):
+        header = [name.strip() for name in (*sample.feature_names, "label")]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sample.csv")
+            try:
+                save_csv(sample, path)
+            except DatasetError:
+                # refused only for a name that repeats as load_csv reads it, and nothing written
+                assert len(set(header)) < len(header)
+                assert os.listdir(tmp) == []
+                return
+            back = load_csv(path)
+        assert back.points.tobytes() == sample.points.tobytes()
+        np.testing.assert_array_equal(back.labels, sample.labels)
+        assert back.feature_names == tuple(header[:-1])
 
     def test_roundtrip_is_exact(self, tmp_path):
         sample = sample_gaussian(fukunaga_d1(), 40, 40, seed=3)

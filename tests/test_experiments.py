@@ -163,3 +163,15 @@ class TestRunConsistency:
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ValueError, match="ascending"):
             run_consistency(CONSISTENCY_MODEL, (400, 100), 2, seed=0)
+
+    def test_rejects_a_prior_other_than_one_half_before_the_oracle(self, monkeypatch):
+        # n rows per class estimate the divergence at prior 1/2, not at the model's prior
+        from dpdiv import oracle
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran before the prior was checked")
+
+        monkeypatch.setattr(oracle, "gaussian_pair", no_oracle)
+        model = diagonal_gaussian_model([0.0, 0.0], [1, 1], [1.5, 0.0], [1, 1], prior_p=0.2)
+        with pytest.raises(ValueError, match=r"^prior_p must be 0\.5, got 0\.2: "):
+            run_consistency(model, (100,), 2, seed=0)

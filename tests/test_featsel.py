@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dpdiv import divergence
 from dpdiv.dataset import derive_rng
+from dpdiv.divergence import fr_statistic
 from dpdiv.featsel import SelectionTrace, criterion_phi, forward_select
 from suites import informative_plus_noise, shifted_vs_invariant
 
@@ -82,10 +84,18 @@ class TestCriterionPhi:
         ([0, 2, 0], r"feature 0 is repeated"),
     ], ids=["negative", "past_the_end", "fraction", "float", "bool", "numpy_bool", "str",
             "repeated"])
-    def test_bad_feature_index_rejected(self, features, message):
+    def test_bad_feature_index_rejected(self, features, message, monkeypatch):
         x = np.zeros((10, 3))
         with pytest.raises(ValueError, match=f"^{message}"):
             criterion_phi(x, x + 1.0, None, features)
+
+        def no_tree(pools):
+            raise AssertionError("a tree was built before every triple was checked")
+
+        # the same rule on fr_statistic's triples, all checked before any tree is built
+        monkeypatch.setattr(divergence, "build_msts", no_tree)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            fr_statistic([(x, x + 1.0, [0]), (x, x + 1.0, features)])
 
     def test_numpy_integer_features_accepted(self):
         x0, x1 = informative_plus_noise(4, n=30, noise_features=2)

@@ -3,8 +3,9 @@
 The statistic C counts edges of the Euclidean MST over the pooled sample
 whose endpoints come from different groups. Heavily mixed samples give a
 large C (similar distributions); a single bridge edge between two far-apart
-clusters gives C = 1. The batched form takes (f, g, columns) triples, and
-one rule checks their columns for every caller, feature selection included.
+clusters gives C = 1. Every count in the package (estimate, feature
+selection, the experiments' trials) comes from fr_statistic's (f, g, columns)
+triples: one rule checks their columns, and emst.build_msts builds the trees.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledSample
-from .emst import build_mst, build_msts
+from .emst import build_msts
 
 
 @dataclass(frozen=True)
@@ -41,23 +42,21 @@ def fr_statistic(sample_f, sample_g=None):
     """Count pooled-MST edges joining a point of sample_f to a point of sample_g.
 
     With sample_g omitted, sample_f is a sequence of (f, g, columns) triples,
-    each standing for the pool of f[:, columns] over g[:, columns]. columns
-    is None (all of them) or a non-empty set of distinct integer column
-    indices in [0, d), bools rejected; every triple is checked before any
-    tree is built. Each pool is gathered once, when emst.build_msts reaches
-    it, and their trees are built together; the counts come back as an int
-    ndarray, one per triple.
+    each standing for the pool of f[:, columns] over g[:, columns], and the
+    counts come back as an int ndarray, one per triple; two matrices are the
+    one-triple case, counted as an int. columns is None (all of them) or a
+    non-empty set of distinct integer column indices in [0, d), bools
+    rejected; every triple is checked before any tree is built. Each pool is
+    gathered when emst.build_msts reaches it, which builds the trees together.
     """
-    if sample_g is not None:
-        f, g, _ = _pair(sample_f, sample_g)
-        return _cross_count(build_mst(np.vstack([f, g])), f.shape[0])
-    pairs = [_pair(*triple) for triple in sample_f]
+    triples = sample_f if sample_g is None else [(sample_f, sample_g, None)]
+    pairs = [_pair(*triple) for triple in triples]
     pools = (np.concatenate((f, g) if cols is None else (f[:, cols], g[:, cols]))
              for f, g, cols in pairs)
     counts = np.empty(len(pairs), dtype=np.int64)
     for k, mst in build_msts(pools):
         counts[k] = _cross_count(mst, len(pairs[k][0]))
-    return counts
+    return counts if sample_g is None else int(counts[0])
 
 
 def _pair(sample_f, sample_g, columns=None):

@@ -86,28 +86,30 @@ rounding (-1e16, 0.0, 1e-300 sorted: the outer span rounds to the first
 step, and the path would give (0, 2), (1, 2) for rows [-1e16], [1e-300],
 [0.0] where Prim gives (0, 1), (1, 2)); Prim runs then.
 
-build_msts takes many point matrices at once, as greedy feature selection
-scores its candidates, and reads each one once, in order, so point_sets may
-be a generator that builds each matrix only when it is reached. Each matrix is
-converted and checked (_checked), deduplicated, tried on the sorted path and
-finished (duplicates attached, the underflow fallback) on its own, exactly as
-build_mst does it; a set left for Prim keeps its matrix and its distinct rows
-until its lockstep runs. Those sets are grown in lockstep: ordered by
-dimension and then by falling size, they share one (d, B, w) column array, so
-each step makes one argmin, one swap-remove and one relax for all B trees, one
-set of numpy calls where one tree at a time makes B. Every set in the array
-has the same number m of outside vertices, and a set of n rows joins, its
-first row in its tree, when m reaches n - 1; the array is then rebuilt at
-width m. Per set, each step does what a step of the one-tree kernel does to
-the same columns in the same order: the d2 come from the same subtractions,
-squares and _sum_rows additions, and the tie rule is the same _pair_key (with
-the set's own n) and the same _relax. So every tree has the bits of build_mst
-on that set alone. A join or a compaction allocates the column and work
-arrays afresh, as the one-tree kernel does. A lockstep holds at most
-LOCKSTEP_CELLS cells (coordinate x set x column) at any join; the sets past
-that start the next lockstep. A single set, or one wider than that on its
-own, runs the one-tree kernel, which makes fewer numpy calls per step than a
-lockstep of one.
+build_msts takes many point matrices at once, as every cross count does (a
+selection step's candidates, an experiment's trials), and reads each one once,
+in order, so point_sets may be a generator that builds each matrix only when
+it is reached. Each matrix is converted and checked (_checked), deduplicated,
+tried on the sorted path and finished (duplicates attached, the underflow
+fallback) on its own, exactly as build_mst does it. A set of n distinct rows
+with 2 d (n - 1) > LOCKSTEP_CELLS cannot share a lockstep with a set of its
+size, so the one-tree kernel builds it when it is reached, and a generator of
+such sets is held one at a time. Any other set left for Prim keeps its matrix
+and its distinct rows until its lockstep runs. Those sets are grown in
+lockstep: ordered by dimension and then by falling size, they share one
+(d, B, w) column array, so each step makes one argmin, one swap-remove and
+one relax for all B trees, one set of numpy calls where one tree at a time
+makes B. Every set in the array has the same number m of outside vertices,
+and a set of n rows joins, its first row in its tree, when m reaches n - 1;
+the array is then rebuilt at width m. Per set, each step does what a step of
+the one-tree kernel does to the same columns in the same order: the d2 come
+from the same subtractions, squares and _sum_rows additions, and the tie rule
+is the same _pair_key (with the set's own n) and the same _relax. So every
+tree has the bits of build_mst on that set alone. A join or a compaction
+allocates the column and work arrays afresh, as the one-tree kernel does. A
+lockstep holds at most LOCKSTEP_CELLS cells (coordinate x set x column) at
+any join; the sets past that start the next lockstep. A lockstep of one set
+runs the one-tree kernel, which makes fewer numpy calls per step.
 """
 
 from __future__ import annotations
@@ -168,20 +170,22 @@ def build_msts(point_sets):
     bit for bit.
 
     point_sets is read once, in order, and each matrix is converted, checked
-    and deduplicated once; the matrices that need Prim are kept, with their
-    distinct rows, until their lockstep group runs. A group of one runs the
-    one-tree kernel.
+    and deduplicated once. A matrix that needs Prim and is too wide to share a
+    lockstep with one of its size is built at once; the others are kept, with
+    their distinct rows, until their lockstep group runs.
     """
     waiting = []
     for k, points in enumerate(point_sets):
         pts = _checked(points)
         own_rep = _own_rep(pts)
         rows = _distinct(pts, own_rep)
-        path = _sorted_path(rows)
-        if path is None:
+        edges = _sorted_path(rows)
+        if edges is None and 2 * rows.shape[1] * (rows.shape[0] - 1) > LOCKSTEP_CELLS:
+            edges = _prim(rows)  # two sets of its size overflow a lockstep: build it now
+        if edges is None:
             waiting.append((rows.shape[1], -rows.shape[0], k, pts, own_rep, rows))
         else:
-            yield k, _tree(pts, own_rep, rows, *path)
+            yield k, _tree(pts, own_rep, rows, *edges)
     waiting.sort(key=lambda w: w[:3])
     for group in _lockstep_groups(waiting):
         rows = [w[5] for w in group]
@@ -262,8 +266,7 @@ def _sorted_path(pts):
 
 def _lockstep_groups(waiting):
     """Split sets sorted by (d, -size) into runs of one d whose column array
-    holds at most LOCKSTEP_CELLS cells at every join; a set wider than that
-    on its own makes a run of one."""
+    holds at most LOCKSTEP_CELLS cells at every join."""
     group = []
     for w in waiting:
         d, size = w[0], -w[1]
@@ -271,9 +274,6 @@ def _lockstep_groups(waiting):
             yield group
             group = []
         group.append(w)
-        if d * (size - 1) > LOCKSTEP_CELLS:
-            yield group
-            group = []
     if group:
         yield group
 

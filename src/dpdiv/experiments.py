@@ -3,6 +3,8 @@ and estimator-consistency curves.
 
 Monte Carlo trials derive per-trial seeds from the master seed, so runs are
 reproducible, trial-order independent, and safe to parallelize externally.
+One fr_statistic call counts the trials of a sweep step, a Fukunaga run or a
+consistency size, holding their samples; each count is its pool's alone.
 """
 
 from __future__ import annotations
@@ -95,9 +97,10 @@ def _check_trials(n_trials: int) -> None:
 
 
 def _trial_estimates(model: GaussianModel, n: int, n_trials: int, *key):
-    """Divergence estimate of each trial: n points per class seeded by (*key, trial)."""
-    return [divergence.estimate_from_labeled(sample_gaussian(model, n, n, (*key, trial)))
-            for trial in range(n_trials)]
+    """Divergence estimate of each trial, n points per class seeded by (*key, trial)."""
+    samples = [sample_gaussian(model, n, n, (*key, trial)).points for trial in range(n_trials)]
+    counts = divergence.fr_statistic([(x[:n], x[n:], None) for x in samples])
+    return [divergence.estimate_from_count(c, n, n) for c in counts.tolist()]
 
 
 def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed) -> tuple[SweepRow, ...]:

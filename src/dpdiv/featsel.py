@@ -114,8 +114,6 @@ def forward_select(source0, source1, target=None, k=None, shift_weight=0.0,
     """
     s0, s1, tgt = _check_inputs(source0, source1, target, shift_weight)
     d = s0.shape[1]
-    if s0.shape[0] < 2 or s1.shape[0] < 2:
-        raise ValueError("each source class needs at least 2 points")
     if k is None:
         k = min(20, d)
     if not (1 <= k <= d):

@@ -271,10 +271,10 @@ class TestBoundsCommand:
                                                             monkeypatch, capsys):
         from dpdiv import divergence
 
-        def no_tree(points):
+        def no_tree(point_sets):
             raise AssertionError("a tree was built")
 
-        monkeypatch.setattr(divergence, "build_mst", no_tree)
+        monkeypatch.setattr(divergence, "build_msts", no_tree)
         target = write_points_csv(tmp_path / "t9.csv", derive_rng(9013).normal(size=(40, 9)))
         assert cli.main(["bounds", "--source", labeled_csv, "--target", target,
                          "--out", str(tmp_path / "out")]) == 2
@@ -417,10 +417,10 @@ class TestSelectCommand:
     def test_nan_shift_weight_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
         from dpdiv import divergence
 
-        def no_tree(points):
+        def no_tree(point_sets):
             raise AssertionError("a tree was built")
 
-        monkeypatch.setattr(divergence, "build_mst", no_tree)
+        monkeypatch.setattr(divergence, "build_msts", no_tree)
         sample = sample_gaussian(fukunaga_d1(), 20, 20, seed=9007)
         save_csv(sample, tmp_path / "src.csv")
         target = write_points_csv(tmp_path / "t.csv", derive_rng(9008).normal(size=(40, 8)))
@@ -434,10 +434,10 @@ class TestSelectCommand:
     def test_infinite_shift_weight_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
         from dpdiv import divergence
 
-        def no_tree(points):
+        def no_tree(point_sets):
             raise AssertionError("a tree was built")
 
-        monkeypatch.setattr(divergence, "build_mst", no_tree)
+        monkeypatch.setattr(divergence, "build_msts", no_tree)
         sample = sample_gaussian(fukunaga_d1(), 20, 20, seed=9009)
         save_csv(sample, tmp_path / "src.csv")
         target = write_points_csv(tmp_path / "t.csv", derive_rng(9010).normal(size=(40, 8)))
@@ -473,10 +473,10 @@ class TestSelectCommand:
                                                             monkeypatch, capsys):
         from dpdiv import divergence
 
-        def no_tree(points):
+        def no_tree(point_sets):
             raise AssertionError("a tree was built")
 
-        monkeypatch.setattr(divergence, "build_mst", no_tree)
+        monkeypatch.setattr(divergence, "build_msts", no_tree)
         target = write_points_csv(tmp_path / "t9.csv", derive_rng(9014).normal(size=(40, 9)))
         assert cli.main(["select", "--source", labeled_csv, "--target", target,
                          "--shift-weight", "1", "--out", str(tmp_path / "out")]) == 2

@@ -203,7 +203,7 @@ class TestLockstep:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(lockstep_batches(), st.sampled_from([emst.LOCKSTEP_CELLS, 40]))
     def test_each_tree_equals_the_one_tree_build(self, sets, cells):
-        # a budget of 40 cells splits batches into many locksteps and single trees
+        # a budget of 40 cells builds most sets at once and groups a few small ones
         with mock.patch.object(emst, "LOCKSTEP_CELLS", cells):
             trees = dict(build_msts(sets))
         assert sorted(trees) == list(range(len(sets)))
@@ -231,15 +231,16 @@ class TestLockstep:
         assert counts.tolist() == [fr_statistic(f[:, cols], g[:, cols]) for cols in subsets]
 
     def test_groups_keep_within_the_cell_budget(self, monkeypatch):
-        # sets of (d, size): the groups a budget of 600 cells gives
+        # sets of (d, size) that wait for a lockstep under a budget of 600 cells
+        # (2 d (size - 1) <= 600), and the groups that budget gives
         monkeypatch.setattr(emst, "LOCKSTEP_CELLS", 600)
         waiting = [(d, -n, k) for k, (d, n) in enumerate(
-            [(2, 301), (2, 200), (2, 100), (2, 100), (2, 50), (3, 40), (3, 40), (5, 400)])]
+            [(2, 151), (2, 151), (2, 102), (2, 50), (2, 50), (3, 40), (3, 40), (5, 61)])]
         groups = [[w[2] for w in g] for g in emst._lockstep_groups(waiting)]
-        # the 200-row set would join the first run at 2 * 2 * 199 = 796 cells, so it
-        # starts the next one, where the smaller sets still fit (2 * 4 * 49 = 392);
-        # a new d starts a run, and 5 * 399 cells are too many for any run
-        assert groups == [[0], [1, 2, 3, 4], [5, 6], [7]]
+        # the 102-row set would join the first run at 2 * 3 * 101 = 606 cells, so it
+        # starts the next one, where the smaller sets still fit (2 * 3 * 49 = 294);
+        # a new d starts a run
+        assert groups == [[0, 1], [2, 3, 4], [5, 6], [7]]
 
     def test_full_group_memory_is_bounded_by_the_cell_budget(self, monkeypatch):
         # ten 1200-row sets at d = 2 make one lockstep of 2 * 10 * 1199 = 23 980
@@ -257,6 +258,22 @@ class TestLockstep:
             tracemalloc.stop()
         assert calls == ["build_msts"] and sorted(trees) == list(range(10))
         assert peak <= 8 * emst.LOCKSTEP_CELLS * 8
+
+    def test_sets_that_share_no_lockstep_are_held_one_at_a_time(self):
+        # 2 * 128 * 99 cells are over the budget, so no two of these 100-row sets
+        # share a lockstep: each is built when it is reached, and the build holds
+        # one 100 KiB set and its kernel's arrays (about 6 sets), not all twenty
+        rng = np.random.default_rng(721)
+        set_bytes = 100 * 128 * 8
+        assert 2 * 128 * 99 > emst.LOCKSTEP_CELLS
+        tracemalloc.start()
+        try:
+            trees = dict(build_msts(rng.normal(size=(100, 128)) for _ in range(20)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(trees) == list(range(20))
+        assert peak <= 10 * set_bytes
 
 
 def _callers(monkeypatch, name):

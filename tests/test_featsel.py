@@ -201,10 +201,15 @@ class TestForwardSelect:
         x0, x1 = informative_plus_noise(0, n=40, noise_features=2)
         with pytest.raises(ValueError, match=r"k must lie"):
             forward_select(x0, x1, k=4)
-        with pytest.raises(ValueError, match="at least 2 points"):
-            forward_select(x0[:1], x1, k=1)
         with pytest.raises(ValueError, match="requires a target"):
             forward_select(x0, x1, k=1, shift_weight=1.0)
+
+    def test_one_row_class_selects_as_criterion_phi_scores(self):
+        # the pool rule is fr_statistic's: a one-row class is a valid pool, as in criterion_phi
+        x0, x1 = np.array([[0.0, 1.0]]), np.array([[1.0, 0.0], [2.0, 2.0]])
+        trace = forward_select(x0, x1, k=1)
+        assert trace.selected == (0,)
+        assert trace.criterion_values[0] == criterion_phi(x0, x1, None, [0]) == 1 / 3
 
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="duplicates"):

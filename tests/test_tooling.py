@@ -50,20 +50,21 @@ def test_injected_cross_count_reaches_the_estimate(monkeypatch):
 
 
 def test_one_tree_per_estimate(monkeypatch):
-    # The tracer's emst.* spans wrap this binding and count one tree per estimate.
+    # An estimate's tree comes from the batched path: one build_msts call, one 55-row set.
     calls = []
-    original = divergence.build_mst
+    original = divergence.build_msts
 
-    def counting(points):
-        calls.append(len(points))
-        return original(points)
+    def counting(point_sets):
+        sets = list(point_sets)
+        calls.append([len(points) for points in sets])
+        return original(sets)
 
-    monkeypatch.setattr(divergence, "build_mst", counting)
+    monkeypatch.setattr(divergence, "build_msts", counting)
     f, g = _two_samples()
     divergence.estimate(f, g)
-    assert calls == [55]
+    assert calls == [[55]]
     divergence.estimate(g, f)
-    assert calls == [55, 55]
+    assert calls == [[55], [55]]
 
 
 def _selection_inputs():
@@ -116,6 +117,61 @@ def test_criterion_phi_equals_each_audited_value(shift_weight):
         for f, value in candidates.items():
             alone = featsel.criterion_phi(s0, s1, target, chosen + [f], shift_weight)
             assert alone.hex() == value.hex()
+
+
+def _count_fr_statistic_calls(monkeypatch):
+    # each call's triple count; None for a two-matrix call
+    calls = []
+    original = divergence.fr_statistic
+
+    def counting(*args):
+        calls.append(len(args[0]) if len(args) == 1 else None)
+        return original(*args)
+
+    monkeypatch.setattr(divergence, "fr_statistic", counting)
+    return calls
+
+
+def _per_trial_estimates(model, n, n_trials, *key):
+    """Each trial's estimate from its own labeled sample, one tree at a time."""
+    return [divergence.estimate_from_labeled(sample_gaussian(model, n, n, (*key, trial)))
+            for trial in range(n_trials)]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_sweep_counts_each_step_in_one_call(monkeypatch):
+    calls = _count_fr_statistic_calls(monkeypatch)
+    rows = experiments.run_sweep(3, 20, 4, seed=7)
+    assert calls == [4] * 3
+    for step, row in enumerate(rows):
+        model = diagonal_gaussian_model([0.0, 0.0], [1.0, 1.0], [row.separation, 0.0], [1.0, 1.0])
+        b = [bounds.ber_bounds_from_estimate(est)
+             for est in _per_trial_estimates(model, 20, 4, 7, step)]
+        assert _hex([row.dp_upper_empirical_mean, row.dp_lower_empirical_mean]) == _hex(
+            [np.mean([x.upper for x in b]), np.mean([x.lower for x in b])])
+
+
+def test_fukunaga_counts_its_trials_in_one_call(monkeypatch):
+    calls = _count_fr_statistic_calls(monkeypatch)
+    summary = experiments.run_fukunaga("D2", 30, 3, seed=11)
+    assert calls == [3]
+    model = experiments.FUKUNAGA_SAMPLING_MODELS["D2"]()
+    assert _hex(summary.values) == _hex(bounds.ber_bounds_from_estimate(est).upper
+                                        for est in _per_trial_estimates(model, 30, 3, 11))
+
+
+def test_consistency_counts_each_size_in_one_call(monkeypatch):
+    calls = _count_fr_statistic_calls(monkeypatch)
+    model = diagonal_gaussian_model([0.0], [1.0], [1.0], [2.0])
+    summaries = experiments.run_consistency(model, [10, 25], 3, seed=13)
+    assert calls == [3, 3]
+    reference = oracle.dp_tilde_integral(oracle.gaussian_pair(model))
+    for size_index, (n, summary) in enumerate(zip([10, 25], summaries)):
+        assert _hex(summary.values) == _hex(abs(est.dp_tilde - reference) for est in
+                                            _per_trial_estimates(model, n, 3, 13, size_index))
 
 
 def _count_passes(monkeypatch):

@@ -15,8 +15,9 @@ run are printed as ``warning: <message>`` lines on stderr. Exit codes: 0
 success, 2 input or flag validation error (an unrecognized flag included),
 1 internal error. Every unlabeled point file (estimate --a and --b, the
 --target of bounds and select, mst-dump --input) is read by one reader,
-which drops a label column by name and checks the column count against
-another file where there is one.
+which drops a label column by name and pairs the columns with another
+file's where there is one: a --target by name when its header names any of
+the source's feature columns, estimate --b by position.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 def load_model_json(path) -> GaussianModel:
     """Model JSON: mean0, mean1 (flat lists), cov0, cov1 (matrix or diagonal vector), prior_p.
 
-    Every error, the model's own checks included, names the file.
+    Each key holds JSON numbers only: a string, a boolean or null anywhere in
+    it is refused, not converted. Every error, the model's own checks
+    included, names the file.
     """
     text = read_text(path)
     try:
@@ -152,6 +155,16 @@ def load_model_json(path) -> GaussianModel:
             raise DatasetError(f"missing model keys {missing}")
 
         def read(key, convert=lambda v: np.asarray(v, dtype=np.float64)):
+            # the first non-number in file order; the walk keeps its own stack,
+            # so no nesting depth can overflow it
+            stack = [raw[key]]
+            while stack:
+                v = stack.pop()
+                if isinstance(v, list):
+                    stack.extend(reversed(v))
+                elif v is None or isinstance(v, (str, bool)):
+                    raise DatasetError(f"bad value for model key {key!r} "
+                                       f"({json.dumps(v)} is not a number)")
             try:
                 value = convert(raw[key])
             except (TypeError, ValueError) as exc:
@@ -170,20 +183,10 @@ def load_model_json(path) -> GaussianModel:
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def _load_points(path, drop_column="label", like=None) -> np.ndarray:
-    """The points of a CSV less the column named drop_column, if it has one.
-
-    like=(other, d): the points must have the d feature columns of the file other.
-    """
-    pts = load_points_csv(path, drop_column=drop_column)
-    if like is not None and pts.shape[1] != like[1]:
-        raise DatasetError(f"{path} has {pts.shape[1]} feature columns but {like[0]} has {like[1]}")
-    return pts
-
-
 def _cmd_estimate(args):
-    a = _load_points(args.a)
-    b = _load_points(args.b, like=(args.a, a.shape[1]))
+    # unlabeled files name no features: their columns pair by position
+    a = load_points_csv(args.a, "label")
+    b = load_points_csv(args.b, "label", like=(args.a, [None] * a.shape[1]))
     return {"estimate.json": json_dumps(asdict(divergence.estimate(a, b)))}
 
 
@@ -196,13 +199,19 @@ def _load_source(args):
         raise DatasetError(f"{args.source}: {exc}") from None
 
 
+def _load_target(args, source):
+    """The --target points, less the source's label column, paired with the
+    source's feature columns by name (see load_points_csv)."""
+    return load_points_csv(args.target, source.label_name,
+                           like=(args.source, source.feature_names))
+
+
 def _cmd_bounds(args):
     bounds.check_weight("--label-drift", args.label_drift)
     if args.label_drift and not args.target:
         warnings.warn("--label-drift is ignored without --target")
     source, classes = _load_source(args)
-    target = (_load_points(args.target, source.label_name, (args.source, source.d))
-              if args.target else None)
+    target = _load_target(args, source) if args.target else None
     model = load_model_json(args.model) if args.model else None
     if model is not None and model.d != source.d:
         raise DatasetError(f"{args.model} is a {model.d}-D model but {args.source} has "
@@ -230,8 +239,7 @@ def _cmd_select(args):
         warnings.warn("--target is ignored when --shift-weight is 0")
     source, (f, g) = _load_source(args)
     trace = featsel.forward_select(
-        f, g, target=(_load_points(args.target, source.label_name, (args.source, source.d))
-                      if args.shift_weight else None),
+        f, g, target=_load_target(args, source) if args.shift_weight else None,
         k=args.k, shift_weight=args.shift_weight, audit=args.audit, standardize=args.standardize,
     )
     names = source.feature_names
@@ -345,7 +353,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_mst_dump(args):
-    points = _load_points(args.input, args.label_column)
+    points = load_points_csv(args.input, args.label_column)
     if args.jitter:
         points = emst.add_jitter(points, args.seed)
     mst = emst.build_mst(points)

@@ -117,7 +117,7 @@ class LabeledSample:
         return f, g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianModel:
     """A two-class Gaussian mixture: per-class mean/covariance plus the class-0 prior.
 
@@ -126,8 +126,8 @@ class GaussianModel:
     once: chol0/chol1 are the read-only lower Cholesky factors, and
     log_norm0/log_norm1 each class's log normalising constant,
     -d/2 log 2 pi - sum log diag L. sample and log_density read those, so no
-    caller factors a class again.
-    Two models are equal when their five parameters are.
+    caller factors a class again. Two models compare equal only when they
+    are the same object.
     """
 
     mean0: np.ndarray
@@ -135,10 +135,10 @@ class GaussianModel:
     cov0: np.ndarray
     cov1: np.ndarray
     prior_p: float = 0.5
-    chol0: np.ndarray = field(init=False, repr=False, compare=False)
-    chol1: np.ndarray = field(init=False, repr=False, compare=False)
-    log_norm0: float = field(init=False, repr=False, compare=False)
-    log_norm1: float = field(init=False, repr=False, compare=False)
+    chol0: np.ndarray = field(init=False, repr=False)
+    chol1: np.ndarray = field(init=False, repr=False)
+    log_norm0: float = field(init=False, repr=False)
+    log_norm1: float = field(init=False, repr=False)
 
     def __post_init__(self):
         m0 = np.asarray(self.mean0, dtype=np.float64).reshape(-1)
@@ -180,14 +180,6 @@ class GaussianModel:
         object.__setattr__(self, "mean1", _readonly(m1))
         object.__setattr__(self, "prior_p", float(self.prior_p))
 
-    def __eq__(self, other):
-        if not isinstance(other, GaussianModel):
-            return NotImplemented
-        return self.prior_p == other.prior_p and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("mean0", "mean1", "cov0", "cov1")
-        )
-
     @property
     def d(self) -> int:
         return self.mean0.size
@@ -203,13 +195,14 @@ class GaussianModel:
         return rng.standard_normal((n, self.d)) @ chol.T + mean
 
     def log_density(self, cls: int, x) -> np.ndarray:
-        """Log-density of class cls at each row of x: an (n, d) array, or one length-d point.
+        """Log-density of class cls at each row of the (n, d) array x.
 
         Forward substitution on the stored factor (see the module docstring).
-        Raises DatasetError unless x has d columns.
+        Raises DatasetError unless x is 2-D with d columns; a single point is
+        passed as one row, x[None].
         """
         mean, chol, log_norm = self._class(cls)
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise DatasetError(f"x has shape {x.shape}, expected (n, {self.d})")
         y = np.subtract(x.T, mean[:, None], order="C")
@@ -367,13 +360,30 @@ def load_csv(path, label_column="label") -> LabeledSample:
                          feature_names=feature_names, label_name=header[label_idx])
 
 
-def load_points_csv(path, drop_column=None) -> np.ndarray:
-    """Load an unlabeled point matrix from CSV, optionally dropping one named column."""
+def load_points_csv(path, drop_column=None, like=None) -> np.ndarray:
+    """Load an unlabeled point matrix from CSV, optionally dropping one named column.
+
+    like=(other, names): the kept columns must pair with the feature columns
+    of the file other, whose names are given (None for a column paired by
+    position). There must be as many; a header that names any of them must
+    name exactly those, in that order, and one that names none of them pairs
+    by position. Either error names both files.
+    """
     header, records = _read_csv(path)
     keep = [i for i, h in enumerate(header) if h != drop_column]
     if not keep:
         raise DatasetError(f"{path}: no feature columns left after dropping {drop_column!r}")
-    return _parse_columns(path, header, records, keep)
+    pts = _parse_columns(path, header, records, keep)
+    if like is not None:
+        other, names = like
+        kept, names = [header[i] for i in keep], list(names)
+        if len(kept) != len(names):
+            raise DatasetError(
+                f"{path} has {len(kept)} feature columns but {other} has {len(names)}")
+        if set(kept) & set(names) and kept != names:
+            raise DatasetError(f"{path} has feature columns {kept} but {other} has {names}; "
+                               "name the same columns in the same order, or none of them")
+    return pts
 
 
 def save_csv(sample: LabeledSample, path, label_column="label") -> None:

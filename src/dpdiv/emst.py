@@ -129,7 +129,9 @@ LOCKSTEP_CELLS = 3 << 13
 
 @dataclass(frozen=True)
 class MstResult:
-    """Spanning tree edge list: arrays i, j (i < j), edge lengths, point count."""
+    """Spanning tree edge list: int64 arrays i, j (i < j), float64 edge
+    lengths, point count. The arrays are taken as given (_tree, the one
+    builder, makes them) and marked read-only."""
 
     i: np.ndarray
     j: np.ndarray
@@ -137,20 +139,14 @@ class MstResult:
     n_points: int
 
     def __post_init__(self):
-        i = np.asarray(self.i, dtype=np.int64)
-        j = np.asarray(self.j, dtype=np.int64)
-        length = np.asarray(self.length, dtype=np.float64)
-        if not (i.shape == j.shape == length.shape == (self.n_points - 1,)):
+        if not (self.i.shape == self.j.shape == self.length.shape == (self.n_points - 1,)):
             # a tree with the wrong edge count is a fault of the builder, not of its input
             raise RuntimeError(
                 f"broken spanning tree: expected {self.n_points - 1} edges, got shapes "
-                f"{i.shape}, {j.shape}, {length.shape}"
+                f"{self.i.shape}, {self.j.shape}, {self.length.shape}"
             )
-        for a in (i, j, length):
+        for a in (self.i, self.j, self.length):
             a.flags.writeable = False
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "length", length)
 
 
 def build_mst(points) -> MstResult:

@@ -48,8 +48,6 @@ def _encode(obj, depth):
             return "[]"
         items = [f"{pad}{_encode(v, depth + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
-    if hasattr(obj, "item"):  # numpy scalars
-        return _encode(obj.item(), depth)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

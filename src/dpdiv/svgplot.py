@@ -7,8 +7,7 @@ _PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#cf222e")
 
 
 def _nice_ticks(lo: float, hi: float, target=6):
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick values covering [lo, hi]; the caller widens an empty range first."""
     raw = (hi - lo) / max(target - 1, 1)
     mag = 10.0 ** int(f"{raw:e}".split("e")[1])
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

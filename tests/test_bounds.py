@@ -48,6 +48,16 @@ class TestBerBoundsFromEstimate:
             b = bounds.ber_bounds_from_estimate(fake_estimate(float(rng.uniform())))
             assert 0.0 <= b.lower <= b.upper <= 0.5
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: bounds.BerBounds(lower=0.3, upper=0.2),
+         "invalid bracket [0.3, 0.2], need 0 <= lower <= upper <= 0.5"),
+        (lambda: bounds.ber_bounds_from_dp_tilde(1.5), "dp_tilde must lie in [0, 1], got 1.5"),
+    ], ids=["inverted_bracket", "dp_tilde_above_1"])
+    def test_out_of_range_input_rejected(self, build, message):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
 
 class TestGaussianClosedForms:
     def test_bc_bound_benchmarks(self):
@@ -161,6 +171,11 @@ class TestDaBound:
     def test_supplied_source_error(self):
         report = bounds.da_bound(fake_estimate(0.3), fake_estimate(0.0), source_error=0.11)
         assert report.source_term == 0.11
+
+    def test_supplied_source_error_outside_0_1_rejected(self):
+        with pytest.raises(ValueError) as caught:
+            bounds.da_bound(fake_estimate(0.3), fake_estimate(0.0), source_error=1.5)
+        assert str(caught.value) == "source_error must lie in [0, 1], got 1.5"
 
     def test_unbalanced_pool_warns(self):
         with pytest.warns(UserWarning, match="equally sized"):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpdiv import cli, dataset, emst
+from dpdiv import cli, dataset, divergence, emst, featsel
 from dpdiv.dataset import derive_rng, save_csv, sample_gaussian
 from dpdiv.emst import MstResult, build_mst
 from dpdiv.experiments import fukunaga_d1
@@ -54,6 +54,46 @@ def model_json(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+# target headers against the labeled_csv source's x0..x7; each column holds the
+# source column its name gives, so a target read by position in the wrong
+# order would not be the source's own rows
+TARGET_HEADERS = pytest.mark.parametrize("header, refused", [
+    ("x1,x0,x2,x3,x4,x5,x6,x7", True),
+    ("x0,x1,c2,c3,c4,c5,c6,c7", True),
+    ("c0,c1,c2,c3,c4,c5,c6,c7", False),
+    ("x0,x1,x2,x3,x4,x5,x6,x7", False),
+], ids=["swapped", "partial", "disjoint", "same"])
+
+
+def write_source_rows_as_target(path, labeled_csv, header):
+    """The source's feature rows, column x<k> or c<k> holding source column k."""
+    points = dataset.load_csv(labeled_csv).points[:, [int(h[1:]) for h in header.split(",")]]
+    rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in points)
+    path.write_text(header + "\n" + rows, encoding="utf-8")
+    return str(path)
+
+
+def run_with_target(argv, header, refused, labeled_csv, tmp_path, monkeypatch, capsys):
+    """Run argv + --target; a refusal must come before any tree, naming both files."""
+    target = write_source_rows_as_target(tmp_path / "t.csv", labeled_csv, header)
+    if refused:
+        def no_tree(point_sets):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(divergence, "build_msts", no_tree)
+    rc = cli.main(argv + ["--target", target, "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    if refused:
+        assert rc == 2 and out == ""
+        assert err == (f"error: {target} has feature columns {header.split(',')} but "
+                       f"{labeled_csv} has {[f'x{k}' for k in range(8)]}; name the same "
+                       "columns in the same order, or none of them\n")
+        assert not (tmp_path / "out").exists()
+    else:
+        assert rc == 0 and err == ""
+    return out
 
 
 class TestEstimateCommand:
@@ -281,6 +321,14 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == (
             f"error: {target} has 9 feature columns but {labeled_csv} has 8\n")
 
+    @TARGET_HEADERS
+    def test_target_columns_pair_with_the_source_by_name(self, header, refused, labeled_csv,
+                                                         tmp_path, monkeypatch, capsys):
+        out = run_with_target(["bounds", "--source", labeled_csv], header, refused,
+                              labeled_csv, tmp_path, monkeypatch, capsys)
+        if not refused:  # the target is the source's own rows: no shift
+            assert json.loads(out)["da"]["shift_term"] == 0.0
+
     def test_label_drift_without_target_warns_and_changes_nothing(self, labeled_csv, tmp_path,
                                                                   capsys):
         reports = []
@@ -483,6 +531,16 @@ class TestSelectCommand:
         assert capsys.readouterr().err == (
             f"error: {target} has 9 feature columns but {labeled_csv} has 8\n")
 
+    @TARGET_HEADERS
+    def test_target_columns_pair_with_the_source_by_name(self, header, refused, labeled_csv,
+                                                         tmp_path, monkeypatch, capsys):
+        run_with_target(["select", "--source", labeled_csv, "--shift-weight", "1", "--k", "1"],
+                        header, refused, labeled_csv, tmp_path, monkeypatch, capsys)
+        if not refused:  # the target is the source's own rows: no shift penalty
+            payload = json.loads((tmp_path / "out" / "select.json").read_text())
+            plain = featsel.forward_select(*dataset.load_csv(labeled_csv).split_classes(), k=1)
+            assert payload["criterion_values"] == list(plain.criterion_values)
+
     def test_target_without_shift_weight_warns_and_is_not_read(self, labeled_csv, tmp_path,
                                                                capsys):
         runs = []
@@ -578,7 +636,8 @@ class TestMstDumpCommand:
         src = write_points_csv(tmp_path / "pts.csv", derive_rng(9006).normal(size=(5, 2)))
 
         def broken(points):
-            return MstResult(i=[0, 1, 2], j=[1, 2, 3], length=[1.0] * 3, n_points=len(points) + 1)
+            return MstResult(i=np.array([0, 1, 2]), j=np.array([1, 2, 3]),
+                             length=np.ones(3), n_points=len(points) + 1)
 
         monkeypatch.setattr(emst, "build_mst", broken)
         assert cli.main(["mst-dump", "--input", src, "--out", str(tmp_path / "out")]) == 1
@@ -609,6 +668,18 @@ class TestExperimentCommands:
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
         csv_lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 4
+
+    def test_one_trial_plots_one_point_on_widened_axes(self, tmp_path):
+        # one trial spans no x or y range: each axis is widened to one unit from its value
+        out = tmp_path / "one"
+        assert cli.main(["fukunaga", "--dataset", "D2", "--n", "30", "--trials", "1",
+                         "--format", "svg", "--out", str(out)]) == 0
+        svg = (out / "fukunaga.svg").read_text()
+        # x spans [0, 1]; y spans [v, v + 1], padded by 4 % a side, so v sits 0.04/1.08 up
+        assert '<polyline points="64.00,419.19" ' in svg
+        x_ticks = [f'y="{34 + 400 + 18}" text-anchor="middle">{t}</text>'
+                   for t in ("0", "0.2", "0.4", "0.6", "0.8", "1")]
+        assert all(tick in svg for tick in x_ticks)
 
     @pytest.mark.parametrize("argv", [
         ["fukunaga", "--dataset", "D1", "--n", "30", "--trials", "0"],
@@ -738,8 +809,25 @@ class TestOracleCommand:
                      "cov1": [1, 1, 1, 1]}), "model key 'mean0' must be a flat list of numbers\n"),
         (json.dumps({"mean0": [0.0], "mean1": 1.5, "cov0": [1.0], "cov1": [1.0]}),
          "model key 'mean1' must be a flat list of numbers\n"),
+        # JSON numbers only: nothing is converted from a string, a boolean or null
+        (json.dumps({"mean0": [0], "mean1": [True], "cov0": ["1e0"], "cov1": [2]}),
+         "bad value for model key 'mean1' (true is not a number)\n"),
+        (json.dumps({"mean0": [0], "mean1": [1], "cov0": ["1e0"], "cov1": [2]}),
+         "bad value for model key 'cov0' (\"1e0\" is not a number)\n"),
+        (json.dumps({"mean0": [0.0], "mean1": [1.0], "cov0": [1.0], "cov1": [1.0],
+                     "prior_p": "0.3"}),
+         "bad value for model key 'prior_p' (\"0.3\" is not a number)\n"),
+        (json.dumps({"mean0": [0.0], "mean1": [1.0], "cov0": [1.0], "cov1": [1.0],
+                     "prior_p": False}),
+         "bad value for model key 'prior_p' (false is not a number)\n"),
+        (json.dumps({"mean0": [None, 0], "mean1": [1, 0], "cov0": [1, 1], "cov1": [1, 1]}),
+         "bad value for model key 'mean0' (null is not a number)\n"),
+        (json.dumps({"mean0": [0, 0], "mean1": [1, 0], "cov0": [[1, 0], [0, 1]],
+                     "cov1": [[1, 0], ["0", 1]]}),
+         "bad value for model key 'cov1' (\"0\" is not a number)\n"),
     ], ids=["null_prior", "string_prior", "top_level_string", "truncated", "empty_means",
-            "nested_mean", "scalar_mean"])
+            "nested_mean", "scalar_mean", "boolean_mean", "string_cov", "quoted_prior",
+            "boolean_prior", "null_in_mean", "string_in_cov_matrix"])
     def test_malformed_model_json_exits_2(self, text, expected, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text(text, encoding="utf-8")

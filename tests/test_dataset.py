@@ -241,6 +241,16 @@ class TestLabeledSample:
         assert sample.labels.dtype == np.int64
         assert sample.labels.tolist() == [0, 1, 0, 1]
 
+    @pytest.mark.parametrize("points, labels, names, message", [
+        (np.zeros(3), [0, 1, 0], None, "points must be a non-empty 2-D matrix, got shape (3,)"),
+        (np.zeros((3, 1)), [0, 1], None, "labels shape (2,) does not match 3 rows"),
+        (np.zeros((2, 2)), [0, 1], ("a",), "1 feature names for 2 columns"),
+    ], ids=["one_dimensional_points", "label_count", "name_count"])
+    def test_rejects_mismatched_shapes(self, points, labels, names, message):
+        with pytest.raises(DatasetError) as caught:
+            LabeledSample(points, np.array(labels), feature_names=names)
+        assert str(caught.value) == message
+
     def test_rejects_duplicate_names(self):
         with pytest.raises(DatasetError, match="unique"):
             LabeledSample(points=[[1.0, 2.0]], labels=[0], feature_names=("a", "a"))
@@ -261,6 +271,16 @@ class TestGaussianModel:
         with pytest.raises(DatasetError, match="eigenvalue -1"):
             GaussianModel([0, 0], [1, 1], cov, np.eye(2))
 
+    @pytest.mark.parametrize("params, message", [
+        ({"mean1": [1.0, 0.0, 0.0]}, "mean shapes differ: (2,) vs (3,)"),
+        ({"cov1": np.eye(3)}, "cov1 has shape (3, 3), expected (2, 2)"),
+    ], ids=["mean_lengths", "cov_shape"])
+    def test_rejects_mismatched_shapes(self, params, message):
+        base = {"mean0": [0.0, 0.0], "mean1": [1.0, 0.0], "cov0": np.eye(2), "cov1": np.eye(2)}
+        with pytest.raises(DatasetError) as caught:
+            GaussianModel(**{**base, **params})
+        assert str(caught.value) == message
+
     def test_rejects_empty_means(self):
         with pytest.raises(DatasetError, match="^mean0 and mean1 need at least one entry$"):
             GaussianModel(mean0=[], mean1=[], cov0=np.zeros((0, 0)), cov1=np.zeros((0, 0)))
@@ -279,17 +299,6 @@ class TestGaussianModel:
         params[field].flat[-1] = bad
         with pytest.raises(DatasetError, match=f"{field} has a non-finite entry"):
             GaussianModel(**params)
-
-    def test_equality_compares_the_parameters(self):
-        model = fukunaga_d1()  # d = 8
-        assert (model == fukunaga_d1()) is True
-        assert (model != fukunaga_d1()) is False
-        for change in ({"prior_p": 0.3}, {"mean1": model.mean1 + 1e-12},
-                       {"cov0": 2.0 * model.cov0}):
-            other = dataclasses.replace(model, **change)
-            assert (model == other) is False
-            assert (model != other) is True
-        assert (model == "model") is False
 
     def test_init_takes_the_five_parameters_only(self):
         init = [f.name for f in dataclasses.fields(GaussianModel) if f.init]
@@ -313,7 +322,7 @@ class TestGaussianModel:
                         - float(np.log(np.diag(chol)).sum()))
                 log_norm = getattr(model, f"log_norm{cls}")
                 assert log_norm.hex() == want.hex()
-                assert model.log_density(cls, mean)[0].hex() == want.hex()
+                assert model.log_density(cls, mean[None])[0].hex() == want.hex()
         assert "log_norm" not in repr(model)
 
     def test_log_density_matches_scipy(self):
@@ -348,6 +357,11 @@ class TestGaussianModel:
         model = diagonal_gaussian_model([0, 0], [1, 1], [1, 1], [1, 1])
         with pytest.raises(DatasetError, match=r"shape \(3, %d\), expected \(n, 2\)" % columns):
             model.log_density(0, np.zeros((3, columns)))
+
+    def test_log_density_rejects_a_one_dimensional_point(self):
+        model = diagonal_gaussian_model([0, 0], [1, 1], [1, 1], [1, 1])
+        with pytest.raises(DatasetError, match=r"shape \(2,\), expected \(n, 2\)"):
+            model.log_density(0, np.zeros(2))
 
     def test_sample_is_the_sampler_behind_sample_gaussian(self):
         model = fukunaga_d1()

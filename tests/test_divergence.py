@@ -58,6 +58,11 @@ class TestFrStatistic:
         with pytest.raises(ValueError, match="non-empty"):
             fr_statistic(np.zeros((0, 2)), np.zeros((3, 2)))
 
+    def test_samples_must_be_matrices(self):
+        with pytest.raises(ValueError) as caught:
+            fr_statistic(np.zeros(3), np.zeros((3, 1)))
+        assert str(caught.value) == "expected 2-D point matrices, got shapes (3,) and (3, 1)"
+
 
 class TestEstimate:
     def test_separated_clusters_values(self):

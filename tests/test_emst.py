@@ -165,7 +165,8 @@ class TestDistinctRowsAndSortedPath:
 
     def test_wrong_edge_count_is_an_internal_error(self):
         with pytest.raises(RuntimeError, match="expected 3 edges") as caught:
-            MstResult(i=[0, 1], j=[1, 2], length=[1.0, 1.0], n_points=4)
+            MstResult(i=np.array([0, 1]), j=np.array([1, 2]), length=np.array([1.0, 1.0]),
+                      n_points=4)
         assert not isinstance(caught.value, ValueError)
 
 

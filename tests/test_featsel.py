@@ -73,6 +73,15 @@ class TestCriterionPhi:
         with pytest.raises(ValueError, match="shift_weight"):
             criterion_phi(x, y, None, (0,), shift_weight=-0.5)
 
+    @pytest.mark.parametrize("source1, target, message", [
+        (np.ones((10, 3)), None, "source matrices must be 2-D with a common number of columns"),
+        (np.ones((10, 2)), np.ones((10, 3)), "target must be 2-D with the same number of columns"),
+    ], ids=["source_columns", "target_columns"])
+    def test_column_counts_must_agree(self, source1, target, message):
+        with pytest.raises(ValueError) as caught:
+            criterion_phi(np.zeros((10, 2)), source1, target, (0,), shift_weight=1.0)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("features, message", [
         ([-1], r"feature -1 is not a column index in \[0, 3\)"),
         ([3], r"feature 3 is not a column index in \[0, 3\)"),

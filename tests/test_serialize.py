@@ -4,6 +4,7 @@ import os
 import pytest
 
 from dpdiv.serialize import atomic_write_text, json_dumps
+from dpdiv.svgplot import line_plot_svg
 
 
 @pytest.mark.parametrize("obj, text", [({}, "{}\n"), ([], "[]\n")])
@@ -29,3 +30,11 @@ def test_failed_atomic_write_keeps_the_old_file(tmp_path):
         atomic_write_text(path, "new \ud800\n")  # a lone surrogate has no UTF-8 form
     assert path.read_text(encoding="utf-8") == "old\n"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+@pytest.mark.parametrize("series", [[], [{"x": [], "y": [], "label": "empty"}]],
+                         ids=["no_series", "empty_series"])
+def test_line_plot_svg_rejects_a_plot_without_points(series):
+    with pytest.raises(ValueError) as caught:
+        line_plot_svg(series)
+    assert str(caught.value) == "series must contain at least one point"

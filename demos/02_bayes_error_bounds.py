@@ -6,10 +6,10 @@ purely from data, with the true error from the integration oracle.
 """
 
 from dpdiv import (
+    GaussianModel,
     bayes_error,
     bc_bound_gaussian,
     ber_bounds_from_estimate,
-    diagonal_gaussian_model,
     estimate_from_labeled,
     fukunaga_d1,
     fukunaga_d2,
@@ -33,7 +33,7 @@ for name, model in (("D1", fukunaga_d1()), ("D2", fukunaga_d2())):
 
     if name == "D1":
         # only the first coordinate differs, so d reduces to 1 for the truth
-        pair = gaussian_pair(diagonal_gaussian_model([0.0], [1.0], [2.56], [1.0]))
+        pair = gaussian_pair(GaussianModel(mean0=[0.0], mean1=[2.56], cov0=[1.0], cov1=[1.0]))
         print(f"  true Bayes error: {bayes_error(pair):.4f}")
     else:
         truth, se = integrals(gaussian_pair(model), ["bayes_error"])["bayes_error"]

@@ -7,9 +7,9 @@ the identities connecting them, and the bound ordering they obey.
 
 import numpy as np
 
-from dpdiv import diagonal_gaussian_model, gaussian_pair, integrals
+from dpdiv import GaussianModel, gaussian_pair, integrals
 
-pair = gaussian_pair(diagonal_gaussian_model([0.0, 0.0], [1, 1], [1.5, 0.5], [1, 1]))
+pair = gaussian_pair(GaussianModel(mean0=[0.0, 0.0], mean1=[1.5, 0.5], cov0=[1, 1], cov1=[1, 1]))
 
 # One pass over a shared quadrature grid; each value comes with its standard
 # error (0 for quadrature).

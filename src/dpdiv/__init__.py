@@ -27,7 +27,6 @@ from .dataset import (
     GaussianModel,
     LabeledSample,
     derive_rng,
-    diagonal_gaussian_model,
     load_csv,
     load_points_csv,
     sample_gaussian,

@@ -38,6 +38,7 @@ from .serialize import atomic_write_text, csv_text, json_dumps
 from .svgplot import line_plot_svg
 
 DEFAULT_SEED = 0xD1BE5
+DEFAULT_FORMATS = "json,csv"  # --format's default wherever it is taken
 SCHEMA_VERSION = 1
 
 
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    def common(sub, run, writable=("json",), default=None, seeded=False):
+    def common(sub, run, writable=("json",), seeded=False):
         """--seed for a subcommand that draws random numbers, --out, and
         --format for one that writes more than one format."""
         if seeded:
@@ -70,10 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default=".",
                          help="output directory for artifacts (default: current dir)")
         if len(writable) > 1:
-            default = default or ",".join(writable)
-            sub.add_argument("--format", default=default,
+            sub.add_argument("--format", default=DEFAULT_FORMATS,
                              help=f"comma-separated output formats out of {','.join(writable)} "
-                                  f"(default: {default})")
+                                  f"(default: {DEFAULT_FORMATS})")
         sub.set_defaults(run=run, writable_formats=writable)
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -107,20 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--n", type=int, default=300, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=10)
-    common(p, _cmd_sweep, ("json", "csv", "svg"), default="json,csv", seeded=True)
+    common(p, _cmd_sweep, ("json", "csv", "svg"), seeded=True)
 
     p = subs.add_parser("fukunaga", help="bound distribution on an 8-D Gaussian benchmark")
     p.add_argument("--dataset", choices=sorted(experiments.FUKUNAGA_SAMPLING_MODELS),
                    required=True)
     p.add_argument("--n", type=int, default=1000, help="samples per class per trial")
     p.add_argument("--trials", type=int, default=50)
-    common(p, _cmd_fukunaga, ("json", "csv", "svg"), default="json,csv", seeded=True)
+    common(p, _cmd_fukunaga, ("json", "csv", "svg"), seeded=True)
 
     p = subs.add_parser("consistency", help="estimator error vs sample size")
     p.add_argument("--sizes", default="100,400,1600", help="comma-separated ascending sizes")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--model", help="Gaussian model JSON (default: built-in bivariate pair)")
-    common(p, _cmd_consistency, ("json", "csv", "svg"), default="json,csv", seeded=True)
+    common(p, _cmd_consistency, ("json", "csv", "svg"), seeded=True)
 
     p = subs.add_parser("oracle", help="integration-oracle values for a Gaussian model")
     p.add_argument("--model", required=True, help="Gaussian model JSON")
@@ -139,11 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_model_json(path) -> GaussianModel:
-    """Model JSON: mean0, mean1 (flat lists), cov0, cov1 (matrix or diagonal vector), prior_p.
+    """Model JSON: the keys mean0, mean1, cov0, cov1 and, optionally, prior_p.
 
     Each key holds JSON numbers only: a string, a boolean or null anywhere in
-    it is refused, not converted. Every error, the model's own checks
-    included, names the file.
+    it is refused, not converted. The values go to GaussianModel as they
+    are, so its rules hold here too: flat means, and a covariance written as
+    a vector holds its variances. Every error, the model's own checks and
+    JSON nested past the parser's depth included, names the file.
     """
     text = read_text(path)
     try:
@@ -166,18 +168,15 @@ def load_model_json(path) -> GaussianModel:
                     raise DatasetError(f"bad value for model key {key!r} "
                                        f"({json.dumps(v)} is not a number)")
             try:
-                value = convert(raw[key])
+                return convert(raw[key])
             except (TypeError, ValueError) as exc:
                 raise DatasetError(f"bad value for model key {key!r} ({exc})") from None
-            if key.startswith("mean") and value.ndim != 1:
-                raise DatasetError(f"model key {key!r} must be a flat list of numbers")
-            return np.diag(value) if key.startswith("cov") and value.ndim == 1 else value
 
         return GaussianModel(
             mean0=read("mean0"), mean1=read("mean1"), cov0=read("cov0"), cov1=read("cov1"),
             prior_p=read("prior_p", float) if "prior_p" in raw else 0.5,
         )
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DatasetError(f"{path}: invalid JSON ({exc})") from None
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
@@ -308,9 +307,10 @@ def _cmd_fukunaga(args):
     }
 
 
-_CONSISTENCY_MODEL = experiments.diagonal_gaussian_model(
-    [-0.7071067811865476, -0.7071067811865476], [1.0, 1.0],
-    [0.7071067811865476, 0.7071067811865476], [1.0, 1.0],
+_CONSISTENCY_MODEL = GaussianModel(
+    mean0=[-0.7071067811865476, -0.7071067811865476],
+    mean1=[0.7071067811865476, 0.7071067811865476],
+    cov0=[1.0, 1.0], cov1=[1.0, 1.0],
 )
 
 

@@ -101,10 +101,6 @@ class LabeledSample:
         object.__setattr__(self, "labels", _readonly(labels))
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def d(self) -> int:
         return self.points.shape[1]
 
@@ -121,6 +117,9 @@ class LabeledSample:
 class GaussianModel:
     """A two-class Gaussian mixture: per-class mean/covariance plus the class-0 prior.
 
+    Each mean is a flat vector of d entries; a mean of any other shape, a
+    bare number or a nested list, is refused. Each covariance is a (d, d)
+    matrix, or a (d,) vector that holds its variances: np.diag of it.
     Construction rejects non-finite entries, asymmetric covariances and
     covariances that are not positive definite, then factors each covariance
     once: chol0/chol1 are the read-only lower Cholesky factors, and
@@ -141,18 +140,22 @@ class GaussianModel:
     log_norm1: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        m0 = np.asarray(self.mean0, dtype=np.float64).reshape(-1)
-        m1 = np.asarray(self.mean1, dtype=np.float64).reshape(-1)
+        m0 = np.asarray(self.mean0, dtype=np.float64)
+        m1 = np.asarray(self.mean1, dtype=np.float64)
+        for name, m in (("mean0", m0), ("mean1", m1)):
+            if m.ndim != 1:
+                raise DatasetError(f"{name} must be one-dimensional, got shape {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise DatasetError(f"{name} has a non-finite entry")
         if m0.shape != m1.shape:
             raise DatasetError(f"mean shapes differ: {m0.shape} vs {m1.shape}")
         if m0.size < 1:
             raise DatasetError("mean0 and mean1 need at least one entry")
         d = m0.size
-        for name, m in (("mean0", m0), ("mean1", m1)):
-            if not np.all(np.isfinite(m)):
-                raise DatasetError(f"{name} has a non-finite entry")
         for k, (name, c) in enumerate((("cov0", self.cov0), ("cov1", self.cov1))):
             c = np.asarray(c, dtype=np.float64)
+            if c.ndim == 1:
+                c = np.diag(c)
             if c.shape != (d, d):
                 raise DatasetError(f"{name} has shape {c.shape}, expected ({d}, {d})")
             if not np.all(np.isfinite(c)):
@@ -216,17 +219,6 @@ class GaussianModel:
         out *= -0.5
         out += log_norm
         return out
-
-
-def diagonal_gaussian_model(mean0, var0, mean1, var1, prior_p=0.5) -> GaussianModel:
-    """Build a GaussianModel from per-coordinate means and variances."""
-    return GaussianModel(
-        mean0=np.asarray(mean0, dtype=np.float64),
-        mean1=np.asarray(mean1, dtype=np.float64),
-        cov0=np.diag(np.asarray(var0, dtype=np.float64)),
-        cov1=np.diag(np.asarray(var1, dtype=np.float64)),
-        prior_p=prior_p,
-    )
 
 
 def sample_gaussian(model: GaussianModel, n0: int, n1: int, seed) -> LabeledSample:

@@ -5,7 +5,8 @@ whose endpoints come from different groups. Heavily mixed samples give a
 large C (similar distributions); a single bridge edge between two far-apart
 clusters gives C = 1. Every count in the package (estimate, feature
 selection, the experiments' trials) comes from fr_statistic's (f, g, columns)
-triples: one rule checks their columns, and emst.build_msts builds the trees.
+triples: one rule, check_pair, checks their matrices and columns, and
+emst.build_msts builds the trees.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def fr_statistic(sample_f, sample_g=None):
     gathered when emst.build_msts reaches it, which builds the trees together.
     """
     triples = sample_f if sample_g is None else [(sample_f, sample_g, None)]
-    pairs = [_pair(*triple) for triple in triples]
+    pairs = [check_pair(*triple) for triple in triples]
     pools = (np.concatenate((f, g) if cols is None else (f[:, cols], g[:, cols]))
              for f, g, cols in pairs)
     counts = np.empty(len(pairs), dtype=np.int64)
@@ -59,7 +60,7 @@ def fr_statistic(sample_f, sample_g=None):
     return counts if sample_g is None else int(counts[0])
 
 
-def _pair(sample_f, sample_g, columns=None):
+def check_pair(sample_f, sample_g, columns=None):
     """The two samples as float matrices, and the columns of their pool as a list (or None)."""
     f = np.asarray(sample_f, dtype=np.float64)
     g = np.asarray(sample_g, dtype=np.float64)

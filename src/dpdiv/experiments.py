@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, divergence, oracle
-from .dataset import GaussianModel, diagonal_gaussian_model, sample_gaussian
+from .dataset import GaussianModel, sample_gaussian
 
 # Classic 8-dimensional Gaussian benchmarks (Fukunaga's pair of data sets)
 # with analytically known Bayes error. In the original tabulation the spread
@@ -39,18 +39,18 @@ _D2_SPREAD = (8.41, 12.06, 0.12, 0.22, 1.49, 1.77, 0.35, 2.73)
 def fukunaga_d1() -> GaussianModel:
     mean1 = np.zeros(8)
     mean1[0] = 2.56
-    return diagonal_gaussian_model(np.zeros(8), np.ones(8), mean1, np.ones(8))
+    return GaussianModel(mean0=np.zeros(8), mean1=mean1, cov0=np.ones(8), cov1=np.ones(8))
 
 
 def fukunaga_d2() -> GaussianModel:
     """Spread row applied as variances: the analytically consistent benchmark."""
-    return diagonal_gaussian_model(np.zeros(8), np.ones(8), _D2_MEAN1, _D2_SPREAD)
+    return GaussianModel(mean0=np.zeros(8), mean1=_D2_MEAN1, cov0=np.ones(8), cov1=_D2_SPREAD)
 
 
 def fukunaga_d2_as_sampled() -> GaussianModel:
     """Spread row applied as standard deviations: the reference Monte-Carlo generator."""
-    var1 = np.square(_D2_SPREAD)
-    return diagonal_gaussian_model(np.zeros(8), np.ones(8), _D2_MEAN1, var1)
+    return GaussianModel(mean0=np.zeros(8), mean1=_D2_MEAN1, cov0=np.ones(8),
+                         cov1=np.square(_D2_SPREAD))
 
 
 # Sampling models behind the reference Monte-Carlo table (D1 is identical
@@ -121,12 +121,13 @@ def run_sweep(n_steps: int, n_per_class: int, n_trials: int, seed) -> tuple[Swee
     _check_trials(n_trials)
     rows = []
     for step, sep in enumerate(np.linspace(0.0, 5.0, n_steps).tolist()):
-        model_1d = diagonal_gaussian_model([0.0], [1.0], [sep], [1.0])
+        model_1d = GaussianModel(mean0=[0.0], mean1=[sep], cov0=[1.0], cov1=[1.0])
         truth = oracle.integrals(oracle.gaussian_pair(model_1d), ("bayes_error", "dp_tilde"))
         analytic = bounds.ber_bounds_from_dp_tilde(truth["dp_tilde"][0])
         bc = bounds.bc_bound_gaussian(model_1d)
 
-        model_2d = diagonal_gaussian_model([0.0, 0.0], [1.0, 1.0], [sep, 0.0], [1.0, 1.0])
+        model_2d = GaussianModel(mean0=[0.0, 0.0], mean1=[sep, 0.0], cov0=[1.0, 1.0],
+                                 cov1=[1.0, 1.0])
         empirical = [bounds.ber_bounds_from_estimate(est) for est in _trial_estimates(
             model_2d, n_per_class, n_trials, seed, step)]
         rows.append(SweepRow(

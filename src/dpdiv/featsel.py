@@ -12,7 +12,9 @@ front. fr_statistic gathers each pool's columns once, when emst.build_msts
 reaches it; build_msts grows the trees in lockstep, and each keeps the bits
 of a tree built alone, so the selection does not depend on the batching.
 criterion_phi is the same computation for a single subset, and
-fr_statistic checks each subset's columns for both.
+fr_statistic checks each subset's columns for both. The source classes,
+and the target when the shift penalty reads it, are checked up front by
+divergence.check_pair, the rule fr_statistic applies to every pool.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import check_weight, shift_penalty
-from .divergence import estimate_from_count, fr_statistic
+from .divergence import check_pair, estimate_from_count, fr_statistic
 
 
 @dataclass(frozen=True)
@@ -48,19 +50,13 @@ class SelectionTrace:
 
 
 def _check_inputs(source0, source1, target, shift_weight):
-    s0 = np.asarray(source0, dtype=np.float64)
-    s1 = np.asarray(source1, dtype=np.float64)
-    if s0.ndim != 2 or s1.ndim != 2 or s0.shape[1] != s1.shape[1]:
-        raise ValueError("source matrices must be 2-D with a common number of columns")
+    s0, s1, _ = check_pair(source0, source1)
     check_weight("shift_weight", shift_weight)
     if shift_weight == 0.0:
         return s0, s1, None  # only the shift penalty reads the target
     if target is None:
         raise ValueError("shift_weight > 0 requires a target sample")
-    tgt = np.asarray(target, dtype=np.float64)
-    if tgt.ndim != 2 or tgt.shape[1] != s0.shape[1]:
-        raise ValueError("target must be 2-D with the same number of columns")
-    return s0, s1, tgt
+    return s0, s1, check_pair(s0, target)[1]
 
 
 def _zscore(x):

@@ -4,11 +4,12 @@ no plotting dependency, deterministic output for identical input."""
 from __future__ import annotations
 
 _PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#cf222e")
+_TICKS = 6  # about this many ticks per axis
 
 
-def _nice_ticks(lo: float, hi: float, target=6):
+def _nice_ticks(lo: float, hi: float):
     """Round tick values covering [lo, hi]; the caller widens an empty range first."""
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** int(f"{raw:e}".split("e")[1])
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

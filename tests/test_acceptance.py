@@ -12,7 +12,7 @@ import pytest
 
 from bruteforce import kruskal_mst, kruskal_total_length
 from dpdiv import bounds, oracle
-from dpdiv.dataset import derive_rng, diagonal_gaussian_model
+from dpdiv.dataset import GaussianModel, derive_rng
 from dpdiv.emst import build_mst
 from dpdiv.experiments import (
     fukunaga_d1,
@@ -81,7 +81,7 @@ class TestCriterion2TrueBayesError:
         # benchmark 1 reduces exactly to one dimension: only the first
         # coordinate differs and all others share identical unit factors
         d1_pair = oracle.gaussian_pair(
-            diagonal_gaussian_model([0.0], [1.0], [2.56], [1.0])
+            GaussianModel(mean0=[0.0], mean1=[2.56], cov0=[1.0], cov1=[1.0])
         )
         ber1 = oracle.bayes_error(d1_pair)
         assert abs(ber1 - 0.100) <= 0.0005
@@ -193,9 +193,9 @@ class TestCriterion7MstOracle:
 class TestCriterion8Consistency:
     def test_median_error_non_increasing(self):
         started = time.perf_counter()
-        model = diagonal_gaussian_model(
-            [-np.sqrt(2) / 2, -np.sqrt(2) / 2], [1.0, 1.0],
-            [np.sqrt(2) / 2, np.sqrt(2) / 2], [1.0, 1.0],
+        model = GaussianModel(
+            mean0=[-np.sqrt(2) / 2, -np.sqrt(2) / 2], mean1=[np.sqrt(2) / 2, np.sqrt(2) / 2],
+            cov0=[1.0, 1.0], cov1=[1.0, 1.0],
         )
         summaries = run_consistency(model, (100, 400, 1600), 20, seed=0xD1BE5)
         medians = [float(np.median(s.values)) for s in summaries]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpdiv import bounds
-from dpdiv.dataset import GaussianModel, derive_rng, diagonal_gaussian_model
+from dpdiv.dataset import GaussianModel, derive_rng
 from dpdiv.divergence import DivergenceEstimate, estimate
 from dpdiv.experiments import fukunaga_d1, fukunaga_d2
 from suites import (da_bound_vs_target_error, equal_prior_suite, bound_ordering_chain_slacks,
@@ -74,7 +74,7 @@ class TestGaussianClosedForms:
         assert d1.lower == 0.0
 
     def test_identical_classes(self):
-        model = diagonal_gaussian_model([0.0, 0.0], [1, 1], [0.0, 0.0], [1, 1])
+        model = GaussianModel(mean0=[0.0, 0.0], mean1=[0.0, 0.0], cov0=[1, 1], cov1=[1, 1])
         assert bounds.bhattacharyya_coefficient_gaussian(model) == pytest.approx(1.0)
         b = bounds.bc_bound_gaussian(model)
         assert b.lower == pytest.approx(0.5) and b.upper == pytest.approx(0.5)
@@ -106,7 +106,8 @@ class TestGaussianClosedForms:
                 limit = 0.5 ** alpha * 0.5 ** (1 - alpha)
                 assert bounds.chernoff_upper_gaussian(model, alpha) <= limit
         # unclamped, this model's distance is -1.67e-16 and its Chernoff value 0.5000000000000002
-        model = diagonal_gaussian_model([0.0], [2.0904761904761906], [0.0], [2.090476190476192])
+        model = GaussianModel(mean0=[0.0], mean1=[0.0], cov0=[2.0904761904761906],
+                              cov1=[2.090476190476192])
         assert bounds.bhattacharyya_distance_gaussian(model) >= 0.0
         assert bounds.chernoff_upper_gaussian(model, 0.5) <= 0.5 ** 0.5 * 0.5 ** 0.5
 
@@ -135,7 +136,7 @@ class TestChernoffClosedForm:
         assert value == pytest.approx(0.4408, abs=1e-4)
 
     def test_identical_classes(self):
-        model = diagonal_gaussian_model([0.0], [1.0], [0.0], [1.0])
+        model = GaussianModel(mean0=[0.0], mean1=[0.0], cov0=[1.0], cov1=[1.0])
         for alpha in (0.2, 0.5, 0.9):
             assert bounds.chernoff_upper_gaussian(model, alpha) == pytest.approx(
                 (0.5 ** alpha) * (0.5 ** (1 - alpha))

@@ -806,9 +806,9 @@ class TestOracleCommand:
         (json.dumps({"mean0": [], "mean1": [], "cov0": [], "cov1": []}),
          "mean0 and mean1 need at least one entry\n"),
         (json.dumps({"mean0": [[0, 0], [0, 0]], "mean1": [1, 0, 0, 0], "cov0": [1, 1, 1, 1],
-                     "cov1": [1, 1, 1, 1]}), "model key 'mean0' must be a flat list of numbers\n"),
+                     "cov1": [1, 1, 1, 1]}), "mean0 must be one-dimensional, got shape (2, 2)\n"),
         (json.dumps({"mean0": [0.0], "mean1": 1.5, "cov0": [1.0], "cov1": [1.0]}),
-         "model key 'mean1' must be a flat list of numbers\n"),
+         "mean1 must be one-dimensional, got shape ()\n"),
         # JSON numbers only: nothing is converted from a string, a boolean or null
         (json.dumps({"mean0": [0], "mean1": [True], "cov0": ["1e0"], "cov1": [2]}),
          "bad value for model key 'mean1' (true is not a number)\n"),
@@ -835,6 +835,31 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {expected}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_nested_mean_gets_the_models_own_message_naming_the_file(self, tmp_path, capsys):
+        params = {"mean0": [[0.0, 0.0]], "mean1": [1.0, 0.0], "cov0": [1.0, 1.0],
+                  "cov1": [1.0, 1.0]}
+        with pytest.raises(dataset.DatasetError) as caught:
+            dataset.GaussianModel(**params)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(params), encoding="utf-8")
+        assert cli.main(["oracle", "--model", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {caught.value}\n"
+
+    @pytest.mark.parametrize("depth", [990, 100_000])
+    def test_model_json_nested_past_the_parser_exits_2_naming_file(self, depth, tmp_path,
+                                                                    capsys):
+        # the exit code and the file are pinned, not the wording: at 990 levels
+        # some Pythons parse the file and numpy's dimension limit refuses it
+        path = tmp_path / "deep.json"
+        path.write_text('{"mean0": ' + "[" * depth + "0" + "]" * depth
+                        + ', "mean1": [1], "cov0": [1], "cov1": [1]}', encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
         assert not out.exists()
 

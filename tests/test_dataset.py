@@ -15,7 +15,6 @@ from dpdiv.dataset import (
     GaussianModel,
     LabeledSample,
     derive_rng,
-    diagonal_gaussian_model,
     load_csv,
     load_points_csv,
     sample_gaussian,
@@ -48,7 +47,7 @@ class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         path = write(tmp_path, "ok.csv", "x,y,label\n0,1,0\n1,0,0\n2,3,1\n3,2,1\n")
         sample = load_csv(path)
-        assert sample.n == 4 and sample.d == 2
+        assert sample.points.shape == (4, 2) and sample.d == 2
         assert sample.feature_names == ("x", "y")
         assert list(sample.labels) == [0, 0, 1, 1]
         np.testing.assert_array_equal(sample.points[0], [0.0, 1.0])
@@ -274,12 +273,35 @@ class TestGaussianModel:
     @pytest.mark.parametrize("params, message", [
         ({"mean1": [1.0, 0.0, 0.0]}, "mean shapes differ: (2,) vs (3,)"),
         ({"cov1": np.eye(3)}, "cov1 has shape (3, 3), expected (2, 2)"),
-    ], ids=["mean_lengths", "cov_shape"])
+        # a mean's own shape is checked before the two means are compared
+        ({"mean0": [[0.0, 0.0, 0.0]]}, "mean0 must be one-dimensional, got shape (1, 3)"),
+        ({"mean0": [[0.0, 0.0]]}, "mean0 must be one-dimensional, got shape (1, 2)"),
+        ({"mean1": 1.0}, "mean1 must be one-dimensional, got shape ()"),
+    ], ids=["mean_lengths", "cov_shape", "nested_mean_of_other_length", "nested_mean",
+            "bare_mean"])
     def test_rejects_mismatched_shapes(self, params, message):
         base = {"mean0": [0.0, 0.0], "mean1": [1.0, 0.0], "cov0": np.eye(2), "cov1": np.eye(2)}
         with pytest.raises(DatasetError) as caught:
             GaussianModel(**{**base, **params})
         assert str(caught.value) == message
+
+    def test_a_variance_vector_has_the_bits_of_its_diagonal_matrix(self):
+        rng = derive_rng(1703)
+        for d in range(1, 7):
+            means = {"mean0": rng.normal(size=d), "mean1": rng.normal(size=d)}
+            var0, var1 = rng.uniform(0.1, 3.0, d), rng.uniform(0.1, 3.0, d)
+            vector = GaussianModel(**means, cov0=var0, cov1=var1)
+            matrix = GaussianModel(**means, cov0=np.diag(var0), cov1=np.diag(var1))
+            x = rng.normal(size=(20, d))
+            for cls in (0, 1):
+                for name in (f"cov{cls}", f"chol{cls}"):
+                    got, want = getattr(vector, name), getattr(matrix, name)
+                    assert got.shape == want.shape == (d, d)
+                    assert got.tobytes() == want.tobytes()
+                assert getattr(vector, f"log_norm{cls}").hex() == \
+                    getattr(matrix, f"log_norm{cls}").hex()
+                assert vector.log_density(cls, x).tobytes() == \
+                    matrix.log_density(cls, x).tobytes()
 
     def test_rejects_empty_means(self):
         with pytest.raises(DatasetError, match="^mean0 and mean1 need at least one entry$"):
@@ -288,7 +310,7 @@ class TestGaussianModel:
     def test_rejects_prior_boundaries(self):
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DatasetError, match="prior_p"):
-                diagonal_gaussian_model([0.0], [1.0], [1.0], [1.0], prior_p=p)
+                GaussianModel(mean0=[0.0], mean1=[1.0], cov0=[1.0], cov1=[1.0], prior_p=p)
 
     @pytest.mark.parametrize("field", ["mean0", "mean1", "cov0", "cov1"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -354,12 +376,12 @@ class TestGaussianModel:
 
     @pytest.mark.parametrize("columns", [1, 3])
     def test_log_density_rejects_wrong_column_count(self, columns):
-        model = diagonal_gaussian_model([0, 0], [1, 1], [1, 1], [1, 1])
+        model = GaussianModel(mean0=[0, 0], mean1=[1, 1], cov0=[1, 1], cov1=[1, 1])
         with pytest.raises(DatasetError, match=r"shape \(3, %d\), expected \(n, 2\)" % columns):
             model.log_density(0, np.zeros((3, columns)))
 
     def test_log_density_rejects_a_one_dimensional_point(self):
-        model = diagonal_gaussian_model([0, 0], [1, 1], [1, 1], [1, 1])
+        model = GaussianModel(mean0=[0, 0], mean1=[1, 1], cov0=[1, 1], cov1=[1, 1])
         with pytest.raises(DatasetError, match=r"shape \(2,\), expected \(n, 2\)"):
             model.log_density(0, np.zeros(2))
 
@@ -381,7 +403,8 @@ class TestSampleGaussian:
         assert abs(m - 2.56) < 3.0 / np.sqrt(500)
 
     def test_identity_model_variance(self):
-        model = diagonal_gaussian_model(np.zeros(3), np.ones(3), np.zeros(3), np.ones(3))
+        model = GaussianModel(mean0=np.zeros(3), mean1=np.zeros(3), cov0=np.ones(3),
+                              cov1=np.ones(3))
         sample = sample_gaussian(model, 1000, 1000, seed=11)
         var = sample.points.var(axis=0, ddof=1)
         assert np.all(var > 0.85) and np.all(var < 1.15)
@@ -414,8 +437,8 @@ class TestSampleGaussian:
     def test_mean_error_monte_carlo_rate(self):
         # ||sample mean - true mean|| < 4 sqrt(trace(cov)/n) should hold for
         # at least 95 of 100 seeds (expected failure rate is far below 5%)
-        model = diagonal_gaussian_model([0.0, 0.0, 0.0], [1.0, 2.0, 0.5],
-                                        [1.0, -1.0, 0.0], [1.0, 1.0, 1.0])
+        model = GaussianModel(mean0=[0.0, 0.0, 0.0], mean1=[1.0, -1.0, 0.0],
+                              cov0=[1.0, 2.0, 0.5], cov1=[1.0, 1.0, 1.0])
         n = 200
         threshold0 = 4.0 * np.sqrt(np.trace(model.cov0) / n)
         threshold1 = 4.0 * np.sqrt(np.trace(model.cov1) / n)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import kruskal_cross_count
-from dpdiv.dataset import LabeledSample, derive_rng, diagonal_gaussian_model, sample_gaussian
+from dpdiv.dataset import GaussianModel, LabeledSample, derive_rng, sample_gaussian
 from dpdiv.divergence import estimate, estimate_from_labeled, fr_statistic
 
 # Reference divergence for unit-variance Gaussians two apart, from the
-# integration oracle: dp_tilde_integral(gaussian_pair(diagonal_gaussian_model(
-# [0],[1],[2],[1]))) = 0.550400490793327 (4096 and 8192 nodes agree < 1e-12).
+# integration oracle: dp_tilde_integral(gaussian_pair(GaussianModel(
+# mean0=[0], mean1=[2], cov0=[1], cov1=[1]))) = 0.550400490793327
+# (4096 and 8192 nodes agree < 1e-12).
 DP_TILDE_SEP_2 = 0.550400490793327
 
 
@@ -129,7 +130,8 @@ class TestEstimate:
 class TestEstimateFromLabeled:
     def test_matches_manual_split(self):
         sample = sample_gaussian(
-            diagonal_gaussian_model([0.0, 0.0], [1, 1], [1.0, 0.0], [1, 1]), 30, 50, seed=8
+            GaussianModel(mean0=[0.0, 0.0], mean1=[1.0, 0.0], cov0=[1, 1], cov1=[1, 1]),
+            30, 50, seed=8
         )
         est = estimate_from_labeled(sample)
         manual = estimate(*sample.split_classes())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpdiv.dataset import derive_rng, diagonal_gaussian_model, sample_gaussian
+from dpdiv.dataset import GaussianModel, derive_rng, sample_gaussian
 from dpdiv.divergence import estimate_from_labeled
 from dpdiv.experiments import (
     McSummary,
@@ -13,9 +13,9 @@ from dpdiv.experiments import (
     run_sweep,
 )
 
-CONSISTENCY_MODEL = diagonal_gaussian_model(
-    [-np.sqrt(2) / 2, -np.sqrt(2) / 2], [1.0, 1.0],
-    [np.sqrt(2) / 2, np.sqrt(2) / 2], [1.0, 1.0],
+CONSISTENCY_MODEL = GaussianModel(
+    mean0=[-np.sqrt(2) / 2, -np.sqrt(2) / 2], mean1=[np.sqrt(2) / 2, np.sqrt(2) / 2],
+    cov0=[1.0, 1.0], cov1=[1.0, 1.0],
 )
 
 
@@ -126,7 +126,7 @@ class TestRunConsistency:
         assert summaries[1].mean < summaries[0].mean
 
     def test_identical_class_model_raw_estimates_center_on_zero(self):
-        model = diagonal_gaussian_model([0.0, 0.0], [1, 1], [0.0, 0.0], [1, 1])
+        model = GaussianModel(mean0=[0.0, 0.0], mean1=[0.0, 0.0], cov0=[1, 1], cov1=[1, 1])
         raws = []
         for trial in range(20):
             sample = sample_gaussian(model, 500, 500, (41, trial))
@@ -172,6 +172,7 @@ class TestRunConsistency:
             raise AssertionError("oracle ran before the prior was checked")
 
         monkeypatch.setattr(oracle, "gaussian_pair", no_oracle)
-        model = diagonal_gaussian_model([0.0, 0.0], [1, 1], [1.5, 0.0], [1, 1], prior_p=0.2)
+        model = GaussianModel(mean0=[0.0, 0.0], mean1=[1.5, 0.0], cov0=[1, 1], cov1=[1, 1],
+                              prior_p=0.2)
         with pytest.raises(ValueError, match=r"^prior_p must be 0\.5, got 0\.2: "):
             run_consistency(model, (100,), 2, seed=0)

@@ -74,8 +74,8 @@ class TestCriterionPhi:
             criterion_phi(x, y, None, (0,), shift_weight=-0.5)
 
     @pytest.mark.parametrize("source1, target, message", [
-        (np.ones((10, 3)), None, "source matrices must be 2-D with a common number of columns"),
-        (np.ones((10, 2)), np.ones((10, 3)), "target must be 2-D with the same number of columns"),
+        (np.ones((10, 3)), None, "dimension mismatch: 2 vs 3"),
+        (np.ones((10, 2)), np.ones((10, 3)), "dimension mismatch: 2 vs 3"),
     ], ids=["source_columns", "target_columns"])
     def test_column_counts_must_agree(self, source1, target, message):
         with pytest.raises(ValueError) as caught:

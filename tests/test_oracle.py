@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from dpdiv import oracle
 from dpdiv.bounds import bhattacharyya_coefficient_gaussian, chernoff_upper_gaussian
-from dpdiv.dataset import derive_rng, diagonal_gaussian_model
+from dpdiv.dataset import GaussianModel, derive_rng
 from dpdiv.experiments import fukunaga_d2
 from dpdiv.oracle import (
     DensityPair,
@@ -29,20 +29,20 @@ from suites import random_gaussian_model
 
 def pair_1d(sep, p=0.5):
     return gaussian_pair(
-        diagonal_gaussian_model([0.0], [1.0], [sep], [1.0], prior_p=p)
+        GaussianModel(mean0=[0.0], mean1=[sep], cov0=[1.0], cov1=[1.0], prior_p=p)
     )
 
 
 def identical_pair():
     return gaussian_pair(
-        diagonal_gaussian_model([0.0], [1.0], [0.0], [1.0])
+        GaussianModel(mean0=[0.0], mean1=[0.0], cov0=[1.0], cov1=[1.0])
     )
 
 
 def far_separated_pair():
     # effectively disjoint supports: overlap mass below 1e-190
     return gaussian_pair(
-        diagonal_gaussian_model([-15.0], [0.25], [15.0], [0.25])
+        GaussianModel(mean0=[-15.0], mean1=[15.0], cov0=[0.25], cov1=[0.25])
     )
 
 
@@ -67,9 +67,8 @@ class TestBayesError:
     def test_monte_carlo_matches_product_structure(self, monkeypatch):
         # means differ only in coordinate 0, identity covariances: the other
         # coordinates factor out, so the 3-D error equals the 1-D error
-        model = diagonal_gaussian_model(
-            [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.7, 0.0, 0.0], [1.0, 1.0, 1.0]
-        )
+        model = GaussianModel(mean0=[0.0, 0.0, 0.0], mean1=[1.7, 0.0, 0.0],
+                              cov0=[1.0, 1.0, 1.0], cov1=[1.0, 1.0, 1.0])
         set_pass_size(monkeypatch, points=400_000)
         value, se = integrals(gaussian_pair(model), ["bayes_error"])["bayes_error"]
         reference = bayes_error(pair_1d(1.7))
@@ -98,7 +97,7 @@ class TestDpTildeIntegral:
     def test_pinned_bivariate_value(self, monkeypatch):
         # frozen from dp_tilde_integral on the bivariate pair at separation 1;
         # 1536 and 3072 nodes per dim agree to < 1e-12
-        model = diagonal_gaussian_model([0.0, 0.0], [1, 1], [1.0, 0.0], [1, 1])
+        model = GaussianModel(mean0=[0.0, 0.0], mean1=[1.0, 0.0], cov0=[1, 1], cov1=[1, 1])
         value = dp_tilde_integral(gaussian_pair(model))
         assert value == pytest.approx(0.204054265633, abs=1e-9)
         set_pass_size(monkeypatch, nodes=3072)
@@ -212,11 +211,11 @@ WRAPPERS = {
 class TestIntegrals:
     @pytest.mark.parametrize("make_pair, pass_size", [
         (lambda: pair_1d(1.3, p=0.3), {}),
-        (lambda: gaussian_pair(diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6],
-                                                       [0.9, 1.4], prior_p=0.6)),
+        (lambda: gaussian_pair(GaussianModel(mean0=[0.2, -0.1], mean1=[1.3, 0.6], cov0=[1.1, 0.7],
+                                             cov1=[0.9, 1.4], prior_p=0.6)),
          {"nodes": 256}),
-        (lambda: gaussian_pair(diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0],
-                                                       [1.5, 1.0, 0.8], prior_p=0.45)),
+        (lambda: gaussian_pair(GaussianModel(mean0=[0.0] * 3, mean1=[1.0, 0.5, 0.0], cov0=[1.0] * 3,
+                                             cov1=[1.5, 1.0, 0.8], prior_p=0.45)),
          {"points": 20_000}),
     ], ids=["1d", "2d_quadrature", "3d_monte_carlo"])
     def test_equals_each_wrapper_exactly(self, make_pair, pass_size, monkeypatch):
@@ -243,12 +242,12 @@ class TestIntegrals:
             integrals(pair, ["bc", "chernoff"], alpha=1.0)
 
 
-PASS_MEMORY_MODEL = ([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4])
+PASS_MEMORY_MODEL = dict(mean0=[0.2, -0.1], mean1=[1.3, 0.6], cov0=[1.1, 0.7], cov1=[0.9, 1.4])
 SIX = ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff")
 
 
 def pair_2d():
-    return gaussian_pair(diagonal_gaussian_model(*PASS_MEMORY_MODEL))
+    return gaussian_pair(GaussianModel(**PASS_MEMORY_MODEL))
 
 
 def pair_1d_rule():
@@ -259,8 +258,8 @@ class TestPassMemory:
     def test_default_2d_pass_peak(self):
         # the bound from when a pass held the whole 1536^2 grid (185.2 MiB before
         # the grid was dropped early); test_blocked_pass_peak pins the blocked pass
-        pair = gaussian_pair(diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6],
-                                                     [0.9, 1.4]))
+        pair = gaussian_pair(GaussianModel(mean0=[0.2, -0.1], mean1=[1.3, 0.6], cov0=[1.1, 0.7],
+                                           cov1=[0.9, 1.4]))
         tracemalloc.start()
         try:
             integrals(pair, ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff"))
@@ -349,8 +348,9 @@ class TestExponentialsPerPass:
 
     def test_4d_pass_per_stratum(self, counting_np, monkeypatch):
         set_pass_size(monkeypatch, points=20_000)
-        pair = gaussian_pair(diagonal_gaussian_model(
-            [0.0] * 4, [1.0] * 4, [1.0, 0.5, 0.0, 0.2], [1.5, 1.0, 0.8, 1.2], prior_p=0.45))
+        pair = gaussian_pair(GaussianModel(
+            mean0=[0.0] * 4, mean1=[1.0, 0.5, 0.0, 0.2], cov0=[1.0] * 4, cov1=[1.5, 1.0, 0.8, 1.2],
+            prior_p=0.45))
         integrals(pair, SIX)
         # a, b, the mixture proposal's inverse, affinity, bc and chernoff
         assert counting_np.exp_calls == 6 * oracle.MC_STRATA
@@ -406,7 +406,7 @@ class TestQuadBlocks:
 class TestQuadratureConvergence:
     def test_doubling_changes_below_1e6(self, monkeypatch):
         pair = gaussian_pair(
-            diagonal_gaussian_model([0.2, -0.1], [1.1, 0.7], [1.3, 0.6], [0.9, 1.4]))
+            GaussianModel(mean0=[0.2, -0.1], mean1=[1.3, 0.6], cov0=[1.1, 0.7], cov1=[0.9, 1.4]))
         fns = (bayes_error, dp_tilde_integral, affinity_integral, bc_integral, tv_integral,
                functools.partial(chernoff_integral, alpha=0.5))
         base = [fn(pair) for fn in fns]
@@ -441,8 +441,9 @@ class TestDensityPairValidation:
     def test_unnormalized_density_fails_the_monte_carlo_pass(self, monkeypatch):
         # construction checks only the structure; the pass integrates f0 and f1
         set_pass_size(monkeypatch, points=20_000)
-        base = gaussian_pair(diagonal_gaussian_model(
-            [0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0], [1.5, 1.0, 0.8], prior_p=0.45))
+        base = gaussian_pair(GaussianModel(
+            mean0=[0.0] * 3, mean1=[1.0, 0.5, 0.0], cov0=[1.0] * 3, cov1=[1.5, 1.0, 0.8],
+            prior_p=0.45))
         pair = dataclasses.replace(
             base, log_density_0=lambda x: base.log_density_0(x) + math.log(1.05))
         with pytest.raises(OracleError, match=r"density 0 integrates to 1\.02"):
@@ -530,7 +531,8 @@ class TestDensityPairValidation:
             DensityPair(unit, unit, prior_p=0.5, integration_box=box)
 
     def test_dimension_is_read_from_the_box(self):
-        pair = gaussian_pair(diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0] * 3, [1.0] * 3))
+        pair = gaussian_pair(GaussianModel(mean0=[0.0] * 3, mean1=[1.0] * 3, cov0=[1.0] * 3,
+                                           cov1=[1.0] * 3))
         assert pair.dimension == 3 and pair.integration_box.shape == (3, 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             pair.dimension = 2
@@ -555,7 +557,8 @@ class TestPassSize:
     ], ids=["1d", "2d", "3d"])
     def test_patched_size_reaches_the_pass(self, d, pass_size, rows, monkeypatch):
         set_pass_size(monkeypatch, **pass_size)
-        base = gaussian_pair(diagonal_gaussian_model([0.0] * d, [1.0] * d, [1.0] * d, [1.0] * d))
+        base = gaussian_pair(GaussianModel(mean0=[0.0] * d, mean1=[1.0] * d, cov0=[1.0] * d,
+                                           cov1=[1.0] * d))
         seen = [0, 0]
 
         def counted(k):
@@ -574,8 +577,9 @@ class TestMonteCarloPath:
         # the pass takes each stratum mean as np.add.reduce(v) over the stratum
         # size; this is the loop it replaces, with np.mean
         set_pass_size(monkeypatch, points=400_000)
-        pair = gaussian_pair(diagonal_gaussian_model(
-            [0.0] * 3, [1.0] * 3, [1.0, 0.5, 0.0], [1.5, 1.0, 0.8], prior_p=0.45))
+        pair = gaussian_pair(GaussianModel(
+            mean0=[0.0] * 3, mean1=[1.0, 0.5, 0.0], cov0=[1.0] * 3, cov1=[1.5, 1.0, 0.8],
+            prior_p=0.45))
         names = ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff",
                  "scaled_chernoff")
         table = oracle._integrand_table(pair.prior_p, 1.0 - pair.prior_p, 0.3)

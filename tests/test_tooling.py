@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from dpdiv import bounds, divergence, experiments, featsel, oracle
-from dpdiv.dataset import (GaussianModel, derive_rng, diagonal_gaussian_model, sample_gaussian,
-                           save_csv)
+from dpdiv.dataset import GaussianModel, derive_rng, sample_gaussian, save_csv
 
 import suites
 
@@ -147,7 +146,8 @@ def test_sweep_counts_each_step_in_one_call(monkeypatch):
     rows = experiments.run_sweep(3, 20, 4, seed=7)
     assert calls == [4] * 3
     for step, row in enumerate(rows):
-        model = diagonal_gaussian_model([0.0, 0.0], [1.0, 1.0], [row.separation, 0.0], [1.0, 1.0])
+        model = GaussianModel(mean0=[0.0, 0.0], mean1=[row.separation, 0.0], cov0=[1.0, 1.0],
+                              cov1=[1.0, 1.0])
         b = [bounds.ber_bounds_from_estimate(est)
              for est in _per_trial_estimates(model, 20, 4, 7, step)]
         assert _hex([row.dp_upper_empirical_mean, row.dp_lower_empirical_mean]) == _hex(
@@ -165,7 +165,7 @@ def test_fukunaga_counts_its_trials_in_one_call(monkeypatch):
 
 def test_consistency_counts_each_size_in_one_call(monkeypatch):
     calls = _count_fr_statistic_calls(monkeypatch)
-    model = diagonal_gaussian_model([0.0], [1.0], [1.0], [2.0])
+    model = GaussianModel(mean0=[0.0], mean1=[1.0], cov0=[1.0], cov1=[2.0])
     summaries = experiments.run_consistency(model, [10, 25], 3, seed=13)
     assert calls == [3, 3]
     reference = oracle.dp_tilde_integral(oracle.gaussian_pair(model))
@@ -219,7 +219,7 @@ def test_one_factorization_per_class_covariance(monkeypatch):
     model3 = GaussianModel(rng.normal(size=3), rng.normal(size=3) + 1.0,
                            a @ a.T + np.eye(3), np.diag([0.5, 1.0, 2.0]))
     assert calls == [(3, 3), (3, 3)]
-    model1 = diagonal_gaussian_model([0.0], [1.0], [1.5], [2.0])
+    model1 = GaussianModel(mean0=[0.0], mean1=[1.5], cov0=[1.0], cov1=[2.0])
     del calls[:]
 
     for seed in range(3):
@@ -281,8 +281,8 @@ def test_cli_estimate_imports_no_scipy(tmp_path):
         ["estimate", "--a", paths[0], "--b", paths[1], "--out", str(tmp_path / "out")]) == "[]"
 
     source = tmp_path / "source.csv"
-    save_csv(sample_gaussian(diagonal_gaussian_model([0.0] * 3, [1.0] * 3, [1.0, 0.0, 0.0],
-                                                     [1.0] * 3), 30, 30, seed=2026), source)
+    save_csv(sample_gaussian(GaussianModel(mean0=[0.0] * 3, mean1=[1.0, 0.0, 0.0], cov0=[1.0] * 3,
+                                           cov1=[1.0] * 3), 30, 30, seed=2026), source)
     target = tmp_path / "target.csv"
     target.write_text("x0,x1,x2\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in rng.normal(size=(60, 3)) + 0.5))

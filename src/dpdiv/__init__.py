@@ -33,7 +33,7 @@ from .dataset import (
     save_csv,
 )
 from .divergence import DivergenceEstimate, estimate, estimate_from_labeled, fr_statistic
-from .emst import MstResult, add_jitter, build_mst
+from .emst import MstResult, build_mst
 from .experiments import (
     FUKUNAGA_SAMPLING_MODELS,
     McSummary,

@@ -3,21 +3,22 @@
 Subcommands: estimate, bounds, select, sweep, fukunaga, consistency, oracle,
 mst-dump. All configuration is explicit flags (no environment variables),
 and each subcommand takes only the flags that can change its result. --seed
-is on the four that draw random numbers (sweep, fukunaga, consistency, and
-mst-dump for --jitter); its default is the documented constant 0xD1BE5, so
-default runs are reproducible. --format is on the four that write more than
-one format (select, sweep, fukunaga, consistency). Each command returns every
-format it can write; ``main`` keeps the ones --format asks for (the one
-format of a subcommand without the flag) and writes them atomically into
---out, so identical invocations produce byte-identical files, and prints the
-artifact of a subcommand whose only format is JSON. Warnings raised during a
-run are printed as ``warning: <message>`` lines on stderr. Exit codes: 0
-success, 2 input or flag validation error (an unrecognized flag included),
-1 internal error. Every unlabeled point file (estimate --a and --b, the
---target of bounds and select, mst-dump --input) is read by one reader,
-which drops a label column by name and pairs the columns with another
-file's where there is one: a --target by name when its header names any of
-the source's feature columns, estimate --b by position.
+is on the three that draw random numbers (sweep, fukunaga, consistency); its
+default is the documented constant 0xD1BE5, so default runs are reproducible.
+--format is on the four that write more than one format (select, sweep,
+fukunaga, consistency). Each command returns every format it can write;
+``main`` keeps the ones --format asks for (the one format of a subcommand
+without the flag) and writes them atomically into --out, so identical
+invocations produce byte-identical files, and prints the artifact of a
+subcommand whose only format is JSON. Warnings raised during a run are
+printed as ``warning: <message>`` lines on stderr. Exit codes: 0 success, 2
+input or flag validation error (an unrecognized flag included), 1 internal
+error. --label-column (bounds, select, mst-dump) is a header name, never a
+column index. Every unlabeled point file (estimate --a and --b, the --target
+of bounds and select, mst-dump --input) is read by one reader, which drops
+a label column by name and pairs the columns with another file's where
+there is one: a --target by name when its header names any of the source's
+feature columns, estimate --b by position.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(run=run, writable_formats=writable)
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    label_help = ("name of the --source label column, dropped from --target if present "
+                  "(default 'label')")
 
     p = subs.add_parser("estimate", help="divergence estimate between two point CSVs")
     p.add_argument("--a", required=True, help="CSV of points drawn from the first sample")
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="labeled source CSV")
     p.add_argument("--target", help="optional unlabeled target CSV (adds the DA bound)")
     p.add_argument("--model", help="optional Gaussian model JSON (adds closed-form bounds)")
-    p.add_argument("--label-column", default="label")
+    p.add_argument("--label-column", default="label", help=label_help)
     p.add_argument("--label-drift", type=float, default=0.0,
                    help="expected labeling disagreement between domains (default 0)")
     common(p, _cmd_bounds)
@@ -100,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight of the domain-shift penalty (0 disables it)")
     p.add_argument("--audit", action="store_true", help="record every candidate value per step")
     p.add_argument("--standardize", action="store_true", help="z-score columns first")
-    p.add_argument("--label-column", default="label")
+    p.add_argument("--label-column", default="label", help=label_help)
     common(p, _cmd_select, ("json", "csv"))
 
     p = subs.add_parser("sweep", help="mean-separation sweep: true error vs bounds")
@@ -129,11 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mst-dump", help="write the Euclidean MST edge list of a point CSV")
     p.add_argument("--input", required=True, help="CSV of points")
-    p.add_argument("--jitter", action="store_true",
-                   help="add seeded jitter (1e-9 x coordinate scale) to break distance ties")
     p.add_argument("--label-column", default="label",
                    help="column to drop if present (default 'label')")
-    common(p, _cmd_mst_dump, ("csv",), seeded=True)
+    common(p, _cmd_mst_dump, ("csv",))
 
     return parser
 
@@ -199,9 +200,9 @@ def _load_source(args):
 
 
 def _load_target(args, source):
-    """The --target points, less the source's label column, paired with the
-    source's feature columns by name (see load_points_csv)."""
-    return load_points_csv(args.target, source.label_name,
+    """The --target points, less the --label-column column if it has one,
+    paired with the source's feature columns by name (see load_points_csv)."""
+    return load_points_csv(args.target, args.label_column,
                            like=(args.source, source.feature_names))
 
 
@@ -353,10 +354,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_mst_dump(args):
-    points = load_points_csv(args.input, args.label_column)
-    if args.jitter:
-        points = emst.add_jitter(points, args.seed)
-    mst = emst.build_mst(points)
+    mst = emst.build_mst(load_points_csv(args.input, args.label_column))
     return {"mst.csv": csv_text(("i", "j", "length"), zip(mst.i, mst.j, mst.length))}
 
 

@@ -67,13 +67,11 @@ class LabeledSample:
     points: real coordinates, one row per observation, all finite.
     labels: length-n vector with values in {0, 1}.
     feature_names: optional d unique column names (from the CSV header).
-    label_name: optional name of the label column (from the CSV header).
     """
 
     points: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...] | None = None
-    label_name: str | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -155,6 +153,8 @@ class GaussianModel:
         for k, (name, c) in enumerate((("cov0", self.cov0), ("cov1", self.cov1))):
             c = np.asarray(c, dtype=np.float64)
             if c.ndim == 1:
+                if c.size != d:
+                    raise DatasetError(f"{name} has {c.size} variances, expected {d}")
                 c = np.diag(c)
             if c.shape != (d, d):
                 raise DatasetError(f"{name} has shape {c.shape}, expected ({d}, {d})")
@@ -318,22 +318,13 @@ def _check_header(path, names) -> None:
             raise DatasetError(f"{path}: column name {name!r} appears {count} times in the header")
 
 
-def _label_index(path, header, column) -> int:
-    """The label column's index: an int or digit string is an index, anything else a name."""
-    is_index = isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit())
-    if not is_index and column not in header:
-        raise DatasetError(f"{path}: no column named {column!r} in header {header}")
-    idx = int(column) if is_index else header.index(column)
-    if not (0 <= idx < len(header)):
-        raise DatasetError(f"{path}: label column index {idx} out of range")
-    return idx
-
-
 def load_csv(path, label_column="label") -> LabeledSample:
-    """Load a labeled sample from CSV. `label_column` is a header name or index."""
+    """Load a labeled sample from CSV. `label_column` is the label column's header name."""
     header, records = _read_csv(path)
     _check_header(path, header)
-    label_idx = _label_index(path, header, label_column)
+    if label_column not in header:
+        raise DatasetError(f"{path}: no column named {label_column!r} in header {header}")
+    label_idx = header.index(label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     if not feature_names:
         raise DatasetError(f"{path}: no feature columns besides the label")
@@ -349,7 +340,7 @@ def load_csv(path, label_column="label") -> LabeledSample:
             stacklevel=2,
         )
     return LabeledSample(points=pts, labels=table[:, label_idx].astype(np.int64),
-                         feature_names=feature_names, label_name=header[label_idx])
+                         feature_names=feature_names)
 
 
 def load_points_csv(path, drop_column=None, like=None) -> np.ndarray:

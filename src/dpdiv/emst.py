@@ -118,7 +118,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DatasetError, check_finite, derive_rng, row_groups
+from .dataset import DatasetError, check_finite, row_groups
 
 # Most cells (coordinate x set x column) a lockstep's column array holds: with
 # its work array, 384 KiB. Larger groups measured no faster on selection steps
@@ -427,16 +427,3 @@ def _sum_rows(sq):
         total += sq[r]
     return total
 
-
-def add_jitter(points, seed) -> np.ndarray:
-    """Perturb coordinates by uniform noise of 1e-9 times the coordinate scale.
-
-    Breaks exact inter-point distance ties so the spanning tree is unique,
-    at the cost of no longer being a function of the input points alone.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    # half the span, from halves: max - min overflows for finite rows over 1.8e308 apart
-    half = float(pts.max() / 2 - pts.min() / 2) if pts.size else 0.0
-    scale = half if half > 0 else 0.5
-    rng = derive_rng(seed)
-    return pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (2e-9 * scale)

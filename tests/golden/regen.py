@@ -84,6 +84,7 @@ CASES = {
                                  "--sizes", "20,40", "--trials", "2"],
     "refuse_model_nested_mean": ["oracle", "--model", "inputs/model_nested_mean.json"],
     "refuse_model_bare_mean": ["oracle", "--model", "inputs/model_bare_mean.json"],
+    "refuse_model_cov_length": ["oracle", "--model", "inputs/model_cov_length.json"],
 }
 
 

@@ -384,17 +384,21 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("labeled_target", [True, False], ids=["labeled", "unlabeled"])
     def test_label_column_index_drops_its_name_from_the_target(self, labeled_target,
                                                                tmp_path, capsys):
-        # the target drops the source's label column by name, and only if it has one
+        # the target drops the --label-column name, and only if it has that column; "2" is
+        # a name, and read as an index it would take y as the label
         rng = derive_rng(9011)
-        paths = []
-        for name, shift, labeled in (("s.csv", 0.0, True), ("t.csv", 0.4, labeled_target)):
-            lines = ["x,y", *(f"{x:.17g},{y:.17g}" for x, y in rng.normal(size=(40, 2)) + shift)]
-            if labeled:
-                lines = ["label,x,y", *(f"{i % 2},{row}" for i, row in enumerate(lines[1:]))]
-            paths.append(tmp_path / name)
-            paths[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [rng.normal(size=(40, 2)) + shift for shift in (0.0, 0.4)]
         reports = []
-        for column in ("0", "label"):
+        for column in ("2", "label"):
+            paths = []
+            for name, points, labeled in (("s.csv", rows[0], True),
+                                          ("t.csv", rows[1], labeled_target)):
+                lines = ["x,y", *(f"{x:.17g},{y:.17g}" for x, y in points)]
+                if labeled:
+                    lines = [f"{column},x,y",
+                             *(f"{i % 2},{row}" for i, row in enumerate(lines[1:]))]
+                paths.append(tmp_path / f"{column}_{name}")
+                paths[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
             assert cli.main(["bounds", "--source", str(paths[0]), "--label-column", column,
                              "--target", str(paths[1]), "--out", str(tmp_path / column)]) == 0
             reports.append(capsys.readouterr().out)
@@ -405,7 +409,6 @@ class TestBoundsCommand:
     ], ids=["bounds", "select"])
     def test_source_and_target_are_each_read_once(self, argv, labeled_csv, tmp_path,
                                                   monkeypatch):
-        # the label column's name comes from the one parse of the source
         target = tmp_path / "target.csv"
         save_csv(sample_gaussian(fukunaga_d1(), 30, 30, seed=9012), target)
         reads = []
@@ -586,14 +589,6 @@ class TestMstDumpCommand:
         assert (int(first[0]), int(first[1])) == (int(mst.i[0]), int(mst.j[0]))
         assert float(first[2]) == mst.length[0]
 
-    def test_jitter_is_seeded(self, tmp_path):
-        pts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-        src = write_points_csv(tmp_path / "sq.csv", pts)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert cli.main(["mst-dump", "--input", src, "--jitter", "--out", str(out1)]) == 0
-        assert cli.main(["mst-dump", "--input", src, "--jitter", "--out", str(out2)]) == 0
-        assert (out1 / "mst.csv").read_bytes() == (out2 / "mst.csv").read_bytes()
-
     def test_label_column_is_matched_by_name_only(self, tmp_path):
         # an unlabeled input keeps every column: "0" names no column of it
         src = write_points_csv(tmp_path / "pts.csv", derive_rng(9012).normal(size=(20, 2)))
@@ -611,18 +606,6 @@ class TestMstDumpCommand:
         assert "non-finite" not in err
         assert not (tmp_path / "out").exists()
         assert len(err.splitlines()) == 1
-
-    def test_jitter_on_a_span_beyond_the_float_range_exits_2_on_the_overflow(self, tmp_path,
-                                                                              capsys):
-        # max - min of these finite rows overflows to inf; the jitter's scale must not,
-        # so the tree's own overflow check reports the input
-        src = write_points_csv(tmp_path / "pts.csv", np.array([[-1e308], [1e308], [0.0]]))
-        assert cli.main(["mst-dump", "--input", src, "--jitter", "--seed", "5",
-                         "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err == ("error: squared distances overflow to inf; rescale the input "
-                       "(cross counts do not depend on scale)\n")
-        assert not (tmp_path / "out").exists()
 
     def test_an_overflowing_pair_off_the_tree_warns_nothing(self, tmp_path, capsys):
         # d2 of rows 0 and 2 overflows, but the tree's two edges are exact
@@ -1045,14 +1028,15 @@ class TestArgumentHandling:
             "fukunaga": ["--dataset", "--n", "--trials", "--seed", "--out", "--format"],
             "consistency": ["--sizes", "--trials", "--model", "--seed", "--out", "--format"],
             "oracle": ["--model", "--alpha", "--out"],
-            "mst-dump": ["--input", "--jitter", "--label-column", "--seed", "--out"],
+            "mst-dump": ["--input", "--label-column", "--out"],
         }
-        assert sum(map(len, flags.values())) == 44
+        assert sum(map(len, flags.values())) == 42
 
-    def test_negative_seed_exits_2(self, cluster_csvs, capsys):
-        a, _ = cluster_csvs
-        rc = cli.main(["mst-dump", "--input", a, "--jitter", "--seed", "-4"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--seed", "-4", "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -4\n"
+        assert not (tmp_path / "out").exists()
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -71,12 +71,6 @@ class TestLoadCsv:
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
 
-    def test_label_column_by_index(self, tmp_path):
-        path = write(tmp_path, "idx.csv", "a,b,c\n1,0,5\n2,1,6\n")
-        sample = load_csv(path, label_column=1)
-        assert sample.feature_names == ("a", "c")
-        assert list(sample.labels) == [0, 1]
-
     @pytest.mark.parametrize("text", ["x,label\n0,0\n1,1\n\n", "x,label\n0,0\n\n1,1\n"],
                              ids=["trailing", "mid_file"])
     def test_blank_lines_are_skipped(self, text, tmp_path):
@@ -91,8 +85,9 @@ class TestLoadCsv:
         (load_csv, "x,label\n", ": no data rows"),
         (load_csv, "x,label\n\n\n", ": no data rows"),
         (load_csv, "x,label\n0,0\n\n1,oops\n", ":4: non-numeric cell 'oops' in column 'label'"),
-        (lambda path: load_csv(path, label_column=2), "x,label\n0,0\n",
-         ": label column index 2 out of range"),
+        # a digit string is a name, never an index
+        (lambda path: load_csv(path, label_column="2"), "x,label\n0,0\n",
+         ": no column named '2' in header ['x', 'label']"),
         (load_csv, "label\n0\n1\n", ": no feature columns besides the label"),
         (lambda path: load_points_csv(path, drop_column="x"), "x\n1\n2\n",
          ": no feature columns left after dropping 'x'"),
@@ -273,12 +268,13 @@ class TestGaussianModel:
     @pytest.mark.parametrize("params, message", [
         ({"mean1": [1.0, 0.0, 0.0]}, "mean shapes differ: (2,) vs (3,)"),
         ({"cov1": np.eye(3)}, "cov1 has shape (3, 3), expected (2, 2)"),
+        ({"cov1": [1.0, 1.0, 1.0]}, "cov1 has 3 variances, expected 2"),
         # a mean's own shape is checked before the two means are compared
         ({"mean0": [[0.0, 0.0, 0.0]]}, "mean0 must be one-dimensional, got shape (1, 3)"),
         ({"mean0": [[0.0, 0.0]]}, "mean0 must be one-dimensional, got shape (1, 2)"),
         ({"mean1": 1.0}, "mean1 must be one-dimensional, got shape ()"),
-    ], ids=["mean_lengths", "cov_shape", "nested_mean_of_other_length", "nested_mean",
-            "bare_mean"])
+    ], ids=["mean_lengths", "cov_shape", "variances_length", "nested_mean_of_other_length",
+            "nested_mean", "bare_mean"])
     def test_rejects_mismatched_shapes(self, params, message):
         base = {"mean0": [0.0, 0.0], "mean1": [1.0, 0.0], "cov0": np.eye(2), "cov1": np.eye(2)}
         with pytest.raises(DatasetError) as caught:

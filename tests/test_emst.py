@@ -1,7 +1,6 @@
 import itertools
 import sys
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,7 @@ from bruteforce import kruskal_cross_count, kruskal_mst, kruskal_total_length
 from dpdiv import emst
 from dpdiv.dataset import DatasetError
 from dpdiv.divergence import fr_statistic
-from dpdiv.emst import MstResult, _sq_dist, _sum_order, add_jitter, build_mst, build_msts
+from dpdiv.emst import MstResult, _sq_dist, _sum_order, build_mst, build_msts
 
 
 def edge_pairs(mst):
@@ -113,7 +112,9 @@ class TestTiesAgainstBruteForce:
         [[0.0], [1.0], [2.0]],
         [[2.0], [1.0], [0.0]],
         [[0.0, 0.0], [1.0, 0.0], [0.5, 0.75]],
-    ], ids=["n2_same", "n2", "n3_same", "n3_tie", "n3_tie_reversed", "n3"])
+        # a near tie: d2 1, 1 and 1.0000000006, so the tree is the two unit sides
+        [[0.0, 0.0], [1.0, 0.0], [0.49999999970000003, 0.8660254039576437]],
+    ], ids=["n2_same", "n2", "n3_same", "n3_tie", "n3_tie_reversed", "n3", "n3_near_tie"])
     def test_two_and_three_points(self, pts):
         assert_matches_kruskal(np.array(pts))
 
@@ -452,39 +453,3 @@ class TestStructuralProperties:
         np.testing.assert_array_equal(a.j, b.j)
         np.testing.assert_array_equal(a.length, b.length)
 
-
-class TestJitter:
-    def test_seeded_and_small(self):
-        pts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-        j1 = add_jitter(pts, seed=9)
-        j2 = add_jitter(pts, seed=9)
-        np.testing.assert_array_equal(j1, j2)
-        assert np.max(np.abs(j1 - pts)) <= 1e-9
-        assert not np.array_equal(add_jitter(pts, seed=10), j1)
-
-    def test_breaks_ties(self):
-        pts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-        jittered = add_jitter(pts, seed=2)
-        d2 = []
-        for a in range(4):
-            for b in range(a + 1, 4):
-                d2.append(((jittered[a] - jittered[b]) ** 2).sum())
-        assert len(set(d2)) == len(d2)
-
-    def test_jittered_bits(self):
-        # recorded when the span was taken as max - min
-        pts = np.array([[0.5, -2.0], [3.25, 1.0], [-1.5, 7.0]])
-        assert [v.hex() for v in add_jitter(pts, 5).ravel()] == [
-            "0x1.0000002f28c0ep-1", "-0x1.ffffffe8317acp+0", "0x1.a000000097a7ep+1",
-            "0x1.ffffffdee1802p-1", "-0x1.800000227c403p+0", "0x1.bffffffdbeeebp+2"]
-        # a zero span scales the noise by 1e-9
-        assert [v.hex() for v in add_jitter(np.array([[2.0], [2.0]]), 7).ravel()] == [
-            "0x1.00000000898b4p+1", "0x1.00000001b4bdcp+1"]
-
-    def test_span_beyond_the_float_range_stays_finite(self):
-        pts = np.array([[-1e308], [1e308], [0.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            jittered = add_jitter(pts, 5)
-        assert np.all(np.isfinite(jittered))
-        assert np.max(np.abs(jittered - pts)) <= 1e-9 * 2e308

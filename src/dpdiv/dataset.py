@@ -350,9 +350,11 @@ def load_points_csv(path, drop_column=None, like=None) -> np.ndarray:
     of the file other, whose names are given (None for a column paired by
     position). There must be as many; a header that names any of them must
     name exactly those, in that order, and one that names none of them pairs
-    by position. Either error names both files.
+    by position. Either error names both files. A header that names a
+    column twice is refused, as load_csv refuses it.
     """
     header, records = _read_csv(path)
+    _check_header(path, header)
     keep = [i for i, h in enumerate(header) if h != drop_column]
     if not keep:
         raise DatasetError(f"{path}: no feature columns left after dropping {drop_column!r}")

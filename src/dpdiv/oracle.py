@@ -1,12 +1,13 @@
 """Numerical-integration reference for density-level quantities.
 
 Computes the Bayes error, divergence, affinity, Bhattacharyya, total
-variation, and Chernoff integrals directly from log-densities, so the
-graph-based estimators and every bound can be validated without building a
-single spanning tree. It imports no bound, so the closed forms in bounds
-are checked against integrals they never feed. A Gaussian pair takes its
-densities and samplers from the model itself (GaussianModel.log_density and
-.sample), so it reuses the Cholesky factors the model computed once.
+variation, and Chernoff integrals of a two-class GaussianModel directly from
+its log-densities, so the graph-based estimators and every bound can be
+validated without building a single spanning tree. It imports no bound, so
+the closed forms in bounds are checked against integrals they never feed.
+A pass reads the densities and samplers from the model itself
+(GaussianModel.log_density and .sample), so it reuses the Cholesky factors
+the model computed once.
 
 Integration strategy:
   d <= 2  composite tensor Gauss-Legendre over the integration box,
@@ -22,10 +23,10 @@ integrals returns each value with its standard error (0 for quadrature) and
 sets no error target of its own: each caller judges the error it needs.
 
 One pass evaluates both log-densities once per set of points (a grid leaf,
-or one Monte Carlo stratum) and checks that each returns one value per
-point. Terms several integrands share are computed once per set: p f0 and
-q f1 (bayes_error, dp_tilde, tv). The density masses integrate the same p f0
-and q f1 and divide by the priors, so they add no exponential of their own.
+or one Monte Carlo stratum). Terms several integrands share are computed
+once per set: p f0 and q f1 (bayes_error, dp_tilde, tv). The density masses
+integrate the same p f0 and q f1 and divide by the priors, so they add no
+exponential of their own.
 
 The grid is never built whole (the 2-D grid is 1536^2 points). np.sum
 over a contiguous float64 array adds pairwise: it halves the range, rounding
@@ -54,8 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,50 +71,37 @@ MC_ROOT_SEED = 0x0D1BE5
 
 
 class OracleError(ValueError):
-    """Invalid density pair or an integral outside its provable range."""
+    """An integral outside its provable range, or a pass that does not resolve the model."""
 
 
 @dataclass(frozen=True)
 class DensityPair:
-    """Two log-densities with a class prior and a rectangular integration box.
+    """The two class densities of a GaussianModel, with the box a pass integrates over.
 
-    log_density_0/1 map an (n, d) array to length-n log-density values; a
-    pass raises OracleError on any other shape.
-    integration_box is a (d, 2) array of per-dimension (low, high) limits
-    that must capture essentially all mass of both densities; the pair's
-    dimension d is read from it, d >= 1. For d > 2,
-    sample_0/sample_1 must draw from the respective densities: they feed the
-    mixture importance sampler. The pass, not the pair, sets the evaluation
-    points: QUAD_NODES[d] per dimension for d <= 2, MC_POINTS seeded samples
-    above.
-    Construction checks only the structure; every integrals pass also checks
-    that each density integrates to 1 over the box.
+    integration_box is the read-only (d, 2) array of per-dimension (low,
+    high) limits: each component's mean +- 8 marginal standard deviations
+    (Gaussian mass outside 8 sigma is below 1e-15). dimension is the
+    model's d. The pass, not the pair, sets the evaluation points:
+    QUAD_NODES[d] per dimension for d <= 2, else MC_POINTS seeded samples
+    from the model. Every integrals pass checks that each density
+    integrates to 1 on those points.
     """
 
-    log_density_0: Callable[[np.ndarray], np.ndarray]
-    log_density_1: Callable[[np.ndarray], np.ndarray]
-    prior_p: float
-    integration_box: np.ndarray
-    sample_0: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    sample_1: Callable[[np.random.Generator, int], np.ndarray] | None = None
+    model: GaussianModel
+    integration_box: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.prior_p < 1.0):
-            raise OracleError(f"prior_p must lie strictly in (0, 1), got {self.prior_p}")
-        box = np.array(self.integration_box, dtype=np.float64)
-        if box.ndim != 2 or box.shape[0] < 1 or box.shape[1] != 2:
-            raise OracleError(
-                f"integration box must be a (d, 2) array with d >= 1, got shape {box.shape}")
-        if not np.all(box[:, 0] < box[:, 1]):
-            raise OracleError("integration box must satisfy low < high in every dimension")
+        m = self.model
+        s0 = 8.0 * np.sqrt(np.diag(m.cov0))
+        s1 = 8.0 * np.sqrt(np.diag(m.cov1))
+        box = np.stack([np.minimum(m.mean0 - s0, m.mean1 - s1),
+                        np.maximum(m.mean0 + s0, m.mean1 + s1)], axis=1)
         box.flags.writeable = False
         object.__setattr__(self, "integration_box", box)
-        if self.method == "monte_carlo" and (self.sample_0 is None or self.sample_1 is None):
-            raise OracleError("d > 2 integration needs sample_0 and sample_1 callables")
 
     @property
     def dimension(self) -> int:
-        return self.integration_box.shape[0]
+        return self.model.d
 
     @property
     def method(self) -> str:
@@ -191,22 +178,12 @@ class _Terms:
     """
 
     def __init__(self, pair, x):
-        n = x.shape[0]
-        lf = []
-        for k, log_density in enumerate((pair.log_density_0, pair.log_density_1)):
-            values = np.asarray(log_density(x), dtype=np.float64)
-            if values.shape != (n,):
-                raise OracleError(
-                    f"log_density_{k} returned shape {values.shape} for {n} points, "
-                    f"expected ({n},)"
-                )
-            lf.append(values)
-        self.lf0, self.lf1 = lf
+        self.lf0, self.lf1 = (pair.model.log_density(k, x) for k in (0, 1))
         # in place, so no temporary: x * y and y * x are the same float
         self.a = np.exp(self.lf0)
-        self.a *= pair.prior_p
+        self.a *= pair.model.prior_p
         self.b = np.exp(self.lf1)
-        self.b *= 1.0 - pair.prior_p
+        self.b *= 1.0 - pair.model.prior_p
 
 
 def _integrate_multi(pair, integrands):
@@ -231,8 +208,8 @@ def _integrate_multi(pair, integrands):
     means = np.empty((len(integrands), MC_STRATA))
     for s in range(MC_STRATA):
         rng = derive_rng(MC_ROOT_SEED, s)
-        terms = _Terms(pair, np.vstack([pair.sample_0(rng, half),
-                                        pair.sample_1(rng, per_stratum - half)]))
+        terms = _Terms(pair, np.vstack([pair.model.sample(0, rng, half),
+                                        pair.model.sample(1, rng, per_stratum - half)]))
         inv_q = np.exp(-(np.logaddexp(terms.lf0, terms.lf1) - math.log(2.0)))
         for k, fn in enumerate(integrands):
             # np.mean's bits without its wrapper
@@ -286,7 +263,7 @@ def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
     bad input, raises RuntimeError.
     """
     names = tuple(names)
-    p, q = pair.prior_p, 1.0 - pair.prior_p
+    p, q = pair.model.prior_p, 1.0 - pair.model.prior_p
     table = _integrand_table(p, q, alpha)
     for name in names:
         if name not in table:
@@ -303,7 +280,7 @@ def integrals(pair: DensityPair, names, alpha=0.5) -> dict:
         if abs(mass - 1.0) > tol:
             raise OracleError(
                 f"density {k} integrates to {mass:.8f} over the box (|mass-1| > {tol:g}); "
-                f"check normalization or widen the box, or the {points} does not resolve it"
+                f"the {points} does not resolve this model"
             )
     out = dict(zip(evaluated, values))
     if "affinity" in out:
@@ -369,20 +346,5 @@ def scaled_chernoff_integral(pair: DensityPair) -> float:
 
 
 def gaussian_pair(model: GaussianModel) -> DensityPair:
-    """DensityPair for a two-class Gaussian model.
-
-    The box spans mean +- 8 marginal standard deviations of each component
-    (Gaussian mass outside 8 sigma is below 1e-15).
-    """
-    s0 = 8.0 * np.sqrt(np.diag(model.cov0))
-    s1 = 8.0 * np.sqrt(np.diag(model.cov1))
-    lo = np.minimum(model.mean0 - s0, model.mean1 - s1)
-    hi = np.maximum(model.mean0 + s0, model.mean1 + s1)
-    return DensityPair(
-        log_density_0=functools.partial(model.log_density, 0),
-        log_density_1=functools.partial(model.log_density, 1),
-        prior_p=model.prior_p,
-        integration_box=np.stack([lo, hi], axis=1),
-        sample_0=functools.partial(model.sample, 0),
-        sample_1=functools.partial(model.sample, 1),
-    )
+    """DensityPair for a two-class Gaussian model."""
+    return DensityPair(model)

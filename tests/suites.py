@@ -122,9 +122,8 @@ def harmonic_vs_geometric_grid_gap(pair, n_points=10_000):
     axes = [np.linspace(pair.integration_box[k, 0], pair.integration_box[k, 1], per_dim)
             for k in range(d)]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    lf0 = pair.log_density_0(grid)
-    lf1 = pair.log_density_1(grid)
-    p, q = pair.prior_p, 1.0 - pair.prior_p
+    lf0, lf1 = (pair.model.log_density(k, grid) for k in (0, 1))
+    p, q = pair.model.prior_p, 1.0 - pair.model.prior_p
     geometric = np.exp(q * lf0 + p * lf1)
     harmonic = np.exp(lf0 + lf1 - np.logaddexp(np.log(p) + lf0, np.log(q) + lf1))
     return float(np.min(geometric - harmonic)), grid.shape[0]

@@ -145,6 +145,17 @@ class TestEstimateCommand:
         assert reports[0]["cross_count"] == 5
         assert reports[0] == reports[1]
 
+    def test_repeated_header_name_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
+        # dropping both label columns would leave x, and exit 0 with C = 5
+        a = tmp_path / "a.csv"
+        a.write_text("x,label,label\n0,0,5\n1,0,6\n2,0,7\n", encoding="utf-8")
+        b = write_points_csv(tmp_path / "b.csv", np.array([[0.5], [1.5], [2.5]]))
+        monkeypatch.setattr(divergence, "build_msts", None)  # any tree would raise TypeError
+        assert cli.main(["estimate", "--a", str(a), "--b", b, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {a}: column name 'label' appears 2 times in the header\n")
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_squared_distances_exit_2(self, tmp_path, capsys):
         # the true tree has 4 cross edges; with every d2 at inf it would be a star with 2
         a = write_points_csv(tmp_path / "a.csv", np.array([[0.0], [1e200], [3e200]]))
@@ -598,6 +609,15 @@ class TestMstDumpCommand:
         assert (tmp_path / "index" / "mst.csv").read_bytes() == \
             (tmp_path / "plain" / "mst.csv").read_bytes()
 
+    def test_repeated_header_name_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "pts.csv"
+        src.write_text("x,x\n0,1\n2,3\n4,5\n", encoding="utf-8")
+        monkeypatch.setattr(emst, "build_mst", None)  # any tree would raise TypeError
+        assert cli.main(["mst-dump", "--input", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {src}: column name 'x' appears 2 times in the header\n")
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_squared_distances_exit_2(self, tmp_path, capsys):
         src = write_points_csv(tmp_path / "pts.csv", np.array([[0.0], [1e200], [3e200], [-1e200]]))
         assert cli.main(["mst-dump", "--input", src, "--out", str(tmp_path / "out")]) == 2
@@ -880,7 +900,7 @@ class TestOracleCommand:
 
     def test_unresolved_ridge_exits_2_naming_the_grid(self, tmp_path, capsys):
         # normalized densities whose box holds their mass, on a ridge the default
-        # grid is too coarse for: the advice must not blame only the box
+        # grid is too coarse for: the grid is the only cause the message can name
         rho = 0.999999
         cov = [[1.0, rho], [rho, 1.0]]
         path = tmp_path / "model.json"
@@ -891,6 +911,20 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: density 0 integrates to ")
         assert "over the box (|mass-1| > 1e-06)" in err and "quadrature grid" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unresolved_narrow_1d_density_exits_2_naming_the_grid(self, tmp_path, capsys):
+        # the box spans the wide density's +-8 sigma; 4096 nodes over it leave
+        # the density of variance 1e-6 a few nodes wide
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"mean0": [0], "mean1": [0], "cov0": [1e-6], "cov1": [1]}),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--model", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: density 0 integrates to ")
+        assert "quadrature grid" in err and "widen the box" not in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -199,6 +199,17 @@ class TestLoadCsv:
         assert np.max(np.abs(back.points - sample.points)) <= 1e-12
         np.testing.assert_array_equal(back.labels, sample.labels)
 
+    @pytest.mark.parametrize("header, drop_column, name", [
+        ("x,label,label", "label", "label"), ("x,x", None, "x"), ("x, x,label", "label", "x"),
+    ], ids=["dropped_column_twice", "kept_column_twice", "stripped"])
+    def test_load_points_csv_refuses_a_repeated_name(self, header, drop_column, name, tmp_path):
+        # the rule load_csv keeps, checked before any cell is parsed ("oops" is never read)
+        cells = ",".join(["oops"] * len(header.split(",")))
+        path = write(tmp_path, "repeated.csv", f"{header}\n{cells}\n")
+        with pytest.raises(DatasetError) as info:
+            load_points_csv(path, drop_column=drop_column)
+        assert str(info.value) == f"{path}: column name '{name}' appears 2 times in the header"
+
     def test_load_points_csv_drops_label(self, tmp_path):
         path = write(tmp_path, "pts.csv", "x,y,label\n1,2,0\n3,4,1\n")
         pts = load_points_csv(path, drop_column="label")

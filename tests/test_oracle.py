@@ -46,6 +46,17 @@ def far_separated_pair():
     )
 
 
+def scale_density(monkeypatch, k, scale):
+    """Multiply class k's density by scale wherever a pass reads GaussianModel.log_density."""
+    true_log_density = GaussianModel.log_density
+
+    def scaled(self, cls, x):
+        values = true_log_density(self, cls, x)
+        return values + math.log(scale) if cls == k else values
+
+    monkeypatch.setattr(GaussianModel, "log_density", scaled)
+
+
 def set_pass_size(monkeypatch, nodes=None, points=None):
     """Run this test's passes on nodes per dimension (d <= 2) or points samples (d > 2)."""
     if nodes is not None:
@@ -395,7 +406,7 @@ class TestQuadBlocks:
         set_pass_size(monkeypatch, nodes=nodes)
         pair = make_pair()
         assert sum(1 for _ in oracle._quad_blocks(pair)) > 8
-        table = oracle._integrand_table(pair.prior_p, 1.0 - pair.prior_p, 0.3)
+        table = oracle._integrand_table(pair.model.prior_p, 1.0 - pair.model.prior_p, 0.3)
         fns = list(table.values()) + list(oracle._DENSITY_MASSES)
         grid, w = full_product(pair, nodes)
         terms = oracle._Terms(pair, grid)
@@ -424,29 +435,20 @@ class TestQuadratureConvergence:
 
 
 class TestDensityPairValidation:
-    def test_unnormalized_density_rejected(self):
-        def doubled(x):
-            return np.log(2.0) - 0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
-
-        def unit(x):
-            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
-
-        pair = DensityPair(
-            log_density_0=doubled, log_density_1=unit,
-            prior_p=0.5, integration_box=[[-9.0, 9.0]],
-        )
+    def test_unnormalized_density_rejected(self, monkeypatch):
+        scale_density(monkeypatch, 0, 2.0)
         with pytest.raises(OracleError, match="integrates to"):
-            integrals(pair, ["bc"])
+            integrals(identical_pair(), ["bc"])
 
     def test_unnormalized_density_fails_the_monte_carlo_pass(self, monkeypatch):
-        # construction checks only the structure; the pass integrates f0 and f1
+        # the pass integrates f0 and f1 on the model's own samples
         set_pass_size(monkeypatch, points=20_000)
-        base = gaussian_pair(GaussianModel(
+        pair = gaussian_pair(GaussianModel(
             mean0=[0.0] * 3, mean1=[1.0, 0.5, 0.0], cov0=[1.0] * 3, cov1=[1.5, 1.0, 0.8],
             prior_p=0.45))
-        pair = dataclasses.replace(
-            base, log_density_0=lambda x: base.log_density_0(x) + math.log(1.05))
-        with pytest.raises(OracleError, match=r"density 0 integrates to 1\.02"):
+        scale_density(monkeypatch, 0, 1.05)
+        with pytest.raises(OracleError, match=r"density 0 integrates to 1\.02.*"
+                                              r"the Monte Carlo sample does not resolve this model$"):
             integrals(pair, ["bc"])
 
     @pytest.mark.parametrize("k, scale, message", [
@@ -454,18 +456,15 @@ class TestDensityPairValidation:
         (0, 1.0 + 5e-7, None),
         (0, 1.0 + 2e-6, r"density 0 integrates to 1\.00000200 over the box"),
     ], ids=["f1_scaled_by_1.05", "off_by_5e-7", "off_by_2e-6"])
-    def test_mass_is_each_weighted_density_over_its_prior(self, k, scale, message):
+    def test_mass_is_each_weighted_density_over_its_prior(self, k, scale, message, monkeypatch):
         # the pass integrates p f0 and q f1 (p = 0.3) and divides each by its prior
-        def unit(x):
-            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
-
-        log_densities = [unit, unit]
-        log_densities[k] = lambda x: unit(x) + math.log(scale)
-        pair = DensityPair(*log_densities, prior_p=0.3, integration_box=[[-9.0, 9.0]])
+        pair = pair_1d(0.0, p=0.3)
+        scale_density(monkeypatch, k, scale)
         if message is None:
             integrals(pair, ["bc"])
         else:
-            with pytest.raises(OracleError, match=message):
+            with pytest.raises(OracleError, match=message + r" \(\|mass-1\| > 1e-06\); "
+                               r"the quadrature grid does not resolve this model$"):
                 integrals(pair, ["bc"])
 
     def test_tiny_prior_passes_the_mass_check(self):
@@ -475,69 +474,37 @@ class TestDensityPairValidation:
         assert 0.0 < values["bayes_error"][0] <= 1e-300
         assert values["dp_tilde"][0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_log_density_must_return_one_value_per_point(self):
-        # an (n, 1) column would broadcast against the (n,) weights to (n, n)
-        def unit(x):
-            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
-
-        pair = DensityPair(
-            log_density_0=unit, log_density_1=lambda x: unit(x)[:, None],
-            prior_p=0.5, integration_box=[[-9.0, 9.0]],
-        )
-        with pytest.raises(OracleError, match=r"log_density_1 returned shape \(4096, 1\)"):
-            integrals(pair, ["bc"])
-
-    def test_high_dimension_needs_samplers(self):
-        def unit(x):
-            return -0.5 * ((x ** 2).sum(axis=1) + x.shape[1] * np.log(2 * np.pi))
-
-        with pytest.raises(OracleError, match="sample_0"):
-            DensityPair(
-                log_density_0=unit, log_density_1=unit,
-                prior_p=0.5, integration_box=[[-9, 9]] * 3,
-            )
-
-    def test_box_must_cover_mass(self):
-        def unit(x):
-            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
-
-        pair = DensityPair(
-            log_density_0=unit, log_density_1=unit,
-            prior_p=0.5, integration_box=[[-1.0, 1.0]],
-        )
-        with pytest.raises(OracleError, match="integrates to"):
-            integrals(pair, ["bc"])
-
-    def test_bad_prior_and_box(self):
-        def unit(x):
-            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
-
-        with pytest.raises(OracleError, match="prior_p"):
-            DensityPair(unit, unit, prior_p=1.0, integration_box=[[-9, 9]])
-        with pytest.raises(OracleError, match="low < high"):
-            DensityPair(unit, unit, prior_p=0.5, integration_box=[[9, -9]])
-
-    @pytest.mark.parametrize("box, shape", [
-        ([-9.0, 9.0], r"\(2,\)"),
-        ([[-9.0, 9.0, 0.0]], r"\(1, 3\)"),
-        (np.zeros((0, 2)), r"\(0, 2\)"),
-        ([[[-9.0, 9.0]]], r"\(1, 1, 2\)"),
-    ], ids=["flat", "three_columns", "no_rows", "three_axes"])
-    def test_box_must_be_d_by_2(self, box, shape):
-        def unit(x):
-            return -0.5 * (x[:, 0] ** 2 + np.log(2 * np.pi))
-
-        with pytest.raises(OracleError, match=r"\(d, 2\) array with d >= 1, got shape " + shape):
-            DensityPair(unit, unit, prior_p=0.5, integration_box=box)
+    @pytest.mark.parametrize("model", [
+        GaussianModel(mean0=[0.3], mean1=[-1.7], cov0=[0.49], cov1=[2.0]),
+        GaussianModel(mean0=[0.2, -0.1], mean1=[1.3, 0.6], cov0=[[1.1, 0.6], [0.6, 0.7]],
+                      cov1=[[0.9, -0.3], [-0.3, 1.4]]),
+        GaussianModel(mean0=[0.0, 1e-3, -2.5, 7.0], mean1=[1.0, 0.5, 0.0, 0.2],
+                      cov0=[1.0, 3.0, 0.1, 1e-4], cov1=[1.5, 1.0, 0.8, 1.2]),
+    ], ids=["1d", "2d_correlated", "4d"])
+    def test_box_is_each_mean_plus_minus_8_sigma(self, model):
+        sigma = [[8.0 * math.sqrt(cov[i, i]) for i in range(model.d)]
+                 for cov in (model.cov0, model.cov1)]
+        want = np.array([[min(model.mean0[i] - sigma[0][i], model.mean1[i] - sigma[1][i]),
+                          max(model.mean0[i] + sigma[0][i], model.mean1[i] + sigma[1][i])]
+                         for i in range(model.d)])
+        box = gaussian_pair(model).integration_box
+        assert box.dtype == np.float64 and box.shape == (model.d, 2)
+        assert box.tobytes() == want.tobytes()
+        assert not box.flags.writeable
 
     def test_dimension_is_read_from_the_box(self):
+        # the pair's dimension, box and method all follow its model
         pair = gaussian_pair(GaussianModel(mean0=[0.0] * 3, mean1=[1.0] * 3, cov0=[1.0] * 3,
                                            cov1=[1.0] * 3))
         assert pair.dimension == 3 and pair.integration_box.shape == (3, 2)
+        assert [(f.name, f.init) for f in dataclasses.fields(DensityPair)] == [
+            ("model", True), ("integration_box", False)]
         with pytest.raises(dataclasses.FrozenInstanceError):
             pair.dimension = 2
         with pytest.raises(TypeError, match="dimension"):
             dataclasses.replace(pair, dimension=2)
+        with pytest.raises(ValueError, match="integration_box is declared with init=False"):
+            dataclasses.replace(pair, integration_box=np.zeros((3, 2)))
         assert pair.method == "monte_carlo" and pair_1d(1.0).method == "quadrature"
         with pytest.raises(TypeError, match="method"):
             dataclasses.replace(pair, method="quadrature")
@@ -557,17 +524,16 @@ class TestPassSize:
     ], ids=["1d", "2d", "3d"])
     def test_patched_size_reaches_the_pass(self, d, pass_size, rows, monkeypatch):
         set_pass_size(monkeypatch, **pass_size)
-        base = gaussian_pair(GaussianModel(mean0=[0.0] * d, mean1=[1.0] * d, cov0=[1.0] * d,
+        pair = gaussian_pair(GaussianModel(mean0=[0.0] * d, mean1=[1.0] * d, cov0=[1.0] * d,
                                            cov1=[1.0] * d))
         seen = [0, 0]
+        true_log_density = GaussianModel.log_density
 
-        def counted(k):
-            def log_density(x):
-                seen[k] += x.shape[0]
-                return (base.log_density_0, base.log_density_1)[k](x)
-            return log_density
+        def counted(self, cls, x):
+            seen[cls] += x.shape[0]
+            return true_log_density(self, cls, x)
 
-        pair = dataclasses.replace(base, log_density_0=counted(0), log_density_1=counted(1))
+        monkeypatch.setattr(GaussianModel, "log_density", counted)
         integrals(pair, SIX)
         assert seen == [rows, rows]
 
@@ -582,14 +548,14 @@ class TestMonteCarloPath:
             prior_p=0.45))
         names = ("bayes_error", "dp_tilde", "affinity", "bc", "tv", "chernoff",
                  "scaled_chernoff")
-        table = oracle._integrand_table(pair.prior_p, 1.0 - pair.prior_p, 0.3)
+        table = oracle._integrand_table(pair.model.prior_p, 1.0 - pair.model.prior_p, 0.3)
         per_stratum = oracle.MC_POINTS // oracle.MC_STRATA
         means = np.empty((len(names), oracle.MC_STRATA))
         for s in range(oracle.MC_STRATA):
             rng = derive_rng(oracle.MC_ROOT_SEED, s)
             terms = oracle._Terms(pair, np.vstack([
-                pair.sample_0(rng, per_stratum // 2),
-                pair.sample_1(rng, per_stratum - per_stratum // 2)]))
+                pair.model.sample(0, rng, per_stratum // 2),
+                pair.model.sample(1, rng, per_stratum - per_stratum // 2)]))
             inv_q = np.exp(-(np.logaddexp(terms.lf0, terms.lf1) - math.log(2.0)))
             for k, name in enumerate(names):
                 means[k, s] = np.mean(table[name](terms) * inv_q)
